@@ -82,8 +82,10 @@ class NodeData:
     members: list[ChainMember] = field(default_factory=list)
 
     def add_inherited(self, levels: tuple[EnergyValue, ...]) -> None:
+        seen = {level.kev for level in self.inherited}
         for level in levels:
-            if not any(level.kev == seen.kev for seen in self.inherited):
+            if level.kev not in seen:
+                seen.add(level.kev)
                 self.inherited.append(level)
 
 

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import yaml
 
-from .errors import ConfigParseError, InvertedBounds, UnknownKey
+from .errors import ConfigParseError, InvertedBounds, MalformedId, UnknownKey
 from .library import INF, PruneBounds
 from .nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 from .plot import PlotWindow
@@ -69,9 +69,6 @@ class JobConfig:
     outputs: list[str] = field(default_factory=lambda: ["csv"])
     plot: PlotConfig = field(default_factory=PlotConfig)
     lineage: bool = True
-    # A bad nuclide id poisons only this job (recorded here), so the other
-    # jobs of a batch still run; schema errors stay fatal at load time.
-    config_error: str | None = None
 
 
 @dataclass
@@ -101,15 +98,18 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
         level = item.get("level")
         if level is None:
             return nuclide
-        if isinstance(level, (int, float)):
-            return nuclide.at_level(LevelSpec.energy(float(level)))
-        text = str(level).strip().lower()
-        if text in ("ground", "gs", "0"):
-            return nuclide
-        if text.startswith("m"):
-            ordinal = 1 if text == "m" else int(text[1:])
-            return nuclide.at_level(LevelSpec.meta(ordinal))
-        return nuclide.at_level(LevelSpec.energy(float(text)))
+        try:
+            if isinstance(level, (int, float)):
+                return nuclide.at_level(LevelSpec.energy(float(level)))
+            text = str(level).strip().lower()
+            if text in ("ground", "gs", "0"):
+                return nuclide
+            if text.startswith("m"):
+                ordinal = 1 if text == "m" else int(text[1:])
+                return nuclide.at_level(LevelSpec.meta(ordinal))
+            return nuclide.at_level(LevelSpec.energy(float(text)))
+        except ValueError as exc:
+            raise ConfigParseError(f"{context}: bad level {level!r}: {exc}") from exc
     raise ConfigParseError(f"{context}: expected a nuclide id or mapping, got {item!r}")
 
 
@@ -198,7 +198,7 @@ def _parse_job(value, index: int) -> JobConfig:
             for item in (value.get("exclusions") or [])
         ]
     except MalformedId as exc:
-        return JobConfig(name=name, config_error=f"{context}: {exc}")
+        raise ConfigParseError(f"{context}: {exc}") from exc
     if not progenitors and not statics:
         raise ConfigParseError(
             f"{context}: at least one recursive progenitor or static nuclide required"
@@ -218,7 +218,7 @@ def _parse_job(value, index: int) -> JobConfig:
         raise ConfigParseError(f"{context}: outputs must be a list of format names")
 
     return JobConfig(
-        name=str(value.get("name") or f"job{index + 1}"),
+        name=name,
         recursive_progenitors=progenitors,
         static_nuclides=statics,
         exclusions=exclusions,

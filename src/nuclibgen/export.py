@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 import re
 from pathlib import Path
 
@@ -73,14 +74,18 @@ def _render_csv(lib: RadionuclideLibrary) -> str:
     return out.getvalue()
 
 
+def _json_interval(interval: tuple[float, float]) -> list[float | None]:
+    return [None if math.isinf(bound) else bound for bound in interval]
+
+
 def _render_json(lib: RadionuclideLibrary) -> str:
     payload = {
         "radiation": lib.radiation.code,
         "bounds": {
-            "energy_kev": list(lib.bounds.energy_kev),
-            "intensity_percent": list(lib.bounds.intensity_percent),
+            "energy_kev": _json_interval(lib.bounds.energy_kev),
+            "intensity_percent": _json_interval(lib.bounds.intensity_percent),
             "half_life_seconds": (
-                list(lib.bounds.half_life_seconds)
+                _json_interval(lib.bounds.half_life_seconds)
                 if lib.bounds.half_life_seconds
                 else None
             ),

@@ -9,9 +9,10 @@ flattened set are unfeasible and their radiation is excluded downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .nuclide import DecayMode, EnergyValue, Nuclide, energies_match
+from .nuclide import DecayMode, EnergyIndex, EnergyValue, Nuclide
+from .nuclide import energies_match  # noqa: F401  (re-exported)
 from .records import LevelRecord, LevelScheme
 
 DEFAULT_ISOMER_THRESHOLD_S = 1e-9
@@ -19,16 +20,18 @@ DEFAULT_ISOMER_THRESHOLD_S = 1e-9
 
 @dataclass
 class FlattenedLevels:
-    """All permissible energy levels of one nuclide in a given context."""
+    """All permissible energy levels of one nuclide in a given context. The
+    constructor indexes ``all``: pass the final list, later appends are unseen."""
 
     nuclide: Nuclide
     inherited: list[EnergyValue]
-    visited: list[EnergyValue]
     all: list[EnergyValue]
-    orphans: list[EnergyValue] = field(default_factory=list)
+
+    def __post_init__(self):
+        self._index = EnergyIndex(self.all)
 
     def contains(self, energy: EnergyValue) -> bool:
-        return any(energies_match(energy, member) for member in self.all)
+        return bool(self._index.matches(energy))
 
 
 @dataclass(frozen=True)
@@ -42,11 +45,10 @@ class LevelOutcome:
 
 
 def _dedup_desc(values: list[EnergyValue]) -> list[EnergyValue]:
-    out: list[EnergyValue] = []
+    firsts: dict[float, EnergyValue] = {}
     for value in sorted(values, key=lambda e: e.kev, reverse=True):
-        if not any(v.kev == value.kev for v in out):
-            out.append(value)
-    return out
+        firsts.setdefault(value.kev, value)
+    return list(firsts.values())
 
 
 def cascade_visit(
@@ -78,9 +80,7 @@ def cascade_visit(
     seen = {e.kev for e in visited}
     while frontier:
         current = frontier.pop()
-        for transition in scheme.transitions:
-            if not energies_match(transition.start_level, current):
-                continue
+        for transition in scheme.transitions_from(current):
             record = scheme.find_level(transition.end_level)
             end = record.energy if record is not None else transition.end_level
             if end.kev not in seen:
@@ -103,18 +103,12 @@ def flatten_levels(
     use only); the flattened set is then the inherited levels alone.
     """
     inherited = _dedup_desc(list(inherited))
-    orphans = [e for e in inherited if scheme.find_level(e) is None]
     if simulate_cascade:
         visited = cascade_visit(inherited, scheme, warnings)
     else:
         visited = list(inherited)
-    combined = _dedup_desc(inherited + visited)
     return FlattenedLevels(
-        nuclide=nuclide,
-        inherited=inherited,
-        visited=visited,
-        all=combined,
-        orphans=orphans,
+        nuclide=nuclide, inherited=inherited, all=_dedup_desc(inherited + visited)
     )
 
 

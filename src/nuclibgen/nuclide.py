@@ -8,12 +8,14 @@ from __future__ import annotations
 
 import enum
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 from .elements import canonical_symbol
 from .errors import MalformedId, MassOutOfRange, UnknownElement
 
 MAX_MASS_NUMBER = 300
+_INF = float("inf")
 
 SECONDS_PER_YEAR = 365.2422 * 86400.0
 
@@ -55,8 +57,8 @@ class LevelSpec:
 
     @staticmethod
     def energy(kev: float) -> "LevelSpec":
-        if kev < 0:
-            raise ValueError("level energy must be nonnegative")
+        if not 0 <= kev < _INF:
+            raise ValueError("level energy must be finite and nonnegative")
         if kev == 0:
             return LevelSpec("ground")
         return LevelSpec("energy", kev=kev)
@@ -157,10 +159,11 @@ class EnergyValue:
     uncertainty_kev: float = 0.0
 
     def __post_init__(self):
-        if self.kev < 0:
-            raise ValueError("energy must be nonnegative")
-        if self.uncertainty_kev < 0:
-            raise ValueError("uncertainty must be nonnegative")
+        # Chained comparisons are false for NaN, so NaN is rejected too.
+        if not 0 <= self.kev < _INF:
+            raise ValueError("energy must be finite and nonnegative")
+        if not 0 <= self.uncertainty_kev < _INF:
+            raise ValueError("uncertainty must be finite and nonnegative")
 
 
 def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
@@ -174,6 +177,26 @@ def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
     return abs(a.kev - b.kev) <= max(spread, 1.0)
 
 
+class EnergyIndex:
+    """A sorted snapshot of a list of energies. A lookup for q bisects the window
+    |kev - q.kev| <= max(3 * sqrt(u_max^2 + q.u^2), 1 keV), u_max the largest
+    indexed uncertainty, and confirms each candidate with ``energies_match``."""
+
+    def __init__(self, energies: list[EnergyValue]):
+        self._entries = sorted(enumerate(energies), key=lambda entry: entry[1].kev)
+        self._kevs = [e.kev for _, e in self._entries]
+        self._u_max = max((e.uncertainty_kev for e in energies), default=0.0)
+
+    def matches(self, energy: EnergyValue) -> list[int]:
+        """Ascending positions, in the indexed list, of every matching energy."""
+        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
+        # Widen past the rounding of kev +- half; energies_match decides.
+        half += 1e-9 * (half + energy.kev)
+        lo = bisect_left(self._kevs, energy.kev - half)
+        hi = bisect_right(self._kevs, energy.kev + half, lo)
+        return sorted(i for i, e in self._entries[lo:hi] if energies_match(e, energy))
+
+
 @dataclass(frozen=True)
 class HalfLife:
     """Either stable, or a positive half-life in seconds with uncertainty."""
@@ -182,10 +205,10 @@ class HalfLife:
     uncertainty_seconds: float = 0.0
 
     def __post_init__(self):
-        if self.seconds is not None and self.seconds <= 0:
-            raise ValueError("half-life must be positive")
-        if self.uncertainty_seconds < 0:
-            raise ValueError("uncertainty must be nonnegative")
+        if self.seconds is not None and not 0 < self.seconds < _INF:
+            raise ValueError("half-life must be finite and positive")
+        if not 0 <= self.uncertainty_seconds < _INF:
+            raise ValueError("uncertainty must be finite and nonnegative")
 
     @property
     def is_stable(self) -> bool:
@@ -260,7 +283,10 @@ def parse_nuclide_id(text: str) -> Nuclide:
         if not m:
             raise MalformedId(f"bad level suffix in {text!r}")
         if m.group("kev") is not None:
-            level_override = LevelSpec.energy(float(m.group("kev")))
+            try:
+                level_override = LevelSpec.energy(float(m.group("kev")))
+            except ValueError as exc:
+                raise MalformedId(f"bad level energy in {text!r}: {exc}") from exc
         else:
             level_override = _parse_meta(
                 "m" if m.group("ord") is None else "m" + m.group("ord")

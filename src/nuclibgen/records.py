@@ -34,11 +34,11 @@ from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, RawDataset
 from .errors import HeaderMismatch, NuclideMismatch
 from .nuclide import (
     DecayMode,
+    EnergyIndex,
     EnergyValue,
     HalfLife,
     Nuclide,
     RadiationType,
-    energies_match,
 )
 
 FLAG_NO_INTENSITY = "no-intensity"
@@ -97,21 +97,26 @@ class TransitionRecord:
 
 @dataclass
 class LevelScheme:
-    """A nuclide's energy levels plus its electromagnetic transition table."""
+    """A nuclide's energy levels plus its electromagnetic transition table. The
+    constructor indexes both lists: pass final lists, later appends are unseen."""
 
     nuclide: Nuclide
     levels: list[LevelRecord] = field(default_factory=list)
     transitions: list[TransitionRecord] = field(default_factory=list)
 
+    def __post_init__(self):
+        self._level_index = EnergyIndex([l.energy for l in self.levels])
+        self._start_index = EnergyIndex([t.start_level for t in self.transitions])
+
     def find_level(self, energy: EnergyValue) -> LevelRecord | None:
-        """The closest level matching ``energy`` within tolerance, or None."""
-        best, best_delta = None, None
-        for record in self.levels:
-            if energies_match(record.energy, energy):
-                delta = abs(record.energy.kev - energy.kev)
-                if best is None or delta < best_delta:
-                    best, best_delta = record, delta
-        return best
+        """The closest level matching ``energy`` within tolerance, or None;
+        of equally close levels the earliest in ``levels`` wins."""
+        matches = (self.levels[i] for i in self._level_index.matches(energy))
+        return min(matches, key=lambda l: abs(l.energy.kev - energy.kev), default=None)
+
+    def transitions_from(self, energy: EnergyValue) -> list[TransitionRecord]:
+        """Transitions whose start level matches ``energy``, in table order."""
+        return [self.transitions[i] for i in self._start_index.matches(energy)]
 
     def isomer_levels(self, threshold_s: float = 1e-9) -> list[LevelRecord]:
         """Excited levels with a reported half-life at or above the threshold,
@@ -169,44 +174,43 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             )
             mode = DecayMode.from_code(row["decay"])
             branching = float(row["decay_%"])
+
+            flags = set()
+            intensity = _opt_float(row, "intensity")
+            if intensity is None:
+                flags.add(FLAG_NO_INTENSITY)
+            intensity_unc = _opt_float(row, "unc_i")
+            if intensity is not None and intensity_unc is None:
+                flags.add(FLAG_NO_UNCERTAINTY)
+
+            hl_s = _opt_float(row, "half_life_sec")
+            half_life = None
+            if hl_s is not None:
+                half_life = HalfLife(hl_s, _opt_float(row, "unc_hls") or 0.0)
+
+            fed = _opt_float(row, "daughter_level_energy")
+            start = _opt_float(row, "start_level_energy")
+            end = _opt_float(row, "end_level_energy")
+            records.append(
+                DecayRecord(
+                    parent=parent,
+                    parent_level=parent_level,
+                    radiation=rad,
+                    energy=energy,
+                    intensity_percent=intensity,
+                    intensity_unc=intensity_unc or 0.0,
+                    daughter=daughter,
+                    daughter_feeding_level=None if fed is None else EnergyValue(fed),
+                    decay_mode=mode,
+                    branching_percent=branching,
+                    half_life=half_life,
+                    start_level=None if start is None else EnergyValue(start),
+                    end_level=None if end is None else EnergyValue(end),
+                    flags=frozenset(flags),
+                )
+            )
         except (ValueError, KeyError, TypeError) as exc:
             warnings.append(f"{raw.key.serialize()} line {lineno}: {exc}")
-            continue
-
-        flags = set()
-        intensity = _opt_float(row, "intensity")
-        if intensity is None:
-            flags.add(FLAG_NO_INTENSITY)
-        intensity_unc = _opt_float(row, "unc_i")
-        if intensity is not None and intensity_unc is None:
-            flags.add(FLAG_NO_UNCERTAINTY)
-
-        hl_s = _opt_float(row, "half_life_sec")
-        half_life = None
-        if hl_s is not None:
-            half_life = HalfLife(hl_s, _opt_float(row, "unc_hls") or 0.0)
-
-        fed = _opt_float(row, "daughter_level_energy")
-        start = _opt_float(row, "start_level_energy")
-        end = _opt_float(row, "end_level_energy")
-        records.append(
-            DecayRecord(
-                parent=parent,
-                parent_level=parent_level,
-                radiation=rad,
-                energy=energy,
-                intensity_percent=intensity,
-                intensity_unc=intensity_unc or 0.0,
-                daughter=daughter,
-                daughter_feeding_level=None if fed is None else EnergyValue(fed),
-                decay_mode=mode,
-                branching_percent=branching,
-                half_life=half_life,
-                start_level=None if start is None else EnergyValue(start),
-                end_level=None if end is None else EnergyValue(end),
-                flags=frozenset(flags),
-            )
-        )
     return records, warnings
 
 
@@ -214,17 +218,16 @@ def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord
     try:
         nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
         energy = EnergyValue(float(row["energy"]), _opt_float(row, "unc_e") or 0.0)
+        hl_text = (row.get("half_life_sec") or "").strip()
+        if hl_text.upper() == "STABLE":
+            half_life = HalfLife.stable()
+        elif hl_text:
+            half_life = HalfLife(float(hl_text), _opt_float(row, "unc_hls") or 0.0)
+        else:
+            half_life = None
     except (ValueError, KeyError, TypeError) as exc:
         warnings.append(f"levels line {lineno}: {exc}")
         return None
-
-    hl_text = (row.get("half_life_sec") or "").strip()
-    if hl_text.upper() == "STABLE":
-        half_life = HalfLife.stable()
-    elif hl_text:
-        half_life = HalfLife(float(hl_text), _opt_float(row, "unc_hls") or 0.0)
-    else:
-        half_life = None
 
     modes: list[tuple[DecayMode, float]] = []
     for i in (1, 2, 3):
@@ -261,22 +264,32 @@ def parse_level_scheme(
     reader, header = _reader(levels_raw)
     _require_columns(header, _LEVEL_COLUMNS, levels_raw.key.serialize())
 
-    warnings: list[str] = []
-    levels: list[LevelRecord] = []
+    parsed: list[tuple[LevelRecord | None, list[str]]] = []
     for lineno, row in enumerate(reader, start=2):
-        record = _parse_level_row(row, lineno, warnings)
+        row_warnings: list[str] = []
+        parsed.append((_parse_level_row(row, lineno, row_warnings), row_warnings))
+
+    # A level matching an earlier kept level is dropped, with a warning naming
+    # the first such level; one index over all parsed levels finds them.
+    records = [record for record, _ in parsed if record is not None]
+    index = EnergyIndex([record.energy for record in records])
+    warnings: list[str] = []
+    kept: set[int] = set()
+    position = 0  # of ``record`` in ``records``
+    for record, row_warnings in parsed:
+        warnings += row_warnings
         if record is None:
             continue
-        clash = next(
-            (l for l in levels if energies_match(l.energy, record.energy)), None
-        )
-        if clash is not None:
+        clash = next((j for j in index.matches(record.energy) if j in kept), None)
+        if clash is None:
+            kept.add(position)
+        else:
             warnings.append(
                 f"{levels_raw.key.serialize()}: level {record.energy.kev} keV "
-                f"duplicates {clash.energy.kev} keV within tolerance; kept first"
+                f"duplicates {records[clash].energy.kev} keV within tolerance; kept first"
             )
-            continue
-        levels.append(record)
+        position += 1
+    levels = [record for i, record in enumerate(records) if i in kept]
 
     if not levels:
         raise HeaderMismatch(f"{levels_raw.key.serialize()}: no level rows")
@@ -303,7 +316,7 @@ def parse_level_scheme(
         )
     t_reader, t_header = _reader(transitions_raw)
     _require_columns(t_header, _TRANSITION_COLUMNS, transitions_raw.key.serialize())
-
+    transitions: list[TransitionRecord] = []
     for lineno, row in enumerate(t_reader, start=2):
         try:
             t_nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
@@ -334,7 +347,7 @@ def parse_level_scheme(
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue
-        scheme.transitions.append(
+        transitions.append(
             TransitionRecord(
                 nuclide=nuclide,
                 start_level=start,
@@ -343,7 +356,7 @@ def parse_level_scheme(
                 intensity_percent=_opt_float(row, "intensity"),
             )
         )
-    return scheme, warnings
+    return LevelScheme(nuclide=nuclide, levels=levels, transitions=transitions), warnings
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,7 @@
 import pytest
 
 from nuclibgen.config import load_config
-from nuclibgen.errors import ConfigParseError, UnknownKey
+from nuclibgen.errors import ConfigParseError, MalformedId, UnknownKey
 from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType
 
 
@@ -42,6 +42,25 @@ jobs:
     assert first == Nuclide("Lu", 177, LevelSpec.meta(4))
     assert second == first
     assert third.level.kind == "energy"
+
+
+@pytest.mark.parametrize("level", ["-5", "mx", "m0"])
+def test_bad_level_spec_rejected(tmp_path, level):
+    with pytest.raises(ConfigParseError, match="bad level"):
+        load_config(write(tmp_path, f"""
+jobs:
+  - recursive_progenitors:
+      - {{id: 99tc, level: {level}}}
+"""))
+
+
+def test_bad_nuclide_id_rejected(tmp_path):
+    with pytest.raises(ConfigParseError) as err:
+        load_config(write(tmp_path, """
+jobs:
+  - recursive_progenitors: [Xq-10]
+"""))
+    assert isinstance(err.value.__cause__, MalformedId)
 
 
 def test_unknown_top_level_key(tmp_path):

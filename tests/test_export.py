@@ -96,6 +96,22 @@ def test_json_export_shape(ac225_alpha):
     assert payload["bounds"]["intensity_percent"] == [0.001, 100]
 
 
+def test_json_export_writes_open_bounds_as_null(ac225_alpha):
+    import json
+
+    def reject(constant):
+        raise ValueError(f"non-finite JSON constant {constant}")
+
+    lib = RadionuclideLibrary(
+        radiation=ac225_alpha.radiation,
+        entries=ac225_alpha.entries,
+        bounds=PruneBounds(half_life_seconds=(0.0, float("inf"))),
+    )
+    payload = json.loads(render_table(lib, "json"), parse_constant=reject)
+    assert payload["bounds"]["energy_kev"] == [0.0, None]
+    assert payload["bounds"]["half_life_seconds"] == [0.0, None]
+
+
 def test_unsupported_format(ac225_alpha, tmp_path):
     with pytest.raises(UnsupportedFormat):
         export_table(ac225_alpha, "xlsx", tmp_path / "lib.xlsx")

@@ -52,6 +52,8 @@ def test_parse_errors():
         parse_nuclide_id("   ")
     with pytest.raises(MalformedId):
         parse_nuclide_id("u-238-m")
+    with pytest.raises(MalformedId):
+        parse_nuclide_id("99tc@1e999kev")  # infinite level energy
     with pytest.raises(MassOutOfRange):
         parse_nuclide_id("u999")
     with pytest.raises(MassOutOfRange):
@@ -85,8 +87,9 @@ def test_half_life_units():
     assert HalfLife.from_value(1.0, "d").seconds == 86400.0
     with pytest.raises(ValueError):
         HalfLife.from_value(1.0, "fortnight")
-    with pytest.raises(ValueError):
-        HalfLife(-1.0)
+    for seconds in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            HalfLife(seconds)
     assert HalfLife.stable().is_stable
 
 
@@ -105,3 +108,10 @@ def test_energies_match_tolerance_rule():
     # 3-sigma combined spread once uncertainties dominate
     assert energies_match(EnergyValue(100.0, 1.0), EnergyValue(103.5, 1.0))
     assert not energies_match(EnergyValue(100.0, 1.0), EnergyValue(105.0, 1.0))
+
+
+def test_energy_value_rejects_non_finite():
+    nan, inf = float("nan"), float("inf")
+    for kev, unc in ((nan, 0.0), (inf, 0.0), (1.0, nan), (1.0, inf)):
+        with pytest.raises(ValueError):
+            EnergyValue(kev, unc)

@@ -7,10 +7,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from nuclibgen.chains import assemble_subset, build_progeny
+from nuclibgen.dataaccess import DatasetKey, RawDataset
 from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import DepthExceeded, EmptySubset
 from nuclibgen.export import export_table, import_library_csv
-from nuclibgen.levels import cascade_visit
+from nuclibgen.levels import FlattenedLevels, cascade_visit
 from nuclibgen.library import LibraryEntry, PruneBounds, RadionuclideLibrary, prune
 from nuclibgen.nuclide import (
     EnergyValue,
@@ -18,12 +19,26 @@ from nuclibgen.nuclide import (
     LevelSpec,
     Nuclide,
     RadiationType,
+    energies_match,
     format_nuclide_id,
     parse_nuclide_id,
 )
-from nuclibgen.records import LevelRecord, LevelScheme, TransitionRecord
+from nuclibgen.records import (
+    LevelRecord,
+    LevelScheme,
+    TransitionRecord,
+    parse_decay_records,
+    parse_level_scheme,
+)
 
-from conftest import brute_radioactive, brute_reachable, simple_chain_source
+from conftest import (
+    brute_radioactive,
+    brute_reachable,
+    dr_body,
+    dr_row,
+    lv_body,
+    simple_chain_source,
+)
 
 # --- identifier round-trip -----------------------------------------------------
 
@@ -163,9 +178,10 @@ def test_prune_commutes_across_applications(lib, b1, b2):
 
 @given(libraries, bounds_strategy)
 def test_prune_monotone_narrower_is_subset(lib, bounds):
+    lo, hi = bounds.energy_kev
+    narrow_lo = min(lo + 10, hi)
     narrower = PruneBounds(
-        energy_kev=(bounds.energy_kev[0] + 10, max(bounds.energy_kev[0] + 10,
-                                                   bounds.energy_kev[1] - 10)),
+        energy_kev=(narrow_lo, max(narrow_lo, hi - 10)),
         intensity_percent=bounds.intensity_percent,
         half_life_seconds=bounds.half_life_seconds,
     )
@@ -227,6 +243,178 @@ def test_cascade_idempotent(data):
     visited = cascade_visit(starts, scheme)
     again = cascade_visit(visited, scheme)
     assert {e.kev for e in again} == {e.kev for e in visited}
+
+
+# --- indexed tolerance lookups equal the linear scans ----------------------------
+
+def scan_find_level(scheme, energy):
+    """Linear-scan reference for LevelScheme.find_level."""
+    best, best_delta = None, None
+    for record in scheme.levels:
+        if energies_match(record.energy, energy):
+            delta = abs(record.energy.kev - energy.kev)
+            if best is None or delta < best_delta:
+                best, best_delta = record, delta
+    return best
+
+
+def scan_cascade_visit(start_levels, scheme, warnings):
+    """Linear-scan reference for cascade_visit."""
+    visited, frontier = [], []
+    for start in start_levels:
+        record = scan_find_level(scheme, start)
+        if record is None:
+            warnings.append(
+                f"{scheme.nuclide}: start level {start.kev} keV matches no "
+                f"level record"
+            )
+            visited.append(start)
+            continue
+        visited.append(record.energy)
+        frontier.append(record.energy)
+    seen = {e.kev for e in visited}
+    while frontier:
+        current = frontier.pop()
+        for transition in scheme.transitions:
+            if not energies_match(transition.start_level, current):
+                continue
+            record = scan_find_level(scheme, transition.end_level)
+            end = record.energy if record is not None else transition.end_level
+            if end.kev not in seen:
+                seen.add(end.kev)
+                visited.append(end)
+                frontier.append(end)
+    out = []
+    for value in sorted(visited, key=lambda e: e.kev, reverse=True):
+        if not any(v.kev == value.kev for v in out):
+            out.append(value)
+    return out
+
+
+@st.composite
+def crowded_schemes(draw):
+    """Unsorted level schemes whose levels sit 0.5 keV apart with nonzero
+    uncertainties, and queries on a 0.25 keV grid (midpoints give
+    equal-distance ties). The offset puts some schemes at large energies,
+    where kev +- tolerance rounds."""
+    offset = draw(st.sampled_from([0.0, 1000.1, 98765.4321]))
+
+    def energy(step):
+        return st.builds(lambda k, u: EnergyValue(offset + step * k, u),
+                         st.integers(min_value=0, max_value=24),
+                         st.sampled_from([0.0, 0.05, 0.3, 0.7, 2.0]))
+
+    n = Nuclide("Gd", 156)
+    levels = [
+        LevelRecord(nuclide=n, energy=e)
+        for e in draw(st.lists(energy(0.5), min_size=1, max_size=12))
+    ]
+    transitions = [
+        TransitionRecord(nuclide=n, start_level=start, end_level=end,
+                         gamma_energy=EnergyValue(abs(start.kev - end.kev)))
+        for start, end in draw(
+            st.lists(st.tuples(energy(0.25), energy(0.25)), max_size=15))
+    ]
+    queries = draw(st.lists(energy(0.25), min_size=1, max_size=10))
+    return LevelScheme(nuclide=n, levels=levels, transitions=transitions), queries
+
+
+@given(crowded_schemes())
+def test_find_level_matches_linear_scan(data):
+    scheme, queries = data
+    for query in queries + [record.energy for record in scheme.levels]:
+        assert scheme.find_level(query) is scan_find_level(scheme, query)
+
+
+@given(crowded_schemes())
+def test_contains_matches_linear_scan(data):
+    scheme, queries = data
+    members = [record.energy for record in scheme.levels]
+    flat = FlattenedLevels(nuclide=scheme.nuclide, inherited=[], all=members)
+    for query in queries:
+        assert flat.contains(query) == any(energies_match(query, m) for m in members)
+
+
+@given(crowded_schemes())
+def test_cascade_visit_matches_linear_scan(data):
+    scheme, starts = data
+    warnings, expected_warnings = [], []
+    visited = cascade_visit(starts, scheme, warnings)
+    assert visited == scan_cascade_visit(starts, scheme, expected_warnings)
+    assert warnings == expected_warnings
+
+
+@given(crowded_schemes(), st.sets(st.integers(min_value=0, max_value=12), max_size=3))
+def test_duplicate_level_warnings_match_linear_scan(data, bad_rows):
+    """The same kept levels and the same warnings, in file order, as the
+    linear check; rows that fail to parse sit between the levels."""
+    scheme, _ = data
+    rows = [record.energy for record in scheme.levels]
+    for at in sorted(bad_rows, reverse=True):
+        rows.insert(min(at, len(rows)), None)
+    key = DatasetKey.levels(scheme.nuclide)
+    body = lv_body([
+        {"symbol": "Gd", "a": 156, "energy": "nan"} if e is None else
+        {"symbol": "Gd", "a": 156, "energy": e.kev, "unc_e": e.uncertainty_kev}
+        for e in rows
+    ])
+    parsed, warnings = parse_level_scheme(RawDataset(key, body, "cache"), None)
+
+    kept, expected = [], []
+    for lineno, energy in enumerate(rows, start=2):
+        if energy is None:
+            expected.append(f"levels line {lineno}: ")
+            continue
+        clash = next((k for k in kept if energies_match(k, energy)), None)
+        if clash is None:
+            kept.append(energy)
+        else:
+            expected.append(
+                f"{key.serialize()}: level {energy.kev} keV duplicates "
+                f"{clash.kev} keV within tolerance; kept first"
+            )
+    if not any(e.kev == 0 for e in kept):
+        kept.insert(0, EnergyValue(0.0))
+        expected.append(f"{key.serialize()}: ground state missing")
+    assert len(warnings) == len(expected)
+    assert all(w.startswith(e) for w, e in zip(warnings, expected))
+    assert [r.energy for r in parsed.levels] == sorted(kept, key=lambda e: e.kev)
+
+
+# --- non-finite values in a dataset row become parse warnings --------------------
+
+NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+
+
+@given(
+    column=st.sampled_from([
+        "energy", "unc_en", "p_energy", "unc_pe", "half_life_sec", "unc_hls",
+        "daughter_level_energy", "start_level_energy", "end_level_energy",
+    ]),
+    value=NON_FINITE,
+)
+def test_non_finite_decay_row_is_a_warning(column, value):
+    key = DatasetKey.decay_rads(Nuclide("U", 238), RadiationType.GAMMA)
+    good = dr_row(("U", 238), ("Th", 234), mode="A", energy=49.55, start=49.55, end=0.0)
+    raw = RawDataset(key, dr_body([dict(good, **{column: value}), good]), "cache")
+    records, warnings = parse_decay_records(raw)
+    assert len(records) == 1
+    assert len(warnings) == 1 and "line 2" in warnings[0]
+
+
+@given(
+    column=st.sampled_from(["energy", "unc_e", "half_life_sec", "unc_hls"]),
+    value=NON_FINITE,
+)
+def test_non_finite_level_row_is_a_warning(column, value):
+    good = {"symbol": "Tc", "a": 99, "energy": 142.6836, "unc_e": 0.1,
+            "half_life_sec": 1000.0, "unc_hls": 1.0}
+    ground = dict(good, energy=0.0)
+    key = DatasetKey.levels(Nuclide("Tc", 99))
+    body = lv_body([ground, dict(good, **{column: value}), good])
+    scheme, warnings = parse_level_scheme(RawDataset(key, body, "cache"), None)
+    assert [r.energy.kev for r in scheme.levels] == [0.0, 142.6836]
+    assert len(warnings) == 1 and "line 3" in warnings[0]
 
 
 # --- traversal termination on random graphs -------------------------------------
