@@ -1,13 +1,19 @@
 """Recursive construction of radionuclide subsets and lineage trees.
 
+Every nuclide goes through one node-visit core. `_visit` fetches its six
+decay-radiation datasets plus its level scheme and tallies its daughters from
+the decay records. `_settle` flattens the levels fed to it (ground when none),
+infers its level outcomes and isomers, and resolves its level-resolved chain
+members (for example Pa-234m and Pa-234 from one visited nuclide).
+
 `build_progeny` realizes the progenitor->progeny recurrence
-f(j) = g(j) | f(j+1) with an explicit work stack: each visited nuclide is
-queried for all six radiation kinds, daughters are tallied from the decay
-records, and unvisited daughters are scheduled depth-first. A nuclide whose
-six queries all come back absent/empty is terminal (stable). Level
-feasibility validation and isomer inference run after traversal, once every
-parent's feeding is known, and turn visited nuclides into level-resolved
-chain members (for example Pa-234m and Pa-234 from one visited nuclide).
+f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
+scheduled depth-first, and a nuclide whose six queries all come back
+absent/empty is terminal (stable). Nodes are settled after traversal, once
+every parent's feeding is known. `assemble_subset` visits statics through the
+same core but without descendants: a static's daughters contribute only their
+level schemes, for gamma feasibility gating. A static resolves to the member
+at its level, the same member a chain reaching that level would produce.
 """
 
 from __future__ import annotations
@@ -17,13 +23,7 @@ from typing import Protocol
 
 from .dataaccess import DatasetKey, RawDataset
 from .errors import DataUnavailable, DepthExceeded, EmptySubset, NetworkError, OfflineMiss
-from .levels import (
-    DEFAULT_ISOMER_THRESHOLD_S,
-    FlattenedLevels,
-    LevelOutcome,
-    flatten_levels,
-    infer_level_outcomes,
-)
+from .levels import FlattenedLevels, LevelOutcome, flatten_levels, infer_level_outcomes
 from .nuclide import EnergyValue, LevelSpec, Nuclide, RadiationType, energies_match
 from .records import (
     DaughterFeed,
@@ -61,7 +61,6 @@ class ChainMember:
     nuclide: Nuclide          # identity including level spec
     node: Nuclide             # level-erased backing nuclide
     level_kev: float
-    is_isomer: bool
     half_life_s: float | None = None
     unvalidated: bool = False
 
@@ -76,7 +75,6 @@ class NodeData:
     inherited: list[EnergyValue] = field(default_factory=list)
     scheme: LevelScheme | None = None
     warnings: list[str] = field(default_factory=list)
-    terminal: bool = True
     flattened: FlattenedLevels | None = None
     outcomes: list[LevelOutcome] = field(default_factory=list)
     members: list[ChainMember] = field(default_factory=list)
@@ -170,11 +168,30 @@ def _fetch_scheme(
     return scheme
 
 
-def resolve_level_spec(
-    spec: LevelSpec,
-    scheme: LevelScheme | None,
-    isomer_threshold_s: float = DEFAULT_ISOMER_THRESHOLD_S,
-) -> EnergyValue:
+def _visit(node: NodeData, source: DatasetSource) -> None:
+    """Fetch a nuclide's decay records and level scheme; tally its daughters."""
+    node.records = _fetch_records(source, node.nuclide, node.warnings)
+    node.scheme = _fetch_scheme(source, node.nuclide, node.warnings)
+    node.daughters = extract_daughters(node.records)
+
+
+def _settle(node: NodeData, simulate_cascade: bool) -> None:
+    """(Re)derive a node's flattened levels, level outcomes and members from
+    its current feeding context; the ground state stands in for no feeding."""
+    if node.scheme is not None:
+        node.flattened = flatten_levels(
+            node.nuclide,
+            node.inherited or [EnergyValue(0.0)],
+            node.scheme,
+            node.warnings,
+            simulate_cascade=simulate_cascade,
+        )
+        node.outcomes = infer_level_outcomes(node.flattened, node.scheme)
+    node.members = []
+    _resolve_members(node)
+
+
+def resolve_level_spec(spec: LevelSpec, scheme: LevelScheme | None) -> EnergyValue:
     """Concrete level energy for a user-designated level specification."""
     if spec.is_ground:
         return EnergyValue(0.0)
@@ -184,7 +201,7 @@ def resolve_level_spec(
         raise DataUnavailable(
             "metastable ordinal cannot be resolved without a level dataset"
         )
-    isomers = scheme.isomer_levels(isomer_threshold_s)
+    isomers = scheme.isomer_levels()
     if spec.ordinal > len(isomers):
         raise DataUnavailable(
             f"{scheme.nuclide}: no isomer with ordinal m{spec.ordinal} "
@@ -193,29 +210,25 @@ def resolve_level_spec(
     return isomers[spec.ordinal - 1].energy
 
 
-def _member_identity(
-    node: NodeData, level: EnergyValue, isomer_threshold_s: float
-) -> tuple[Nuclide, bool]:
-    """Resolve a feasible decaying level to a member identity (and isomer flag)."""
+def _member_identity(node: NodeData, level: EnergyValue) -> Nuclide:
+    """The member identity of a feasible decaying level: its 'm' ordinal when
+    the level is an isomer, else its energy (none for the ground state)."""
     if node.scheme is not None:
-        isomers = node.scheme.isomer_levels(isomer_threshold_s)
-        for ordinal, record in enumerate(isomers, start=1):
+        for ordinal, record in enumerate(node.scheme.isomer_levels(), start=1):
             if energies_match(record.energy, level):
-                return node.nuclide.at_level(LevelSpec.meta(ordinal)), True
+                return node.nuclide.at_level(LevelSpec.meta(ordinal))
     if level.kev == 0:
-        return node.nuclide, False
-    return node.nuclide.at_level(LevelSpec.energy(level.kev)), False
+        return node.nuclide
+    return node.nuclide.at_level(LevelSpec.energy(level.kev))
 
 
-def _resolve_members(node: NodeData, isomer_threshold_s: float) -> None:
+def _resolve_members(node: NodeData) -> None:
     """Turn a validated node into its level-resolved chain members.
 
     A member is a feasible level at which the nuclide decays, i.e. one that
     appears as a parent level in the decay records. Members are ordered by
     descending level energy (isomers before the ground state).
     """
-    if not node.records:
-        return
     decaying: list[EnergyValue] = []
     for rec in node.records:
         if not any(energies_match(rec.parent_level, seen) for seen in decaying):
@@ -226,16 +239,12 @@ def _resolve_members(node: NodeData, isomer_threshold_s: float) -> None:
         unvalidated = node.flattened is None
         if node.flattened is not None and not node.flattened.contains(level):
             continue  # unfeasible decaying level: radiation excluded downstream
-        canonical = level
-        if node.scheme is not None:
-            matched = node.scheme.find_level(level)
-            if matched is not None:
-                canonical = matched.energy
-        identity, is_isomer = _member_identity(node, canonical, isomer_threshold_s)
+        matched = node.scheme.find_level(level) if node.scheme else None
+        canonical = matched.energy if matched is not None else level
+        identity = _member_identity(node, canonical)
         if any(m.nuclide == identity for m in node.members):
             continue
         half_life = None
-        matched = node.scheme.find_level(canonical) if node.scheme else None
         if matched is not None and matched.half_life is not None:
             half_life = (
                 None if matched.half_life.is_stable else matched.half_life.seconds
@@ -250,7 +259,6 @@ def _resolve_members(node: NodeData, isomer_threshold_s: float) -> None:
                 nuclide=identity,
                 node=node.nuclide,
                 level_kev=canonical.kev,
-                is_isomer=is_isomer,
                 half_life_s=half_life,
                 unvalidated=unvalidated,
             )
@@ -262,7 +270,6 @@ def build_progeny(
     source: DatasetSource,
     *,
     simulate_cascade: bool = True,
-    isomer_threshold_s: float = DEFAULT_ISOMER_THRESHOLD_S,
     visited_cap: int = DEFAULT_VISITED_CAP,
 ) -> ChainBuild:
     """Recursively collect all progeny of a progenitor.
@@ -289,10 +296,7 @@ def build_progeny(
             )
         order.append(current)
         node = nodes.setdefault(current, NodeData(nuclide=current))
-        node.records = _fetch_records(source, current, node.warnings)
-        node.scheme = _fetch_scheme(source, current, node.warnings)
-        node.terminal = not node.records
-        node.daughters = extract_daughters(node.records)
+        _visit(node, source)
 
         fresh = []
         for feed in node.daughters:
@@ -307,34 +311,17 @@ def build_progeny(
 
     # Progenitor levels are designated by the user; omission means ground.
     root_node = nodes[root]
-    root_level = resolve_level_spec(
-        progenitor.level, root_node.scheme, isomer_threshold_s
-    )
-    root_node.add_inherited((root_level,))
+    root_node.add_inherited((resolve_level_spec(progenitor.level, root_node.scheme),))
 
     for visited in order:
-        node = nodes[visited]
-        if node.scheme is not None:
-            node.flattened = flatten_levels(
-                node.nuclide,
-                node.inherited or [EnergyValue(0.0)],
-                node.scheme,
-                node.warnings,
-                simulate_cascade=simulate_cascade,
-            )
-        node.outcomes = (
-            infer_level_outcomes(node.flattened, node.scheme, isomer_threshold_s)
-            if node.flattened is not None and node.scheme is not None
-            else []
-        )
-        _resolve_members(node, isomer_threshold_s)
-        warnings.extend(node.warnings)
+        _settle(nodes[visited], simulate_cascade)
+        warnings.extend(nodes[visited].warnings)
 
     members: list[Nuclide] = []
     for visited in order:
         members.extend(m.nuclide for m in nodes[visited].members)
 
-    progenitor_terminal = root_node.terminal
+    progenitor_terminal = not root_node.records
     if progenitor_terminal:
         # Degenerate case: a stable progenitor still heads its (empty) chain.
         members.insert(0, progenitor)
@@ -418,9 +405,7 @@ class RadionuclideSubset:
 def _merge_nodes(
     target: dict[Nuclide, NodeData],
     extra: dict[Nuclide, NodeData],
-    *,
-    simulate_cascade: bool = True,
-    isomer_threshold_s: float = DEFAULT_ISOMER_THRESHOLD_S,
+    simulate_cascade: bool,
 ) -> None:
     for key, node in extra.items():
         existing = target.get(key)
@@ -430,19 +415,15 @@ def _merge_nodes(
         # Same datasets underneath; union the feeding context and widen the
         # feasible set accordingly.
         existing.add_inherited(tuple(node.inherited))
-        if existing.scheme is not None:
-            existing.flattened = flatten_levels(
-                existing.nuclide,
-                existing.inherited or [EnergyValue(0.0)],
-                existing.scheme,
-                existing.warnings,
-                simulate_cascade=simulate_cascade,
-            )
-            existing.outcomes = infer_level_outcomes(
-                existing.flattened, existing.scheme, isomer_threshold_s
-            )
-            existing.members = []
-            _resolve_members(existing, isomer_threshold_s)
+        _settle(existing, simulate_cascade)
+
+
+def _static_member(node: NodeData, level: EnergyValue) -> Nuclide:
+    """The identity of the node member closest to ``level`` within tolerance;
+    a level no member decays at (a stable static, say) keeps its own identity."""
+    near = [m for m in node.members if energies_match(EnergyValue(m.level_kev), level)]
+    member = min(near, key=lambda m: abs(m.level_kev - level.kev), default=None)
+    return member.nuclide if member is not None else _member_identity(node, level)
 
 
 def assemble_subset(
@@ -452,7 +433,6 @@ def assemble_subset(
     source: DatasetSource,
     *,
     simulate_cascade: bool = True,
-    isomer_threshold_s: float = DEFAULT_ISOMER_THRESHOLD_S,
     visited_cap: int = DEFAULT_VISITED_CAP,
     source_id: str = "",
 ) -> RadionuclideSubset:
@@ -465,6 +445,7 @@ def assemble_subset(
     chains: list[DecayChain] = []
     trees: list[LineageTree] = []
     nodes: dict[Nuclide, NodeData] = {}
+    visited: set[Nuclide] = set()
     warnings: list[str] = []
 
     for progenitor in recursive:
@@ -472,41 +453,35 @@ def assemble_subset(
             progenitor,
             source,
             simulate_cascade=simulate_cascade,
-            isomer_threshold_s=isomer_threshold_s,
             visited_cap=visited_cap,
         )
         chains.append(build.chain)
         trees.append(build.tree)
-        _merge_nodes(
-            nodes,
-            build.nodes,
-            simulate_cascade=simulate_cascade,
-            isomer_threshold_s=isomer_threshold_s,
-        )
+        visited.update(build.order)
+        _merge_nodes(nodes, build.nodes, simulate_cascade)
         warnings.extend(build.warnings)
 
     resolved_statics: list[Nuclide] = []
     for static in statics:
-        node = nodes.get(static.ground_state)
-        if node is None:
-            node = _build_static_node(
-                static, source, nodes, warnings,
-                simulate_cascade=simulate_cascade,
-                isomer_threshold_s=isomer_threshold_s,
-            )
-        level = resolve_level_spec(static.level, node.scheme, isomer_threshold_s)
+        ground = static.ground_state
+        node = nodes.setdefault(ground, NodeData(nuclide=ground))
+        if ground not in visited:
+            # No descendants: the daughters are settled from their level
+            # schemes alone, which is all that gamma gating needs of them.
+            visited.add(ground)
+            _visit(node, source)
+            warnings.extend(node.warnings)
+            for feed in node.daughters:
+                child = nodes.get(feed.daughter)
+                if child is None:
+                    child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
+                    child.scheme = _fetch_scheme(source, feed.daughter, child.warnings)
+                child.add_inherited(feed.feeding_levels)
+                _settle(child, simulate_cascade)
+        level = resolve_level_spec(static.level, node.scheme)
         node.add_inherited((level,))
-        if node.scheme is not None:
-            node.flattened = flatten_levels(
-                node.nuclide, node.inherited, node.scheme, node.warnings,
-                simulate_cascade=simulate_cascade,
-            )
-        identity, _ = (
-            _member_identity(node, level, isomer_threshold_s)
-            if node.scheme is not None or level.kev == 0
-            else (static, False)
-        )
-        resolved_statics.append(identity)
+        _settle(node, simulate_cascade)
+        resolved_statics.append(_static_member(node, level))
 
     excluded = set(exclusions)
     members: list[Nuclide] = []
@@ -530,38 +505,3 @@ def assemble_subset(
         warnings=warnings,
         source_id=source_id,
     )
-
-
-def _build_static_node(
-    static: Nuclide,
-    source: DatasetSource,
-    nodes: dict[Nuclide, NodeData],
-    warnings: list[str],
-    *,
-    simulate_cascade: bool,
-    isomer_threshold_s: float,
-) -> NodeData:
-    """Fetch a static nuclide's own data plus one hop of daughter schemes.
-
-    Statics contribute no subset descendants, but their radiation still needs
-    the daughters' flattened levels for gamma feasibility gating.
-    """
-    ground = static.ground_state
-    node = nodes.setdefault(ground, NodeData(nuclide=ground))
-    node.records = _fetch_records(source, ground, node.warnings)
-    node.scheme = _fetch_scheme(source, ground, node.warnings)
-    node.terminal = not node.records
-    node.daughters = extract_daughters(node.records)
-    for feed in node.daughters:
-        child = nodes.get(feed.daughter)
-        if child is None:
-            child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
-            child.scheme = _fetch_scheme(source, feed.daughter, child.warnings)
-        child.add_inherited(feed.feeding_levels)
-        if child.scheme is not None:
-            child.flattened = flatten_levels(
-                child.nuclide, child.inherited, child.scheme, child.warnings,
-                simulate_cascade=simulate_cascade,
-            )
-    warnings.extend(node.warnings)
-    return node

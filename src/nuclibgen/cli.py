@@ -13,7 +13,8 @@ import json
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
@@ -44,23 +45,6 @@ class JobReport:
     outputs: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
 
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "ok": self.ok,
-            "error": self.error,
-            "subset_size": self.subset_size,
-            "entries_pre_prune": self.entries_pre_prune,
-            "entries_post_prune": self.entries_post_prune,
-            "network_calls": self.network_calls,
-            "cache_hits": self.cache_hits,
-            "registry_skips": self.registry_skips,
-            "phase_seconds": self.phase_seconds,
-            "total_seconds": self.total_seconds,
-            "outputs": self.outputs,
-            "warnings": self.warnings,
-        }
-
 
 @dataclass
 class RunReport:
@@ -79,7 +63,7 @@ class RunReport:
             "started_at": self.started_at,
             "total_seconds": self.total_seconds,
             "ok": self.ok,
-            "jobs": [job.as_dict() for job in self.jobs],
+            "jobs": [asdict(job) for job in self.jobs],
         }
 
     def as_text(self) -> str:
@@ -106,33 +90,23 @@ class RunReport:
         return "\n".join(lines) + "\n"
 
 
-class _PhaseTimer:
-    def __init__(self, report: JobReport):
-        self.report = report
-
-    def time(self, name: str):
-        timer = self
-
-        class _Ctx:
-            def __enter__(self_inner):
-                self_inner.t0 = time.perf_counter()
-
-            def __exit__(self_inner, *exc):
-                timer.report.phase_seconds[name] = round(
-                    time.perf_counter() - self_inner.t0, 6
-                )
-
-        return _Ctx()
+@contextmanager
+def _phase(report: JobReport, name: str):
+    """Record the wall time of the enclosed block as one of the job's phases."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.phase_seconds[name] = round(time.perf_counter() - t0, 6)
 
 
 def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
     """Execute one job; failures are captured, not propagated."""
     report = JobReport(name=job.name)
     store = DataStore(access)
-    timer = _PhaseTimer(report)
     t_start = time.perf_counter()
     try:
-        with timer.time("subset"):
+        with _phase(report, "subset"):
             subset = assemble_subset(
                 job.recursive_progenitors,
                 job.static_nuclides,
@@ -143,15 +117,15 @@ def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
         report.subset_size = len(subset.members)
         report.warnings.extend(subset.warnings)
 
-        with timer.time("library"):
+        with _phase(report, "library"):
             library = assemble_library(subset, job.radiation, report.warnings)
         report.entries_pre_prune = len(library.entries)
 
-        with timer.time("prune"):
+        with _phase(report, "prune"):
             library = prune(library, job.prune)
         report.entries_post_prune = len(library.entries)
 
-        with timer.time("export"):
+        with _phase(report, "export"):
             stem = f"library_{job.name}_{job.radiation.code}"
             for fmt in job.outputs:
                 out = export_table(library, fmt, out_dir / f"{stem}.{fmt}")
@@ -165,7 +139,7 @@ def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
                     report.outputs.append(str(path))
 
         if job.plot.enabled:
-            with timer.time("plot"):
+            with _phase(report, "plot"):
                 markers = (
                     MarkerRegistry.load_csv(job.plot.marker_registry)
                     if job.plot.marker_registry

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import threading
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,6 +21,10 @@ from .errors import CacheWriteError, NetworkError, OfflineMiss, RegistryIoError
 from .nuclide import Nuclide, RadiationType
 
 REGISTRY_FILENAME = "absent_registry.txt"
+MAX_PARALLEL = 4  # concurrent fetches in one fetch_many
+
+# Serializes every registry file's read-merge-rewrite within this process.
+_REGISTRY_WRITE_LOCK = threading.Lock()
 
 KIND_LEVELS = "lv"
 KIND_TRANSITIONS = "tr"
@@ -87,8 +91,10 @@ class RawDataset:
 class AbsenceRegistry:
     """Persisted set of dataset keys authoritatively known to have no data.
 
-    The backing file is sorted, newline-delimited, duplicate-free UTF-8 text;
-    the in-memory set and the file agree after every mutation.
+    The backing file is sorted, newline-delimited, duplicate-free UTF-8 text.
+    A rewrite first merges the file's current entries into the in-memory set,
+    so registries sharing one file keep each other's keys; after every
+    mutation the file holds at least the in-memory set.
     """
 
     def __init__(self, backing_path: Path, entries: set[str] | None = None):
@@ -123,19 +129,22 @@ class AbsenceRegistry:
         self._rewrite()
 
     def _rewrite(self) -> None:
-        # Unique temp name: registries in a shared cache dir may be rewritten
-        # by several store instances at once.
+        # Unique temp name: other processes may rewrite the same file.
         tmp = self.backing_path.with_name(
             f".{self.backing_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
         )
         try:
-            self.backing_path.parent.mkdir(parents=True, exist_ok=True)
-            tmp.write_text(
-                "".join(f"{entry}\n" for entry in sorted(self.entries)),
-                encoding="utf-8",
-                newline="\n",
-            )
-            os.replace(tmp, self.backing_path)
+            with _REGISTRY_WRITE_LOCK:
+                if self.backing_path.exists():
+                    lines = self.backing_path.read_text(encoding="utf-8").splitlines()
+                    self.entries.update(ln.strip() for ln in lines if ln.strip())
+                self.backing_path.parent.mkdir(parents=True, exist_ok=True)
+                tmp.write_text(
+                    "".join(f"{entry}\n" for entry in sorted(self.entries)),
+                    encoding="utf-8",
+                    newline="\n",
+                )
+                os.replace(tmp, self.backing_path)
         except OSError as exc:
             raise RegistryIoError(
                 f"cannot write registry {self.backing_path}: {exc}"
@@ -161,8 +170,6 @@ class AccessConfig:
     timeout_s: float = 30.0
     offline: bool = False
     registry_enabled: bool = True
-    retries: int = 0  # extra attempts on transport failure, capped at 3
-    max_parallel: int = 4
 
     @staticmethod
     def from_env(**overrides) -> "AccessConfig":
@@ -273,13 +280,10 @@ class DataStore:
         return self.cache_dir / key.filename()
 
     def fetch_many(self, keys: list[DatasetKey]) -> dict[DatasetKey, RawDataset | None]:
-        """Fetch several datasets, up to cfg.max_parallel concurrently."""
-        if self.cfg.max_parallel <= 1 or len(keys) <= 1:
+        """Fetch several datasets, up to MAX_PARALLEL concurrently."""
+        if len(keys) <= 1:
             return {key: self.fetch_dataset(key) for key in keys}
-        from concurrent.futures import ThreadPoolExecutor
-
-        workers = min(self.cfg.max_parallel, len(keys))
-        with ThreadPoolExecutor(max_workers=workers) as pool:
+        with ThreadPoolExecutor(max_workers=min(MAX_PARALLEL, len(keys))) as pool:
             results = list(pool.map(self.fetch_dataset, keys))
         return dict(zip(keys, results))
 
@@ -316,29 +320,19 @@ class DataStore:
             return RawDataset(key, body, "remote")
 
     def _http_get(self, key: DatasetKey) -> str:
-        params = self.adapter.query_params(key)
-        attempts = 1 + max(0, min(self.cfg.retries, 3))
-        delay = 0.5
-        last_exc: Exception | None = None
-        for attempt in range(attempts):
-            if attempt:
-                time.sleep(delay)
-                delay *= 2
-            try:
-                self.stats.bump("network_calls")
-                resp = self._session.get(
-                    self.cfg.base_url, params=params, timeout=self.cfg.timeout_s
-                )
-            except requests.RequestException as exc:
-                last_exc = exc
-                continue
-            if resp.status_code != 200:
-                last_exc = NetworkError(
-                    f"HTTP {resp.status_code} for {key.serialize()}"
-                )
-                continue
-            return resp.text
-        raise NetworkError(f"request failed for {key.serialize()}: {last_exc}")
+        failed = f"request failed for {key.serialize()}"
+        self.stats.bump("network_calls")
+        try:
+            resp = self._session.get(
+                self.cfg.base_url,
+                params=self.adapter.query_params(key),
+                timeout=self.cfg.timeout_s,
+            )
+        except requests.RequestException as exc:
+            raise NetworkError(f"{failed}: {exc}") from exc
+        if resp.status_code != 200:
+            raise NetworkError(f"{failed}: HTTP {resp.status_code} for {key.serialize()}")
+        return resp.text
 
     def _record_absent(self, key: DatasetKey) -> None:
         with self._registry_lock:

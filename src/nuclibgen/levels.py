@@ -15,8 +15,6 @@ from .nuclide import DecayMode, EnergyIndex, EnergyValue, Nuclide
 from .nuclide import energies_match  # noqa: F401  (re-exported)
 from .records import LevelRecord, LevelScheme
 
-DEFAULT_ISOMER_THRESHOLD_S = 1e-9
-
 
 @dataclass
 class FlattenedLevels:
@@ -24,7 +22,6 @@ class FlattenedLevels:
     constructor indexes ``all``: pass the final list, later appends are unseen."""
 
     nuclide: Nuclide
-    inherited: list[EnergyValue]
     all: list[EnergyValue]
 
     def __post_init__(self):
@@ -107,37 +104,24 @@ def flatten_levels(
         visited = cascade_visit(inherited, scheme, warnings)
     else:
         visited = list(inherited)
-    return FlattenedLevels(
-        nuclide=nuclide, inherited=inherited, all=_dedup_desc(inherited + visited)
-    )
+    return FlattenedLevels(nuclide=nuclide, all=_dedup_desc(inherited + visited))
 
 
 def infer_level_outcomes(
-    flat: FlattenedLevels,
-    scheme: LevelScheme,
-    isomer_threshold_s: float = DEFAULT_ISOMER_THRESHOLD_S,
+    flat: FlattenedLevels, scheme: LevelScheme
 ) -> list[LevelOutcome]:
     """Feasibility and isomer verdicts for every level in the dataset.
 
-    A level is feasible iff it is in the flattened set; an isomer iff it is
-    excited and its reported half-life is at or above the threshold. Isomer
+    A level is feasible iff it is in the flattened set; an isomer iff
+    ``LevelRecord.is_isomer`` (excited, half-life of at least 1 ns). Isomer
     inference needs no extra data pass: it reuses the flattened levels.
     """
-    outcomes = []
-    for record in sorted(scheme.levels, key=lambda r: r.energy.kev, reverse=True):
-        feasible = flat.contains(record.energy)
-        is_isomer = (
-            record.energy.kev > 0
-            and record.half_life is not None
-            and not record.half_life.is_stable
-            and record.half_life.seconds >= isomer_threshold_s
+    return [
+        LevelOutcome(
+            level=record,
+            feasible=flat.contains(record.energy),
+            modes=record.decay_modes,
+            is_isomer=record.is_isomer,
         )
-        outcomes.append(
-            LevelOutcome(
-                level=record,
-                feasible=feasible,
-                modes=record.decay_modes,
-                is_isomer=is_isomer,
-            )
-        )
-    return outcomes
+        for record in sorted(scheme.levels, key=lambda r: r.energy.kev, reverse=True)
+    ]

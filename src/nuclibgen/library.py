@@ -157,27 +157,6 @@ def assemble_library(
     for node in subset.nodes.values():
         for member in node.members:
             member_index[member.nuclide] = member
-    # Statics may not be node members (their node keeps no member list when
-    # nothing recursive visited it); synthesize member views for them.
-    for static in subset.statics:
-        if static not in member_index:
-            node = subset.nodes.get(static.ground_state)
-            if node is None:
-                continue
-            level = 0.0
-            if static.level.kind == "energy":
-                level = static.level.kev
-            elif static.level.kind == "meta" and node.scheme is not None:
-                isomers = node.scheme.isomer_levels()
-                if static.level.ordinal <= len(isomers):
-                    level = isomers[static.level.ordinal - 1].energy.kev
-            member_index[static] = ChainMember(
-                nuclide=static,
-                node=node.nuclide,
-                level_kev=level,
-                is_isomer=static.level.kind == "meta",
-                unvalidated=node.flattened is None,
-            )
 
     entries: list[LibraryEntry] = []
     order: dict[Nuclide, int] = {}
@@ -185,7 +164,7 @@ def assemble_library(
         order[identity] = position
         member = member_index.get(identity)
         if member is None:
-            continue  # stable progenitor placeholder: nothing to couple
+            continue  # stable progenitor or static: nothing to couple
         node = subset.nodes[member.node]
         entries.extend(_member_entries(member, node, radiation, subset.nodes, sink))
 

@@ -43,8 +43,6 @@ class LevelSpec:
     ordinal: int = 0
     kev: float = 0.0
 
-    GROUND: "LevelSpec" = None  # set below
-
     @staticmethod
     def ground() -> "LevelSpec":
         return LevelSpec("ground")
@@ -74,9 +72,6 @@ class LevelSpec:
         if self.kind == "meta":
             return "@m" if self.ordinal == 1 else f"@m{self.ordinal}"
         return f"@{self.kev!r}kev"
-
-
-LevelSpec.GROUND = LevelSpec.ground()
 
 
 @dataclass(frozen=True)

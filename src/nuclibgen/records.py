@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, RawDataset
@@ -51,6 +52,9 @@ _DECAY_COLUMNS = (
 )
 _LEVEL_COLUMNS = ("symbol", "a", "energy", "half_life_sec", "decay_1")
 _TRANSITION_COLUMNS = ("symbol", "a", "start_level_energy", "end_level_energy", "energy")
+
+# An excited level with a reported half-life at or above this is an isomer.
+ISOMER_THRESHOLD_S = 1e-9
 
 
 @dataclass(frozen=True)
@@ -82,6 +86,16 @@ class LevelRecord:
     jpi: str | None = None
     half_life: HalfLife | None = None
     decay_modes: tuple[tuple[DecayMode, float], ...] = ()
+
+    @property
+    def is_isomer(self) -> bool:
+        """Excited, with a finite reported half-life of at least ISOMER_THRESHOLD_S."""
+        return (
+            self.energy.kev > 0
+            and self.half_life is not None
+            and not self.half_life.is_stable
+            and self.half_life.seconds >= ISOMER_THRESHOLD_S
+        )
 
 
 @dataclass(frozen=True)
@@ -118,18 +132,12 @@ class LevelScheme:
         """Transitions whose start level matches ``energy``, in table order."""
         return [self.transitions[i] for i in self._start_index.matches(energy)]
 
-    def isomer_levels(self, threshold_s: float = 1e-9) -> list[LevelRecord]:
-        """Excited levels with a reported half-life at or above the threshold,
-        ascending in energy; the ordinal index (1-based) is the 'm' numbering."""
-        picks = [
-            rec
-            for rec in self.levels
-            if rec.energy.kev > 0
-            and rec.half_life is not None
-            and not rec.half_life.is_stable
-            and rec.half_life.seconds >= threshold_s
-        ]
-        return sorted(picks, key=lambda rec: rec.energy.kev)
+    def isomer_levels(self) -> list[LevelRecord]:
+        """Isomer levels ascending in energy; the ordinal index (1-based) is
+        the 'm' numbering."""
+        return sorted(
+            (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
+        )
 
 
 def _reader(raw: RawDataset) -> tuple[csv.DictReader, list[str]]:
@@ -143,11 +151,19 @@ def _require_columns(header: list[str], required: tuple[str, ...], key: str) -> 
         raise HeaderMismatch(f"{key}: missing columns {missing}")
 
 
+def _float(text: str) -> float:
+    """A finite float; NaN and infinities raise ValueError like bad text."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite value {text.strip()!r}")
+    return value
+
+
 def _opt_float(row: dict, col: str) -> float | None:
     text = (row.get(col) or "").strip()
     if not text:
         return None
-    return float(text)
+    return _float(text)
 
 
 def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
@@ -168,12 +184,12 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
         try:
             parent = Nuclide(row["p_symbol"].strip(), int(row["p_a"]))
             daughter = Nuclide(row["d_symbol"].strip(), int(row["d_a"]))
-            energy = EnergyValue(float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
+            energy = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
             parent_level = EnergyValue(
-                float(row["p_energy"]), _opt_float(row, "unc_pe") or 0.0
+                _float(row["p_energy"]), _opt_float(row, "unc_pe") or 0.0
             )
             mode = DecayMode.from_code(row["decay"])
-            branching = float(row["decay_%"])
+            branching = _float(row["decay_%"])
 
             flags = set()
             intensity = _opt_float(row, "intensity")
@@ -217,26 +233,27 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
 def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord | None:
     try:
         nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
-        energy = EnergyValue(float(row["energy"]), _opt_float(row, "unc_e") or 0.0)
+        energy = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_e") or 0.0)
         hl_text = (row.get("half_life_sec") or "").strip()
         if hl_text.upper() == "STABLE":
             half_life = HalfLife.stable()
         elif hl_text:
-            half_life = HalfLife(float(hl_text), _opt_float(row, "unc_hls") or 0.0)
+            half_life = HalfLife(_float(hl_text), _opt_float(row, "unc_hls") or 0.0)
         else:
             half_life = None
+        percents = [_opt_float(row, f"decay_{i}_%") for i in (1, 2, 3)]
     except (ValueError, KeyError, TypeError) as exc:
         warnings.append(f"levels line {lineno}: {exc}")
         return None
 
+    # An unknown decay code drops that mode only; the level itself is sound.
     modes: list[tuple[DecayMode, float]] = []
-    for i in (1, 2, 3):
+    for i, pct in zip((1, 2, 3), percents):
         code = (row.get(f"decay_{i}") or "").strip()
         if not code:
             continue
         try:
             mode = DecayMode.from_code(code)
-            pct = _opt_float(row, f"decay_{i}_%")
         except ValueError as exc:
             warnings.append(f"levels line {lineno}: {exc}")
             continue
@@ -321,12 +338,13 @@ def parse_level_scheme(
         try:
             t_nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
             start = EnergyValue(
-                float(row["start_level_energy"]), _opt_float(row, "unc_sl") or 0.0
+                _float(row["start_level_energy"]), _opt_float(row, "unc_sl") or 0.0
             )
             end = EnergyValue(
-                float(row["end_level_energy"]), _opt_float(row, "unc_el") or 0.0
+                _float(row["end_level_energy"]), _opt_float(row, "unc_el") or 0.0
             )
-            gamma = EnergyValue(float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
+            gamma = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
+            intensity = _opt_float(row, "intensity")
         except (ValueError, KeyError, TypeError) as exc:
             warnings.append(f"{transitions_raw.key.serialize()} line {lineno}: {exc}")
             continue
@@ -353,7 +371,7 @@ def parse_level_scheme(
                 start_level=start,
                 end_level=end,
                 gamma_energy=gamma,
-                intensity_percent=_opt_float(row, "intensity"),
+                intensity_percent=intensity,
             )
         )
     return LevelScheme(nuclide=nuclide, levels=levels, transitions=transitions), warnings

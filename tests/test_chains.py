@@ -8,7 +8,8 @@ from nuclibgen.chains import (
     render_lineage,
 )
 from nuclibgen.errors import DataUnavailable, DepthExceeded, EmptySubset
-from nuclibgen.nuclide import LevelSpec, Nuclide, parse_nuclide_id
+from nuclibgen.library import assemble_library
+from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 
 from conftest import brute_edges, simple_chain_source
 
@@ -146,6 +147,70 @@ def test_static_with_level_spec(primed_store):
     static = Nuclide("Tc", 99, LevelSpec.meta(1))
     subset = assemble_subset([], [static], [], primed_store)
     assert ids(subset.members) == ["99tc@m"]
+
+
+def lines_of(subset, member, radiation):
+    return [e for e in assemble_library(subset, radiation).entries
+            if str(e.nuclide) == member]
+
+
+@pytest.mark.parametrize("static, progenitor, radiation", [
+    ("99tc@m", "99mo", RadiationType.GAMMA),
+    ("234pa@m", "238u", RadiationType.GAMMA),
+    ("213bi", "225ac", RadiationType.ALPHA),
+    ("212bi", "232th", RadiationType.ALPHA),
+    ("177lu@m4", "177lu@m4", RadiationType.GAMMA),
+])
+def test_static_lines_equal_chain_member_lines(primed_store, static, progenitor,
+                                               radiation):
+    alone = assemble_subset([], [parse_nuclide_id(static)], [], primed_store)
+    chain = assemble_subset([parse_nuclide_id(progenitor)], [], [], primed_store)
+    assert ids(alone.statics) == [static]
+    assert lines_of(alone, static, radiation)
+    for rad in RadiationType:
+        assert lines_of(alone, static, rad) == lines_of(chain, static, rad), rad
+
+
+class RecordingSource:
+    """Passes requests through to a store and records their keys in order."""
+
+    def __init__(self, store):
+        self.store = store
+        self.requests: list[str] = []
+
+    def fetch_dataset(self, key):
+        self.requests.append(key.serialize())
+        return self.store.fetch_dataset(key)
+
+
+def test_static_fetches_own_datasets_and_daughter_schemes_only(primed_store):
+    source = RecordingSource(primed_store)
+    assemble_subset([], [parse_nuclide_id("213bi")], [], source)
+    own = [f"213bi:dr-{rad.code}" for rad in KIND_ORDER] + ["213bi:lv", "213bi:tr"]
+    assert source.requests[:8] == own
+    assert sorted(source.requests[8:]) == [
+        "209tl:lv", "209tl:tr", "213po:lv", "213po:tr",
+    ]
+
+
+def test_static_visited_by_a_chain_resolves_to_the_chain_member(primed_store):
+    chain_only = assemble_subset([parse_nuclide_id("99mo")], [], [], primed_store)
+    static = Nuclide("Tc", 99, LevelSpec.energy(142.68))
+    subset = assemble_subset([parse_nuclide_id("99mo")], [static], [], primed_store)
+    assert ids(subset.statics) == ["99tc@m"]
+    assert ids(subset.members) == ids(chain_only.members)
+    member = next(m for m in subset.nodes[parse_nuclide_id("99tc")].members
+                  if m.nuclide == subset.statics[0])
+    assert member.level_kev == pytest.approx(142.6836)
+
+
+def test_static_daughter_of_an_earlier_static_keeps_its_lines(primed_store):
+    both = assemble_subset([], [parse_nuclide_id("228ac"), parse_nuclide_id("228th")],
+                           [], primed_store)
+    alone = assemble_subset([], [parse_nuclide_id("228th")], [], primed_store)
+    assert lines_of(both, "228th", RadiationType.ALPHA)
+    for rad in RadiationType:
+        assert lines_of(both, "228th", rad) == lines_of(alone, "228th", rad), rad
 
 
 def test_unknown_isomer_ordinal_raises(primed_store):

@@ -1,3 +1,4 @@
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -59,6 +60,37 @@ def test_registry_normalizes_unsorted_duplicates(tmp_path):
     reg = registry_load(path)
     assert reg.entries == {"a:lv", "b:lv"}
     assert path.read_text() == "a:lv\nb:lv\n"
+
+
+def test_two_stores_on_one_cache_keep_each_others_absences(tmp_path):
+    store_a = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+    store_b = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+    store_a.registry.record(DatasetKey.levels(Nuclide("H", 1)))
+    store_b.registry.record(DatasetKey.levels(Nuclide("H", 2)))
+    assert (tmp_path / "absent_registry.txt").read_text() == "1h:lv\n2h:lv\n"
+
+
+def test_concurrent_stores_lose_no_absences(tmp_path):
+    workers = 4
+    stores = [DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+              for _ in range(workers)]
+    keys = [DatasetKey.levels(Nuclide("H", a)) for a in range(1, 41)]
+
+    def record_share(start):
+        for key in keys[start::workers]:
+            stores[start].registry.record(key)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(record_share, i) for i in range(workers)]
+            for future in futures:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    recorded = (tmp_path / "absent_registry.txt").read_text().splitlines()
+    assert recorded == sorted(key.serialize() for key in keys)
 
 
 def test_registry_short_circuits_before_cache_and_network(tmp_path):

@@ -70,7 +70,6 @@ def test_unresolved_start_is_reported_not_fatal(tc99):
 
 def test_flatten_default_ground_for_progenitor(tc99):
     flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(0.0)], tc99)
-    assert flat.inherited[0].kev == 0.0
     assert flat.contains(EnergyValue(0.0))
 
 

@@ -38,6 +38,7 @@ from conftest import (
     dr_row,
     lv_body,
     simple_chain_source,
+    tr_body,
 )
 
 # --- identifier round-trip -----------------------------------------------------
@@ -330,7 +331,7 @@ def test_find_level_matches_linear_scan(data):
 def test_contains_matches_linear_scan(data):
     scheme, queries = data
     members = [record.energy for record in scheme.levels]
-    flat = FlattenedLevels(nuclide=scheme.nuclide, inherited=[], all=members)
+    flat = FlattenedLevels(nuclide=scheme.nuclide, all=members)
     for query in queries:
         assert flat.contains(query) == any(energies_match(query, m) for m in members)
 
@@ -390,6 +391,7 @@ NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
     column=st.sampled_from([
         "energy", "unc_en", "p_energy", "unc_pe", "half_life_sec", "unc_hls",
         "daughter_level_energy", "start_level_energy", "end_level_energy",
+        "intensity", "unc_i", "decay_%",
     ]),
     value=NON_FINITE,
 )
@@ -403,18 +405,40 @@ def test_non_finite_decay_row_is_a_warning(column, value):
 
 
 @given(
-    column=st.sampled_from(["energy", "unc_e", "half_life_sec", "unc_hls"]),
+    column=st.sampled_from(["energy", "unc_e", "half_life_sec", "unc_hls", "decay_1_%"]),
     value=NON_FINITE,
 )
 def test_non_finite_level_row_is_a_warning(column, value):
     good = {"symbol": "Tc", "a": 99, "energy": 142.6836, "unc_e": 0.1,
-            "half_life_sec": 1000.0, "unc_hls": 1.0}
+            "half_life_sec": 1000.0, "unc_hls": 1.0, "decay_1": "IT", "decay_1_%": 100.0}
     ground = dict(good, energy=0.0)
     key = DatasetKey.levels(Nuclide("Tc", 99))
     body = lv_body([ground, dict(good, **{column: value}), good])
     scheme, warnings = parse_level_scheme(RawDataset(key, body, "cache"), None)
     assert [r.energy.kev for r in scheme.levels] == [0.0, 142.6836]
     assert len(warnings) == 1 and "line 3" in warnings[0]
+
+
+@given(
+    column=st.sampled_from([
+        "start_level_energy", "unc_sl", "end_level_energy", "unc_el",
+        "energy", "unc_en", "intensity",
+    ]),
+    value=st.one_of(NON_FINITE, st.just("abc")),
+)
+def test_bad_transition_row_is_a_warning(column, value):
+    nuclide = Nuclide("Tc", 99)
+    levels = lv_body([{"symbol": "Tc", "a": 99, "energy": kev} for kev in (0.0, 140.511)])
+    good = {"symbol": "Tc", "a": 99, "start_level_energy": 140.511, "unc_sl": 0.01,
+            "end_level_energy": 0.0, "unc_el": 0.0, "energy": 140.511,
+            "unc_en": 0.01, "intensity": 89.0}
+    scheme, warnings = parse_level_scheme(
+        RawDataset(DatasetKey.levels(nuclide), levels, "cache"),
+        RawDataset(DatasetKey.transitions(nuclide),
+                   tr_body([dict(good, **{column: value}), good]), "cache"),
+    )
+    assert [t.intensity_percent for t in scheme.transitions] == [89.0]
+    assert len(warnings) == 1 and "line 2" in warnings[0]
 
 
 # --- traversal termination on random graphs -------------------------------------
