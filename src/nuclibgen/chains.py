@@ -1,19 +1,26 @@
 """Recursive construction of radionuclide subsets and lineage trees.
 
-Every nuclide goes through one node-visit core. `_visit` fetches its six
-decay-radiation datasets plus its level scheme and tallies its daughters from
-the decay records. `_settle` flattens the levels fed to it (ground when none),
-infers its level outcomes and isomers, and resolves its level-resolved chain
-members (for example Pa-234m and Pa-234 from one visited nuclide).
+Every nuclide goes through one node-visit core. `_visit` prefetches its eight
+datasets (six decay-radiation kinds, levels, transitions), then reads them in
+that order: it parses the decay records, tallies the daughters, and reads the
+transitions only when the levels exist. `_settle` flattens the levels fed to
+it (ground when none), infers its level outcomes and isomers, and resolves its
+level-resolved chain members (for example Pa-234m and Pa-234 from one visited
+nuclide).
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
 scheduled depth-first, and a nuclide whose six queries all come back
-absent/empty is terminal (stable). Nodes are settled after traversal, once
-every parent's feeding is known. `assemble_subset` visits statics through the
-same core but without descendants: a static's daughters contribute only their
-level schemes, for gamma feasibility gating. A static resolves to the member
-at its level, the same member a chain reaching that level would produce.
+absent/empty is terminal (stable). A daughter's datasets are prefetched as
+soon as it is scheduled, the next one to visit first, so the source can fetch
+the whole frontier while visits stay sequential in discovery order. Nodes are
+settled after traversal, once every parent's feeding is known; a later
+progenitor's build re-settles a shared node only when it feeds it a new level.
+`assemble_subset` prefetches every progenitor and static up front and visits
+statics through the same core but without descendants: a static's daughters
+contribute only their level schemes, for gamma feasibility gating. A static
+resolves to the member at its level, the same member a chain reaching that
+level would produce.
 """
 
 from __future__ import annotations
@@ -49,7 +56,11 @@ KIND_ORDER = (
 
 
 class DatasetSource(Protocol):
-    """Anything that can answer dataset requests (DataStore or a test fake)."""
+    """Anything that can answer dataset requests (DataStore or a test fake).
+
+    A source may also offer ``prefetch(keys)``, a hint that those keys will
+    be requested soon; sources without it are read one key at a time.
+    """
 
     def fetch_dataset(self, key: DatasetKey) -> RawDataset | None: ...
 
@@ -79,12 +90,15 @@ class NodeData:
     outcomes: list[LevelOutcome] = field(default_factory=list)
     members: list[ChainMember] = field(default_factory=list)
 
-    def add_inherited(self, levels: tuple[EnergyValue, ...]) -> None:
+    def add_inherited(self, levels: tuple[EnergyValue, ...]) -> bool:
+        """Add the feeding levels not yet known; True when any was added."""
         seen = {level.kev for level in self.inherited}
+        before = len(self.inherited)
         for level in levels:
             if level.kev not in seen:
                 seen.add(level.kev)
                 self.inherited.append(level)
+        return len(self.inherited) > before
 
 
 @dataclass
@@ -130,21 +144,35 @@ class ChainBuild:
     warnings: list[str]
 
 
+def _scheme_keys(nuclide: Nuclide) -> list[DatasetKey]:
+    return [DatasetKey.levels(nuclide), DatasetKey.transitions(nuclide)]
+
+
+def _node_keys(nuclide: Nuclide) -> list[DatasetKey]:
+    """A nuclide's eight datasets in reading order."""
+    decay = [DatasetKey.decay_rads(nuclide, rad) for rad in KIND_ORDER]
+    return decay + _scheme_keys(nuclide)
+
+
+def _prefetch(source: DatasetSource, keys: list[DatasetKey]) -> None:
+    prefetch = getattr(source, "prefetch", None)
+    if prefetch is not None:
+        prefetch(keys)
+
+
+def _fetch(source: DatasetSource, key: DatasetKey) -> RawDataset | None:
+    try:
+        return source.fetch_dataset(key)
+    except (OfflineMiss, NetworkError) as exc:
+        raise DataUnavailable(str(exc)) from exc
+
+
 def _fetch_records(
     source: DatasetSource, nuclide: Nuclide, warnings: list[str]
 ) -> list[DecayRecord]:
-    keys = [DatasetKey.decay_rads(nuclide, rad) for rad in KIND_ORDER]
-    try:
-        fetch_many = getattr(source, "fetch_many", None)
-        if fetch_many is not None:
-            raws = fetch_many(keys)  # concurrent; results committed in order
-        else:
-            raws = {key: source.fetch_dataset(key) for key in keys}
-    except (OfflineMiss, NetworkError) as exc:
-        raise DataUnavailable(str(exc)) from exc
     records: list[DecayRecord] = []
-    for key in keys:
-        raw = raws[key]
+    for rad in KIND_ORDER:
+        raw = _fetch(source, DatasetKey.decay_rads(nuclide, rad))
         if raw is None:
             continue
         parsed, parse_warnings = parse_decay_records(raw)
@@ -156,13 +184,12 @@ def _fetch_records(
 def _fetch_scheme(
     source: DatasetSource, nuclide: Nuclide, warnings: list[str]
 ) -> LevelScheme | None:
-    try:
-        levels_raw = source.fetch_dataset(DatasetKey.levels(nuclide))
-        if levels_raw is None:
-            return None
-        transitions_raw = source.fetch_dataset(DatasetKey.transitions(nuclide))
-    except (OfflineMiss, NetworkError) as exc:
-        raise DataUnavailable(str(exc)) from exc
+    """The level scheme; transitions are read only when the levels exist, so
+    whatever became of a prefetched transitions dataset is otherwise ignored."""
+    levels_raw = _fetch(source, DatasetKey.levels(nuclide))
+    if levels_raw is None:
+        return None
+    transitions_raw = _fetch(source, DatasetKey.transitions(nuclide))
     scheme, parse_warnings = parse_level_scheme(levels_raw, transitions_raw)
     warnings.extend(parse_warnings)
     return scheme
@@ -170,6 +197,7 @@ def _fetch_scheme(
 
 def _visit(node: NodeData, source: DatasetSource) -> None:
     """Fetch a nuclide's decay records and level scheme; tally its daughters."""
+    _prefetch(source, _node_keys(node.nuclide))
     node.records = _fetch_records(source, node.nuclide, node.warnings)
     node.scheme = _fetch_scheme(source, node.nuclide, node.warnings)
     node.daughters = extract_daughters(node.records)
@@ -307,6 +335,8 @@ def build_progeny(
                 scheduled.add(feed.daughter)
                 discoverer[feed.daughter] = current
                 fresh.append(feed.daughter)
+        # fresh[0] is visited next, so its datasets are queued first.
+        _prefetch(source, [key for daughter in fresh for key in _node_keys(daughter)])
         stack.extend(reversed(fresh))
 
     # Progenitor levels are designated by the user; omission means ground.
@@ -413,9 +443,9 @@ def _merge_nodes(
             target[key] = node
             continue
         # Same datasets underneath; union the feeding context and widen the
-        # feasible set accordingly.
-        existing.add_inherited(tuple(node.inherited))
-        _settle(existing, simulate_cascade)
+        # feasible set when that added a level.
+        if existing.add_inherited(tuple(node.inherited)):
+            _settle(existing, simulate_cascade)
 
 
 def _static_member(node: NodeData, level: EnergyValue) -> Nuclide:
@@ -448,6 +478,7 @@ def assemble_subset(
     visited: set[Nuclide] = set()
     warnings: list[str] = []
 
+    _prefetch(source, [key for n in [*recursive, *statics] for key in _node_keys(n)])
     for progenitor in recursive:
         build = build_progeny(
             progenitor,
@@ -471,11 +502,14 @@ def assemble_subset(
             visited.add(ground)
             _visit(node, source)
             warnings.extend(node.warnings)
+            _prefetch(source, [key for feed in node.daughters if feed.daughter not in nodes
+                               for key in _scheme_keys(feed.daughter)])
             for feed in node.daughters:
                 child = nodes.get(feed.daughter)
                 if child is None:
                     child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
                     child.scheme = _fetch_scheme(source, feed.daughter, child.warnings)
+                    warnings.extend(child.warnings)
                 child.add_inherited(feed.feeding_levels)
                 _settle(child, simulate_cascade)
         level = resolve_level_spec(static.level, node.scheme)

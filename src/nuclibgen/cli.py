@@ -40,6 +40,7 @@ class JobReport:
     network_calls: int = 0
     cache_hits: int = 0
     registry_skips: int = 0
+    absences_recorded: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
@@ -77,7 +78,8 @@ class RunReport:
             )
             lines.append(
                 f"    network_calls {job.network_calls}, cache_hits {job.cache_hits}, "
-                f"registry_skips {job.registry_skips}"
+                f"registry_skips {job.registry_skips}, "
+                f"absences_recorded {job.absences_recorded}"
             )
             phases = ", ".join(
                 f"{name} {seconds:.3f}s" for name, seconds in job.phase_seconds.items()
@@ -152,10 +154,12 @@ def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
         report.ok = False
         report.error = f"{type(exc).__name__}: {exc}"
     finally:
+        store.close()  # waits for fetches in flight, so the counters are final
         counters = store.stats.snapshot()
         report.network_calls = counters["network_calls"]
         report.cache_hits = counters["cache_hits"]
         report.registry_skips = counters["registry_skips"]
+        report.absences_recorded = counters["absences_recorded"]
         report.total_seconds = round(time.perf_counter() - t_start, 6)
     return report
 

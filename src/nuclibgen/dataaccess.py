@@ -5,13 +5,20 @@ the absence registry (datasets known to have no data) and the disk cache.
 Only a miss on both triggers one HTTP GET; a data-bearing response is written
 to the cache atomically, a no-data response is recorded in the registry.
 Transport failures are never recorded as absence.
+
+A store owns one pool of MAX_PARALLEL worker threads, created on first use.
+`DataStore.prefetch` screens keys inline and hands only the misses to the
+pool; `DataStore.fetch_dataset` collects a pending fetch's result, or screens
+and fetches inline when nothing is pending. An offline store never prefetches.
+`DataStore.close` (or leaving a ``with`` block) shuts the pool down.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Iterable
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -21,7 +28,9 @@ from .errors import CacheWriteError, NetworkError, OfflineMiss, RegistryIoError
 from .nuclide import Nuclide, RadiationType
 
 REGISTRY_FILENAME = "absent_registry.txt"
-MAX_PARALLEL = 4  # concurrent fetches in one fetch_many
+# Worker threads of one store's fetch pool; at most 10, the size of the
+# session's per-host connection pool.
+MAX_PARALLEL = 8
 
 # Serializes every registry file's read-merge-rewrite within this process.
 _REGISTRY_WRITE_LOCK = threading.Lock()
@@ -248,7 +257,8 @@ class DataStore:
 
     Fetches may run concurrently; a per-key lock guarantees at most one
     network call per dataset, and registry mutations are serialized behind
-    a single writer lock.
+    a single writer lock. Counters are bumped when a result is collected, so
+    a prefetch that nobody collects counts only its network call.
     """
 
     def __init__(
@@ -267,6 +277,24 @@ class DataStore:
         self._registry_lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
+        self._pool: ThreadPoolExecutor | None = None
+        self._pending: dict[DatasetKey, Future] = {}
+        self._pending_lock = threading.Lock()
+
+    def __enter__(self) -> "DataStore":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Shut the fetch pool down: fetches in flight finish, queued ones are
+        dropped. Idempotent; a later prefetch starts a new pool."""
+        with self._pending_lock:
+            pool, self._pool = self._pool, None
+            self._pending.clear()
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
 
     def _lock_for(self, key: DatasetKey) -> threading.Lock:
         serialized = key.serialize()
@@ -279,33 +307,56 @@ class DataStore:
     def cache_path(self, key: DatasetKey) -> Path:
         return self.cache_dir / key.filename()
 
-    def fetch_many(self, keys: list[DatasetKey]) -> dict[DatasetKey, RawDataset | None]:
-        """Fetch several datasets, up to MAX_PARALLEL concurrently."""
-        if len(keys) <= 1:
-            return {key: self.fetch_dataset(key) for key in keys}
-        with ThreadPoolExecutor(max_workers=min(MAX_PARALLEL, len(keys))) as pool:
-            results = list(pool.map(self.fetch_dataset, keys))
-        return dict(zip(keys, results))
+    def _registered(self, key: DatasetKey) -> bool:
+        if not self.cfg.registry_enabled:
+            return False
+        with self._registry_lock:
+            return key in self.registry
+
+    def prefetch(self, keys: Iterable[DatasetKey]) -> None:
+        """Start fetching, in the store's pool, every key that is neither
+        registered absent nor cached nor already pending; fetch_dataset
+        collects the results. Does nothing offline."""
+        if self.cfg.offline:
+            return
+        for key in keys:
+            if self._registered(key) or self.cache_path(key).exists():
+                continue
+            with self._pending_lock:
+                if key in self._pending:
+                    continue
+                if self._pool is None:
+                    self._pool = ThreadPoolExecutor(
+                        max_workers=MAX_PARALLEL, thread_name_prefix="nuclibgen-fetch"
+                    )
+                self._pending[key] = self._pool.submit(self._load, key)
 
     def fetch_dataset(self, key: DatasetKey) -> RawDataset | None:
         """Fetch one dataset; None means authoritatively absent.
 
-        Screening order: absence registry, disk cache, then (unless offline)
-        one HTTP GET. Raises NetworkError on transport failure, OfflineMiss
-        when offline with no cached copy, CacheWriteError on a failed write.
+        Returns a pending prefetch's result when there is one. Otherwise the
+        screening order is absence registry, disk cache, then (unless
+        offline) one HTTP GET. Raises NetworkError on transport failure,
+        OfflineMiss when offline with no cached copy, CacheWriteError on a
+        failed write.
         """
-        if self.cfg.registry_enabled:
-            with self._registry_lock:
-                registered = key in self.registry
-            if registered:
-                self.stats.bump("registry_skips")
-                return None
+        with self._pending_lock:
+            pending = self._pending.pop(key, None)
+        raw, counter = pending.result() if pending is not None else self._load(key)
+        if counter is not None:
+            self.stats.bump(counter)
+        return raw
 
+    def _load(self, key: DatasetKey) -> tuple[RawDataset | None, str | None]:
+        """Screen and, on a miss, download one dataset. Returns the dataset
+        and the counter its collection bumps (None for a network answer)."""
         with self._lock_for(key):
+            if self._registered(key):
+                return None, "registry_skips"
             path = self.cache_path(key)
             if path.exists():
-                self.stats.bump("cache_hits")
-                return RawDataset(key, path.read_text(encoding="utf-8"), "cache")
+                body = path.read_text(encoding="utf-8")
+                return RawDataset(key, body, "cache"), "cache_hits"
 
             if self.cfg.offline:
                 raise OfflineMiss(f"offline and not cached: {key.serialize()}")
@@ -314,10 +365,10 @@ class DataStore:
             if self.adapter.is_no_data(body):
                 if self.cfg.registry_enabled:
                     self._record_absent(key)
-                return None
+                return None, None
 
             self._write_cache(path, body)
-            return RawDataset(key, body, "remote")
+            return RawDataset(key, body, "remote"), None
 
     def _http_get(self, key: DatasetKey) -> str:
         failed = f"request failed for {key.serialize()}"

@@ -163,16 +163,26 @@ class _CorpusHandler(BaseHTTPRequestHandler):
 
     def do_GET(self):  # noqa: N802 (stdlib naming)
         cfg = self.server.cfg
+        key = self._key(parse_qs(urlparse(self.path).query))
         with cfg["lock"]:
             cfg["requests"] += 1
-        if cfg["latency"]:
-            time.sleep(cfg["latency"])
-        if cfg["fail"]:
+            cfg["keys"].append(key)
+            cfg["inflight"] += 1
+            cfg["max_inflight"] = max(cfg["max_inflight"], cfg["inflight"])
+        try:
+            if cfg["latency"]:
+                time.sleep(cfg["latency"])
+            failed = cfg["fail"] or key in cfg["fail_keys"]
+            body = None if failed else self._resolve(key)
+        finally:
+            # Before the answer goes out, so a client's next request cannot
+            # overlap this one.
+            with cfg["lock"]:
+                cfg["inflight"] -= 1
+        if body is None:
             self.send_response(503)
             self.end_headers()
             return
-        params = parse_qs(urlparse(self.path).query)
-        body = self._resolve(params)
         data = body.encode("utf-8")
         self.send_response(200)
         self.send_header("Content-Type", "text/csv")
@@ -180,8 +190,9 @@ class _CorpusHandler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(data)
 
-    def _resolve(self, params) -> str:
-        cfg = self.server.cfg
+    @staticmethod
+    def _key(params) -> str | None:
+        """The serialized dataset key of a query, None for an unknown one."""
         nuclide = params.get("nuclides", [""])[0]
         fields = params.get("fields", [""])[0]
         if fields == "decay_rads":
@@ -191,11 +202,16 @@ class _CorpusHandler(BaseHTTPRequestHandler):
         elif fields == "gammas":
             kind = "tr"
         else:
+            return None
+        return f"{nuclide}:{kind}"
+
+    def _resolve(self, key: str | None) -> str:
+        cfg = self.server.cfg
+        if key is None:
             return "0"
-        key = f"{nuclide}:{kind}"
         if key in cfg["overrides"]:
             return cfg["overrides"][key]
-        path = cfg["corpus"] / f"{nuclide}_{kind}.csv"
+        path = cfg["corpus"] / (key.replace(":", "_") + ".csv")
         if path.exists():
             return path.read_text(encoding="utf-8")
         return "0"
@@ -205,12 +221,18 @@ class _CorpusHandler(BaseHTTPRequestHandler):
 
 
 class MockServer:
-    """Serves a fixture corpus over HTTP with optional latency/failure."""
+    """Serves a fixture corpus over HTTP with optional latency/failure.
+
+    ``fail`` answers every request with HTTP 503, ``fail_keys`` only those
+    serialized keys; ``overrides`` maps a serialized key to a body. It
+    records the key of every request and the most requests in flight at once.
+    """
 
     def __init__(self, corpus: Path, latency: float = 0.0):
         self.cfg = {
-            "corpus": corpus, "latency": latency, "fail": False,
-            "requests": 0, "overrides": {}, "lock": threading.Lock(),
+            "corpus": corpus, "latency": latency, "fail": False, "fail_keys": set(),
+            "requests": 0, "keys": [], "inflight": 0, "max_inflight": 0,
+            "overrides": {}, "lock": threading.Lock(),
         }
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _CorpusHandler)
         self._httpd.cfg = self.cfg
@@ -229,9 +251,20 @@ class MockServer:
         with self.cfg["lock"]:
             return self.cfg["requests"]
 
+    @property
+    def keys(self) -> list[str | None]:
+        with self.cfg["lock"]:
+            return list(self.cfg["keys"])
+
+    @property
+    def max_inflight(self) -> int:
+        with self.cfg["lock"]:
+            return self.cfg["max_inflight"]
+
     def reset(self) -> None:
         with self.cfg["lock"]:
             self.cfg["requests"] = 0
+            self.cfg["keys"] = []
 
     def stop(self) -> None:
         self._httpd.shutdown()

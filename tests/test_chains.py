@@ -7,11 +7,12 @@ from nuclibgen.chains import (
     build_progeny,
     render_lineage,
 )
-from nuclibgen.errors import DataUnavailable, DepthExceeded, EmptySubset
+from nuclibgen.dataaccess import AccessConfig, DataStore, DatasetKey
+from nuclibgen.errors import DataUnavailable, DepthExceeded, EmptySubset, NetworkError
 from nuclibgen.library import assemble_library
 from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 
-from conftest import brute_edges, simple_chain_source
+from conftest import MockServer, brute_edges, lv_body, simple_chain_source
 
 
 def ids(members):
@@ -260,3 +261,68 @@ def test_lineage_indentation_unit_is_two_spaces(th_build):
     assert all(d % 2 == 0 for d in depths)
     assert lines[0] == "232th"
     assert lines[1].startswith("  228ra")
+
+
+def test_failing_transitions_are_ignored_when_levels_are_absent(tmp_path,
+                                                                mini_corpus_dir):
+    server = MockServer(mini_corpus_dir)
+    server.cfg["overrides"]["90y:lv"] = "0"
+    server.cfg["fail_keys"].add("90y:tr")
+    try:
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            build = build_progeny(parse_nuclide_id("90sr"), store)
+            assert ids(build.chain.members) == ["90sr", "90y"]
+            assert build.nodes[parse_nuclide_id("90y")].scheme is None
+            # The prefetched transitions did fail; the build never looked.
+            with pytest.raises(NetworkError):
+                store.fetch_dataset(DatasetKey.transitions(parse_nuclide_id("90y")))
+    finally:
+        server.stop()
+
+
+def test_merges_resettle_only_nodes_fed_a_new_level(monkeypatch, primed_store):
+    nested = [parse_nuclide_id(n) for n in ("237np", "233u", "229th", "225ac")]
+    settles = []
+    settle, add_inherited = chains_mod._settle, chains_mod.NodeData.add_inherited
+
+    def counting_settle(node, simulate_cascade):
+        settles.append(node.nuclide)
+        settle(node, simulate_cascade)
+
+    def always_added(node, levels):
+        add_inherited(node, levels)
+        return True
+
+    monkeypatch.setattr(chains_mod, "_settle", counting_settle)
+    twice = assemble_subset(nested[-1:] * 2, [], [], primed_store)
+    assert len(settles) == 2 * len(twice.nodes)  # the second build adds nothing
+
+    settles.clear()
+    skipping = assemble_subset(nested, [], [], primed_store)
+    skipping_settles = len(settles)
+    settles.clear()
+    monkeypatch.setattr(chains_mod.NodeData, "add_inherited", always_added)
+    resettling = assemble_subset(nested, [], [], primed_store)
+    assert skipping_settles < len(settles)
+    for rad in RadiationType:
+        assert (assemble_library(skipping, rad).entries
+                == assemble_library(resettling, rad).entries), rad
+
+
+def test_static_reports_its_daughters_parse_warnings():
+    source = simple_chain_source(
+        {"131te": [("131i", 100.0)], "131i": [("131xe", 100.0)]},
+        stable={"131xe"},
+    )
+    source.bodies["131i:lv"] = lv_body([
+        {"symbol": "I", "a": 131, "energy": 0.0, "unc_e": 0.0, "jp": "7/2+",
+         "half_life_sec": 1000.0, "decay_1": "B-", "decay_1_%": 100.0},
+        {"symbol": "I", "a": 131, "energy": "nan", "unc_e": 0.0, "jp": "1/2+",
+         "half_life_sec": 1.0, "decay_1": "IT", "decay_1_%": 100.0},
+    ])
+    te131 = parse_nuclide_id("131te")
+    chain = assemble_subset([te131], [], [], source)
+    static = assemble_subset([], [te131], [], source)
+    nan_warnings = [w for w in chain.warnings if "nan" in w]
+    assert nan_warnings == ["levels line 3: non-finite value 'nan'"]
+    assert [w for w in static.warnings if "nan" in w] == nan_warnings

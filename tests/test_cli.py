@@ -1,4 +1,5 @@
 import json
+import threading
 from pathlib import Path
 
 from nuclibgen.cli import main, run
@@ -61,12 +62,20 @@ jobs:
     assert cold.ok
     assert cold.jobs[0].network_calls > 0
     assert (tmp_path / "cache" / "90sr_dr-bm.csv").exists()
+    registered = (tmp_path / "cache" / "absent_registry.txt").read_text().splitlines()
+    assert cold.jobs[0].absences_recorded == len(registered) > 0
+    assert f"absences_recorded {len(registered)}" in (out / "report.txt").read_text()
+    # Every job's store has shut its fetch pool down by the time run() returns.
+    assert not [t for t in threading.enumerate() if t.name.startswith("nuclibgen-fetch")]
 
     warm = run(load_config(cfg_path))
     assert warm.ok
     assert warm.jobs[0].network_calls == 0
     assert warm.jobs[0].cache_hits > 0
     assert warm.jobs[0].registry_skips > 0
+    assert warm.jobs[0].absences_recorded == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["jobs"][0]["absences_recorded"] == 0
 
 
 def test_identical_runs_produce_identical_outputs(tmp_path, corpus_dir):

@@ -1,9 +1,14 @@
 import sys
+import threading
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import nuclibgen.dataaccess as dataaccess
+from nuclibgen.chains import assemble_subset
 from nuclibgen.dataaccess import (
+    MAX_PARALLEL,
     AccessConfig,
     DataStore,
     DatasetKey,
@@ -11,7 +16,7 @@ from nuclibgen.dataaccess import (
     registry_record,
 )
 from nuclibgen.errors import NetworkError, OfflineMiss
-from nuclibgen.nuclide import Nuclide, RadiationType
+from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
 
 from conftest import MockServer, prime_cache
 
@@ -247,3 +252,127 @@ def test_no_registry_mode_disables_screening_and_recording(tmp_path, corpus_dir)
         assert store.stats.registry_skips == 0
     finally:
         server.stop()
+
+
+@pytest.mark.parametrize("prefetch_first", [True, False])
+def test_prefetch_racing_fetch_makes_one_network_call(tmp_path, corpus_dir,
+                                                      prefetch_first):
+    server = MockServer(corpus_dir, latency=0.2)
+    try:
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        key = key_for("225ac")
+        if prefetch_first:
+            store.prefetch([key])
+        fetch = ThreadPoolExecutor(max_workers=1)
+        result = fetch.submit(store.fetch_dataset, key)
+        if not prefetch_first:
+            time.sleep(0.05)  # the inline fetch is waiting on the endpoint
+            store.prefetch([key])
+        raw = result.result(timeout=30)
+        fetch.shutdown()
+        store.close()
+        assert raw is not None and raw.origin == "remote"
+        assert server.requests == 1
+        assert store.stats.network_calls == 1
+        assert store.stats.cache_hits == 0
+    finally:
+        server.stop()
+
+
+def test_prefetched_result_is_collected_once(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir)
+    try:
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            key = key_for("225ac")
+            store.prefetch([key, key])
+            assert store.fetch_dataset(key).origin == "remote"
+            assert store.fetch_dataset(key).origin == "cache"
+            assert server.requests == 1
+            assert store.stats.snapshot()["cache_hits"] == 1
+    finally:
+        server.stop()
+
+
+def test_prefetch_skips_registered_and_cached_keys(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir)
+    try:
+        cache = prime_cache(corpus_dir, tmp_path / "cache")
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=cache)) as store:
+            store.prefetch([key_for("225ac"), key_for("208pb", RadiationType.ALPHA)])
+        assert server.requests == 0
+    finally:
+        server.stop()
+
+
+def test_offline_store_never_submits_to_its_pool(monkeypatch, tmp_path, corpus_dir):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("an offline store started a fetch pool")
+
+    monkeypatch.setattr(dataaccess, "ThreadPoolExecutor", no_pool)
+    empty = DataStore(AccessConfig(cache_dir=tmp_path / "empty", offline=True))
+    empty.prefetch([key_for("225ac")])
+    with pytest.raises(OfflineMiss):
+        empty.fetch_dataset(key_for("225ac"))
+    primed = DataStore(AccessConfig(cache_dir=prime_cache(corpus_dir, tmp_path / "cache"),
+                                    offline=True))
+    assemble_subset([parse_nuclide_id("232th")], [parse_nuclide_id("213bi")], [], primed)
+    assert primed.stats.cache_hits > 0
+
+
+def test_endpoint_sees_at_most_max_parallel_requests(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir, latency=0.02)
+    try:
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            assemble_subset([parse_nuclide_id("232th")], [], [], store)
+        assert 1 < server.max_inflight <= MAX_PARALLEL
+    finally:
+        server.stop()
+
+
+def test_close_stops_every_worker_and_store_stays_usable(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir)
+    try:
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        store.prefetch([key_for("225ac", rad) for rad in RadiationType])
+        store.close()
+        store.close()
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("nuclibgen-fetch")]
+        assert store.fetch_dataset(key_for("225ac")) is not None
+        store.prefetch([key_for("221fr")])
+        assert store.fetch_dataset(key_for("221fr")) is not None
+        store.close()
+    finally:
+        server.stop()
+
+
+def test_prefetch_and_fetch_stress_one_request_per_key(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir)
+    workers = 6
+    keys = [key_for(nid, rad) for nid in ("225ac", "221fr", "217at", "208pb")
+            for rad in RadiationType]
+    results = []
+
+    def client(start):
+        order = keys[start:] + keys[:start]
+        store.prefetch(order[::2])
+        got = [store.fetch_dataset(key) for key in order]
+        results.extend(got)
+
+    store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(client, i * 3) for i in range(workers)]
+            for future in futures:
+                future.result(timeout=60)
+        store.close()
+    finally:
+        sys.setswitchinterval(interval)
+        server.stop()
+    assert len(results) == workers * len(keys)
+    assert sorted(server.keys) == sorted(key.serialize() for key in keys)
+    assert store.stats.network_calls == len(keys)
+    assert store.stats.cache_hits == sum(r is not None and r.origin == "cache"
+                                         for r in results)

@@ -1,6 +1,7 @@
 """Golden outputs: each benchmark workload's job set, run offline in-process
 from the primed fixture cache, reproduces the committed files under
-perfbench/goldens byte for byte. The workload definitions are imported from
+perfbench/goldens byte for byte; so does the cold workload fetched from the
+mock endpoint into an empty cache. The workload definitions are imported from
 perfbench/workloads.py and only read.
 """
 
@@ -10,7 +11,10 @@ from pathlib import Path
 
 import pytest
 
-from nuclibgen.cli import main
+from nuclibgen.cli import main, run
+from nuclibgen.config import load_config
+
+from conftest import MockServer
 
 WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
 
@@ -43,3 +47,36 @@ def test_workload_outputs_match_goldens(name, tmp_path, capsys):
     for fname in names:
         produced = (out_dir / fname).read_bytes()
         assert produced == (workloads.GOLDENS / fname).read_bytes(), fname
+
+
+def test_cold_endpoint_outputs_cache_and_registry(tmp_path):
+    workload = workloads.WORKLOADS["cold_endpoint"]
+    cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+    server = MockServer(workloads.CORPUS, latency=0)
+    try:
+        config = tmp_path / "run.yaml"
+        config.write_text(
+            workloads.config_yaml(workload.jobs, cache_dir=cache_dir, out_dir=out_dir,
+                                  base_url=server.url),
+            encoding="utf-8",
+        )
+        report = run(load_config(config))
+        requested = server.keys
+    finally:
+        server.stop()
+    assert report.ok, [job.error for job in report.jobs]
+    for fname in workload.golden_files():
+        produced = (out_dir / fname).read_bytes()
+        assert produced == (workloads.GOLDENS / fname).read_bytes(), fname
+
+    cached = sorted(path.name for path in cache_dir.glob("*.csv"))
+    assert cached
+    for name in cached:
+        assert (cache_dir / name).read_bytes() == (workloads.CORPUS / name).read_bytes()
+    registered = (cache_dir / "absent_registry.txt").read_text().splitlines()
+    assert not [key for key in registered
+                if (workloads.CORPUS / (key.replace(":", "_") + ".csv")).exists()]
+    # Each dataset was requested once, and the counters saw every request.
+    assert len(requested) == len(set(requested))
+    assert set(requested) == {n[:-4].replace("_", ":") for n in cached} | set(registered)
+    assert sum(job.network_calls for job in report.jobs) == len(requested)
