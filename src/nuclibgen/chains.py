@@ -21,6 +21,14 @@ statics through the same core but without descendants: a static's daughters
 contribute only their level schemes, for gamma feasibility gating. A static
 resolves to the member at its level, the same member a chain reaching that
 level would produce.
+
+What a visit parses depends only on the nuclide, never on who reached it, so
+a run keeps one `ParseMemo`: each ground-state nuclide's decay records, level
+scheme, daughters and parse warnings, stored by its first successful visit.
+Every later visit of that nuclide, by another progenitor's build, a static or
+another job (threads of `--jobs N` included), takes the stored entry and only
+settles it in its own feeding context. A visit that fails is not stored. A
+static's daughters still read only their level schemes, outside the memo.
 """
 
 from __future__ import annotations
@@ -76,13 +84,28 @@ class ChainMember:
     unvalidated: bool = False
 
 
+@dataclass(frozen=True)
+class ParsedNuclide:
+    """One visit's parse of a ground-state nuclide; shared, never mutated."""
+
+    records: tuple[DecayRecord, ...]
+    scheme: LevelScheme | None
+    daughters: tuple[DaughterFeed, ...]
+    warnings: tuple[str, ...]
+
+
+# Run-scoped memo of successful visits, keyed by ground-state nuclide. Racing
+# visits parse identical entries, so `setdefault` needs no lock.
+ParseMemo = dict[Nuclide, ParsedNuclide]
+
+
 @dataclass
 class NodeData:
     """Everything learned about one visited (element, A) nuclide."""
 
     nuclide: Nuclide
-    records: list[DecayRecord] = field(default_factory=list)
-    daughters: list[DaughterFeed] = field(default_factory=list)
+    records: tuple[DecayRecord, ...] = ()
+    daughters: tuple[DaughterFeed, ...] = ()
     inherited: list[EnergyValue] = field(default_factory=list)
     scheme: LevelScheme | None = None
     warnings: list[str] = field(default_factory=list)
@@ -142,6 +165,7 @@ class ChainBuild:
     nodes: dict[Nuclide, NodeData]
     order: list[Nuclide]
     warnings: list[str]
+    nuclides_parsed: int = 0  # visits in ``order`` not served by the memo
 
 
 def _scheme_keys(nuclide: Nuclide) -> list[DatasetKey]:
@@ -195,12 +219,22 @@ def _fetch_scheme(
     return scheme
 
 
-def _visit(node: NodeData, source: DatasetSource) -> None:
-    """Fetch a nuclide's decay records and level scheme; tally its daughters."""
-    _prefetch(source, _node_keys(node.nuclide))
-    node.records = _fetch_records(source, node.nuclide, node.warnings)
-    node.scheme = _fetch_scheme(source, node.nuclide, node.warnings)
-    node.daughters = extract_daughters(node.records)
+def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
+    """Give a node its nuclide's decay records, level scheme, daughters and
+    parse warnings: from the memo, else fetched, parsed and stored there.
+    True when this visit parsed them."""
+    entry = memo.get(node.nuclide)
+    missed = entry is None
+    if missed:
+        _prefetch(source, _node_keys(node.nuclide))
+        warnings: list[str] = []
+        records = _fetch_records(source, node.nuclide, warnings)
+        scheme = _fetch_scheme(source, node.nuclide, warnings)
+        entry = memo.setdefault(node.nuclide, ParsedNuclide(
+            tuple(records), scheme, tuple(extract_daughters(records)), tuple(warnings)))
+    node.records, node.scheme, node.daughters = entry.records, entry.scheme, entry.daughters
+    node.warnings.extend(entry.warnings)
+    return missed
 
 
 def _settle(node: NodeData, simulate_cascade: bool) -> None:
@@ -299,15 +333,19 @@ def build_progeny(
     *,
     simulate_cascade: bool = True,
     visited_cap: int = DEFAULT_VISITED_CAP,
+    memo: ParseMemo | None = None,
 ) -> ChainBuild:
     """Recursively collect all progeny of a progenitor.
 
     Returns the discovery-ordered decay chain (level-resolved members) and
     the lineage tree including stable leaves. Raises DataUnavailable when a
     required dataset is neither cached nor fetchable, DepthExceeded when the
-    visited count passes ``visited_cap``.
+    visited count passes ``visited_cap``. Nuclides already in ``memo`` are
+    not fetched or parsed again.
     """
+    memo = {} if memo is None else memo
     warnings: list[str] = []
+    parsed = 0
     root = progenitor.ground_state
     nodes: dict[Nuclide, NodeData] = {}
     order: list[Nuclide] = []
@@ -324,7 +362,7 @@ def build_progeny(
             )
         order.append(current)
         node = nodes.setdefault(current, NodeData(nuclide=current))
-        _visit(node, source)
+        parsed += _visit(node, source, memo)
 
         fresh = []
         for feed in node.daughters:
@@ -336,7 +374,8 @@ def build_progeny(
                 discoverer[feed.daughter] = current
                 fresh.append(feed.daughter)
         # fresh[0] is visited next, so its datasets are queued first.
-        _prefetch(source, [key for daughter in fresh for key in _node_keys(daughter)])
+        _prefetch(source, [key for daughter in fresh if daughter not in memo
+                           for key in _node_keys(daughter)])
         stack.extend(reversed(fresh))
 
     # Progenitor levels are designated by the user; omission means ground.
@@ -364,7 +403,8 @@ def build_progeny(
         members=members,
         progenitor_terminal=progenitor_terminal,
     )
-    return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order, warnings=warnings)
+    return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order,
+                      warnings=warnings, nuclides_parsed=parsed)
 
 
 def _same_node(a: Nuclide, b: Nuclide) -> bool:
@@ -430,6 +470,8 @@ class RadionuclideSubset:
     nodes: dict[Nuclide, NodeData] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
     source_id: str = ""
+    nuclides_parsed: int = 0  # visits that fetched and parsed their nuclide
+    nuclides_reused: int = 0  # visits served from the parse memo
 
 
 def _merge_nodes(
@@ -465,30 +507,38 @@ def assemble_subset(
     simulate_cascade: bool = True,
     visited_cap: int = DEFAULT_VISITED_CAP,
     source_id: str = "",
+    memo: ParseMemo | None = None,
 ) -> RadionuclideSubset:
     """Assemble the complete radionuclide subset (R | Y | S) \\ E.
 
     Member ordering is deterministic: chains in input order with discovery
     order within each, then statics in input order; exclusions are removed
-    by exact (element, mass number, level) identity.
+    by exact (element, mass number, level) identity. ``memo`` is the run's
+    parse memo; without one, the subset's builds share a memo of their own.
     """
+    memo = {} if memo is None else memo
     chains: list[DecayChain] = []
     trees: list[LineageTree] = []
     nodes: dict[Nuclide, NodeData] = {}
     visited: set[Nuclide] = set()
     warnings: list[str] = []
+    visits = parsed = 0
 
-    _prefetch(source, [key for n in [*recursive, *statics] for key in _node_keys(n)])
+    _prefetch(source, [key for n in [*recursive, *statics] if n.ground_state not in memo
+                       for key in _node_keys(n)])
     for progenitor in recursive:
         build = build_progeny(
             progenitor,
             source,
             simulate_cascade=simulate_cascade,
             visited_cap=visited_cap,
+            memo=memo,
         )
         chains.append(build.chain)
         trees.append(build.tree)
         visited.update(build.order)
+        visits += len(build.order)
+        parsed += build.nuclides_parsed
         _merge_nodes(nodes, build.nodes, simulate_cascade)
         warnings.extend(build.warnings)
 
@@ -500,7 +550,8 @@ def assemble_subset(
             # No descendants: the daughters are settled from their level
             # schemes alone, which is all that gamma gating needs of them.
             visited.add(ground)
-            _visit(node, source)
+            visits += 1
+            parsed += _visit(node, source, memo)
             warnings.extend(node.warnings)
             _prefetch(source, [key for feed in node.daughters if feed.daughter not in nodes
                                for key in _scheme_keys(feed.daughter)])
@@ -538,4 +589,6 @@ def assemble_subset(
         nodes=nodes,
         warnings=warnings,
         source_id=source_id,
+        nuclides_parsed=parsed,
+        nuclides_reused=visits - parsed,
     )

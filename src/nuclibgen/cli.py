@@ -2,7 +2,8 @@
 
 ``generate`` runs every job of a YAML configuration: subset construction,
 level validation, library assembly, pruning, exports, lineage files, and
-plots, then reports per-phase timings and exact retrieval counters.
+plots, then reports per-phase timings and exact retrieval counters. The jobs
+of one run share a parse memo, so each nuclide is parsed once per run.
 ``qualify`` matches located spectrum peaks against an exported library.
 """
 
@@ -18,10 +19,10 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .chains import assemble_subset, render_lineage
+from .chains import ParseMemo, assemble_subset, render_lineage
 from .config import JobConfig, RunConfig, load_config
 from .dataaccess import AccessConfig, DataStore
-from .errors import NuclibError
+from .errors import InvalidInput, NuclibError
 from .export import export_table, import_library_csv
 from .identify import PeakList, qualify_peaks
 from .library import assemble_library, prune
@@ -41,6 +42,8 @@ class JobReport:
     cache_hits: int = 0
     registry_skips: int = 0
     absences_recorded: int = 0
+    nuclides_parsed: int = 0
+    nuclides_reused: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
@@ -81,6 +84,10 @@ class RunReport:
                 f"registry_skips {job.registry_skips}, "
                 f"absences_recorded {job.absences_recorded}"
             )
+            lines.append(
+                f"    nuclides_parsed {job.nuclides_parsed}, "
+                f"nuclides_reused {job.nuclides_reused}"
+            )
             phases = ", ".join(
                 f"{name} {seconds:.3f}s" for name, seconds in job.phase_seconds.items()
             )
@@ -102,8 +109,11 @@ def _phase(report: JobReport, name: str):
         report.phase_seconds[name] = round(time.perf_counter() - t0, 6)
 
 
-def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
-    """Execute one job; failures are captured, not propagated."""
+def run_job(
+    job: JobConfig, access: AccessConfig, out_dir: Path, memo: ParseMemo | None = None
+) -> JobReport:
+    """Execute one job; failures are captured, not propagated. The job reads
+    through its own store; ``memo`` is the run's parse memo, when shared."""
     report = JobReport(name=job.name)
     store = DataStore(access)
     t_start = time.perf_counter()
@@ -115,8 +125,11 @@ def run_job(job: JobConfig, access: AccessConfig, out_dir: Path) -> JobReport:
                 job.exclusions,
                 store,
                 source_id=access.base_url,
+                memo=memo,
             )
         report.subset_size = len(subset.members)
+        report.nuclides_parsed = subset.nuclides_parsed
+        report.nuclides_reused = subset.nuclides_reused
         report.warnings.extend(subset.warnings)
 
         with _phase(report, "library"):
@@ -187,14 +200,15 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
         access = replace(access, base_url=config.base_url)
     report.source_id = access.base_url
 
+    memo: ParseMemo = {}
     t0 = time.perf_counter()
     if jobs_parallel > 1:
         with ThreadPoolExecutor(max_workers=jobs_parallel) as pool:
             report.jobs = list(
-                pool.map(lambda job: run_job(job, access, out_dir), config.jobs)
+                pool.map(lambda job: run_job(job, access, out_dir, memo), config.jobs)
             )
     else:
-        report.jobs = [run_job(job, access, out_dir) for job in config.jobs]
+        report.jobs = [run_job(job, access, out_dir, memo) for job in config.jobs]
     report.total_seconds = round(time.perf_counter() - t0, 6)
 
     (out_dir / "report.json").write_text(
@@ -220,6 +234,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_qualify(args: argparse.Namespace) -> int:
+    if args.top < 1:
+        raise InvalidInput(f"--top {args.top}: at least one candidate must be shown")
     peaks = PeakList.load_csv(args.peaks)
     library = import_library_csv(args.library)
     matches = qualify_peaks(peaks, library, args.tol_kev)

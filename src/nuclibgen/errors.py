@@ -91,6 +91,13 @@ class IoError(NuclibError):
     """An output file could not be written."""
 
 
+# --- peak qualification --------------------------------------------------------
+
+class InvalidInput(NuclibError, ValueError):
+    """A peak list, an imported library CSV or a qualify setting is unreadable
+    or out of range. Also a ValueError, which these checks used to raise."""
+
+
 # --- configuration -----------------------------------------------------------
 
 class ConfigParseError(NuclibError):

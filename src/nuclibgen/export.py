@@ -16,7 +16,14 @@ import math
 import re
 from pathlib import Path
 
-from .errors import IoError, TemplateSyntaxError, UnknownPlaceholder, UnsupportedFormat
+from .errors import (
+    InvalidInput,
+    IoError,
+    NuclibError,
+    TemplateSyntaxError,
+    UnknownPlaceholder,
+    UnsupportedFormat,
+)
 from .library import LibraryEntry, PruneBounds, RadionuclideLibrary
 from .nuclide import EnergyValue, HalfLife, RadiationType, parse_nuclide_id
 
@@ -189,44 +196,62 @@ def export_table(lib: RadionuclideLibrary, fmt: str, path: Path | str) -> Path:
 
 
 def import_library_csv(path: Path | str) -> RadionuclideLibrary:
-    """Re-read an exported CSV; export_table('csv') then import is identity."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Re-read an exported CSV; export_table('csv') then import is identity.
+
+    Raises InvalidInput for an unreadable file, a missing column and, with
+    its line number, a row that is short or holds a bad value.
+    """
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidInput(f"cannot read library {path}: {exc}") from exc
     reader = csv.DictReader(io.StringIO(text))
     entries: list[LibraryEntry] = []
-    radiation = None
-    for row in reader:
-        radiation = RadiationType.from_code(row["radiation"])
-        half_life = None
-        hl_cell = row["half_life_s"].strip()
-        if hl_cell == "stable":
-            half_life = HalfLife.stable()
-        elif hl_cell:
-            half_life = HalfLife(float(hl_cell))
-        entries.append(
-            LibraryEntry(
-                nuclide=parse_nuclide_id(row["nuclide"]),
-                radiation=radiation,
-                energy=EnergyValue(
-                    float(row["energy_kev"]),
-                    float(row["energy_unc_kev"]) if row["energy_unc_kev"] else 0.0,
-                ),
-                intensity_percent=(
-                    float(row["intensity_pct"]) if row["intensity_pct"] else None
-                ),
-                intensity_unc=(
-                    float(row["intensity_unc_pct"]) if row["intensity_unc_pct"] else 0.0
-                ),
-                half_life=half_life,
-                parent_level=EnergyValue(float(row["parent_level_kev"])),
-                flags=frozenset(
-                    flag for flag in row["flags"].split(";") if flag
-                ),
-            )
-        )
+    try:
+        missing = [col for col in CSV_COLUMNS if col not in (reader.fieldnames or ())]
+        if missing:
+            raise InvalidInput(f"{path}: missing columns {', '.join(missing)}")
+        for row in reader:
+            try:
+                entries.append(_entry_from_row(row))
+            except (ValueError, NuclibError) as exc:
+                raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
+    except csv.Error as exc:
+        raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
     return RadionuclideLibrary(
-        radiation=radiation or RadiationType.GAMMA,
+        radiation=entries[-1].radiation if entries else RadiationType.GAMMA,
         entries=entries,
         bounds=PruneBounds(),
+    )
+
+
+def _entry_from_row(row: dict[str, str | None]) -> LibraryEntry:
+    if row[CSV_COLUMNS[-1]] is None:  # DictReader's fill for cells missing at the end
+        raise InvalidInput(f"expected {len(CSV_COLUMNS)} cells")
+    half_life = None
+    hl_cell = row["half_life_s"].strip()
+    if hl_cell == "stable":
+        half_life = HalfLife.stable()
+    elif hl_cell:
+        half_life = HalfLife(float(hl_cell))
+    intensity = float(row["intensity_pct"]) if row["intensity_pct"] else None
+    intensity_unc = float(row["intensity_unc_pct"]) if row["intensity_unc_pct"] else 0.0
+    if not math.isfinite(intensity_unc) or (
+        intensity is not None and not math.isfinite(intensity)
+    ):
+        raise InvalidInput("non-finite intensity")
+    return LibraryEntry(
+        nuclide=parse_nuclide_id(row["nuclide"]),
+        radiation=RadiationType.from_code(row["radiation"]),
+        energy=EnergyValue(
+            float(row["energy_kev"]),
+            float(row["energy_unc_kev"]) if row["energy_unc_kev"] else 0.0,
+        ),
+        intensity_percent=intensity,
+        intensity_unc=intensity_unc,
+        half_life=half_life,
+        parent_level=EnergyValue(float(row["parent_level_kev"])),
+        flags=frozenset(flag for flag in row["flags"].split(";") if flag),
     )
 
 

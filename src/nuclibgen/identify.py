@@ -6,9 +6,11 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from .errors import InvalidInput
 from .library import LibraryEntry, RadionuclideLibrary
 
 
@@ -18,8 +20,12 @@ class Peak:
     net_area: float | None = None
 
     def __post_init__(self):
-        if not (self.centroid_kev >= 0 and self.centroid_kev == self.centroid_kev):
-            raise ValueError("peak centroid must be finite and nonnegative")
+        if not (0 <= self.centroid_kev < math.inf):
+            raise InvalidInput(
+                f"peak centroid {self.centroid_kev!r} is not finite and nonnegative"
+            )
+        if self.net_area is not None and not math.isfinite(self.net_area):
+            raise InvalidInput(f"peak net_area {self.net_area!r} is not finite")
 
 
 @dataclass
@@ -28,20 +34,33 @@ class PeakList:
 
     @classmethod
     def load_csv(cls, path: Path | str) -> "PeakList":
-        """Read 'centroid_kev[,net_area]' rows; a header row is optional."""
-        text = Path(path).read_text(encoding="utf-8")
+        """Read 'centroid_kev[,net_area]' rows; a header row is optional.
+
+        A row whose first cell is not a number (a header or a comment) is
+        skipped. Raises InvalidInput for an unreadable file and, with its line
+        number, for a row whose centroid or net area is invalid.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read peak list {path}: {exc}") from exc
         peaks = []
-        for row in csv.reader(io.StringIO(text)):
-            if not row or not row[0].strip():
-                continue
-            try:
-                centroid = float(row[0])
-            except ValueError:
-                continue  # header or comment line
-            area = None
-            if len(row) > 1 and row[1].strip():
-                area = float(row[1])
-            peaks.append(Peak(centroid, area))
+        reader = csv.reader(io.StringIO(text))
+        try:
+            for row in reader:
+                if not row or not row[0].strip():
+                    continue
+                try:
+                    centroid = float(row[0])
+                except ValueError:
+                    continue  # header or comment line
+                try:
+                    area = float(row[1]) if len(row) > 1 and row[1].strip() else None
+                    peaks.append(Peak(centroid, area))
+                except ValueError as exc:
+                    raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
+        except csv.Error as exc:
+            raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
         return cls(peaks)
 
 
@@ -67,8 +86,8 @@ def qualify_peaks(
     physical discriminator; intensity breaks ties). Total: peaks without
     candidates come back flagged unassigned.
     """
-    if tol_kev <= 0:
-        raise ValueError("tolerance must be positive")
+    if not (0 < tol_kev < math.inf):
+        raise InvalidInput(f"tolerance {tol_kev!r} keV is not finite and positive")
     matches = []
     for peak in peaks.peaks:
         candidates = [

@@ -236,8 +236,9 @@ class MockServer:
         }
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _CorpusHandler)
         self._httpd.cfg = self.cfg
+        # A short poll lets stop() return at once instead of after up to 0.5 s.
         self._thread = threading.Thread(
-            target=self._httpd.serve_forever, daemon=True
+            target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
         )
         self._thread.start()
 

@@ -326,3 +326,31 @@ def test_static_reports_its_daughters_parse_warnings():
     nan_warnings = [w for w in chain.warnings if "nan" in w]
     assert nan_warnings == ["levels line 3: non-finite value 'nan'"]
     assert [w for w in static.warnings if "nan" in w] == nan_warnings
+
+
+def test_failed_visit_is_not_memoised():
+    source = simple_chain_source(
+        {"131te": [("131i", 100.0)], "131i": [("131xe", 100.0)]},
+        stable={"131xe"},
+    )
+    fetch, failing = source.fetch_dataset, {"131i:lv"}
+
+    def flaky_fetch(key):
+        if key.serialize() in failing:
+            raise NetworkError("HTTP 503")
+        return fetch(key)
+
+    source.fetch_dataset = flaky_fetch
+    te131, i131 = parse_nuclide_id("131te"), parse_nuclide_id("131i")
+    memo = {}
+    with pytest.raises(DataUnavailable):
+        assemble_subset([te131], [], [], source, memo=memo)
+    assert te131 in memo and i131 not in memo
+
+    failing.clear()
+    source.requests.clear()
+    subset = assemble_subset([te131], [], [], source, memo=memo)
+    assert "131i:lv" in source.requests and not any(
+        key.startswith("131te:") for key in source.requests)
+    assert (subset.nuclides_parsed, subset.nuclides_reused) == (2, 1)
+    assert ids(subset.members) == ids(assemble_subset([te131], [], [], source).members)

@@ -1,7 +1,11 @@
 import json
 import threading
+from collections import Counter
 from pathlib import Path
 
+import pytest
+
+import nuclibgen.chains as chains_mod
 from nuclibgen.cli import main, run
 from nuclibgen.config import load_config
 
@@ -57,10 +61,21 @@ jobs:
   - name: sr90
     recursive_progenitors: [90Sr]
     radiation: bm
+  - name: sr90_gamma
+    recursive_progenitors: [90Sr]
+    radiation: gamma
 """)
     cold = run(load_config(cfg_path))
     assert cold.ok
     assert cold.jobs[0].network_calls > 0
+    # The second job takes every nuclide from the run's parse memo, so it
+    # reads, and counts, no dataset itself.
+    first, second = cold.jobs
+    assert first.nuclides_parsed > 0 and first.nuclides_reused == 0
+    assert (second.nuclides_parsed, second.nuclides_reused) == (0, first.nuclides_parsed)
+    assert second.network_calls == second.cache_hits == second.registry_skips == 0
+    assert (f"nuclides_parsed 0, nuclides_reused {first.nuclides_parsed}"
+            in (out / "report.txt").read_text())
     assert (tmp_path / "cache" / "90sr_dr-bm.csv").exists()
     registered = (tmp_path / "cache" / "absent_registry.txt").read_text().splitlines()
     assert cold.jobs[0].absences_recorded == len(registered) > 0
@@ -76,6 +91,8 @@ jobs:
     assert warm.jobs[0].absences_recorded == 0
     report = json.loads((out / "report.json").read_text())
     assert report["jobs"][0]["absences_recorded"] == 0
+    assert [(job["nuclides_parsed"], job["nuclides_reused"]) for job in report["jobs"]] == [
+        (first.nuclides_parsed, 0), (0, first.nuclides_parsed)]
 
 
 def test_identical_runs_produce_identical_outputs(tmp_path, corpus_dir):
@@ -239,3 +256,144 @@ jobs:
     report = run(load_config(cfg))
     job = report.jobs[0]
     assert sum(job.phase_seconds.values()) <= job.total_seconds + 1e-6
+
+
+# Jobs over the nested 237Np > 233U > 229Th > 225Ac progenitors, plus statics
+# inside those chains: later jobs visit only nuclides an earlier job parsed.
+SHARED_JOBS = {
+    "np": """
+  - name: np
+    recursive_progenitors: [237Np]
+    radiation: gamma
+""",
+    "ac": """
+  - name: ac
+    recursive_progenitors: [233U, 225Ac]
+    static_nuclides: [213Bi]
+    radiation: alpha
+""",
+    "bi": """
+  - name: bi
+    static_nuclides: [213Bi, 209Tl]
+    radiation: alpha
+""",
+}
+
+
+@pytest.fixture()
+def warning_cache(tmp_path, corpus_dir):
+    """A primed cache whose 225Ac levels and 213Bi alpha rows each carry one
+    bad row, so every job reaching them reports parse warnings."""
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    with (cache / "225ac_lv.csv").open("a", encoding="utf-8") as fh:
+        fh.write("Ac,225,nan,0,,,,,,,,,\n")
+    with (cache / "213bi_dr-a.csv").open("a", encoding="utf-8") as fh:
+        fh.write("abc,1.5,1.94,0.0582,Bi,213,0,0.1,2735.4,3.6,A,2.2,,Tl,209,0,,\n")
+    return cache
+
+
+def run_jobs(tmp_path, cache, names, out_name, jobs_parallel=1):
+    """Run the named SHARED_JOBS in one run; (outputs by file name, warnings
+    and memo counters by job)."""
+    out = tmp_path / out_name
+    cfg = write_config(tmp_path, f"cache_dir: {cache}\noffline: true\nout_dir: {out}\n"
+                       "jobs:" + "".join(SHARED_JOBS[name] for name in names))
+    report = run(load_config(cfg), jobs_parallel=jobs_parallel)
+    assert report.ok
+    outputs = {path.name: path.read_bytes() for path in out.iterdir()
+               if not path.name.startswith("report.")}
+    jobs = {job.name: (job.warnings, job.nuclides_parsed, job.nuclides_reused)
+            for job in report.jobs}
+    return outputs, jobs
+
+
+def test_each_dataset_is_parsed_once_per_run(monkeypatch, tmp_path, corpus_dir):
+    parses = Counter()
+
+    def counting(parse):
+        def wrapper(*raws):
+            parses.update(raw.key.serialize() for raw in raws if raw is not None)
+            return parse(*raws)
+        return wrapper
+
+    for name in ("parse_decay_records", "parse_level_scheme"):
+        monkeypatch.setattr(chains_mod, name, counting(getattr(chains_mod, name)))
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    nested = "recursive_progenitors: [237Np, 233U, 229Th, 225Ac]"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {tmp_path / "out"}
+jobs:
+  - name: first
+    {nested}
+    radiation: gamma
+  - name: second
+    {nested}
+    radiation: alpha
+""")
+    report = run(load_config(cfg))
+    assert report.ok
+    assert parses and set(parses.values()) == {1}
+    first, second = report.jobs
+    # 237Np's chain holds every nuclide of the inner chains.
+    assert first.nuclides_parsed == len({key.split(":")[0] for key in parses}) == 14
+    assert first.nuclides_reused > 0
+    assert second.nuclides_parsed == 0
+    assert second.nuclides_reused == first.nuclides_parsed + first.nuclides_reused
+    # The second job read no dataset itself.
+    assert second.cache_hits == second.registry_skips == 0
+
+
+def test_shared_run_matches_each_job_alone(tmp_path, warning_cache):
+    together, jobs = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "together")
+    assert any("nan" in w for w in jobs["np"][0])
+    assert any("213bi:dr-a" in w for w in jobs["bi"][0])
+    assert jobs["bi"][1] == 0  # every nuclide came from earlier jobs
+    merged = {}
+    for name in SHARED_JOBS:
+        outputs, alone = run_jobs(tmp_path, warning_cache, [name], f"alone_{name}")
+        assert alone[name][0] == jobs[name][0], name
+        assert alone[name][1] + alone[name][2] == jobs[name][1] + jobs[name][2]
+        merged.update(outputs)
+    assert merged == together
+
+
+def test_parallel_jobs_match_serial_jobs(tmp_path, warning_cache):
+    serial = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "serial")
+    parallel = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "parallel", 2)
+    assert parallel[0] == serial[0]
+    for name, (warnings, parsed, reused) in serial[1].items():
+        assert parallel[1][name][0] == warnings
+        assert sum(parallel[1][name][1:]) == parsed + reused
+
+
+QUALIFY_LIBRARY = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"
+                   "intensity_unc_pct,half_life_s,parent_level_kev,flags\n"
+                   "40k,g,1460.82,0.006,10.66,0.13,3.9e16,0,\n")
+
+
+@pytest.mark.parametrize("peaks, library, flags", [
+    ("1460.8\n", QUALIFY_LIBRARY, ["--tol-kev", "0"]),
+    ("1460.8\n", QUALIFY_LIBRARY, ["--tol-kev", "nan"]),
+    ("1460.8\n", QUALIFY_LIBRARY, ["--tol-kev", "inf"]),
+    ("1460.8\n", QUALIFY_LIBRARY, ["--tol-kev", "1", "--top", "0"]),
+    ("centroid_kev\n-1460.8\n", QUALIFY_LIBRARY, ["--tol-kev", "1"]),
+    ("1460.8,lots\n", QUALIFY_LIBRARY, ["--tol-kev", "1"]),
+    (None, QUALIFY_LIBRARY, ["--tol-kev", "1"]),
+    ("1460.8\n", None, ["--tol-kev", "1"]),
+    ("1460.8\n", "nuclide,energy_kev\n40k,1460.82\n", ["--tol-kev", "1"]),
+    ("1460.8\n", QUALIFY_LIBRARY.replace("1460.82", "x"), ["--tol-kev", "1"]),
+])
+def test_qualify_rejects_bad_input_with_an_error_line(tmp_path, capsys, peaks, library,
+                                                      flags):
+    paths = []
+    for name, text in (("peaks.csv", peaks), ("library.csv", library)):
+        paths.append(tmp_path / name)
+        if text is not None:
+            paths[-1].write_text(text)
+    assert main(["qualify", *map(str, paths), *flags]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: InvalidInput: ")
+    assert captured.err.count("\n") == 1

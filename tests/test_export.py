@@ -4,7 +4,12 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from nuclibgen.chains import assemble_subset
-from nuclibgen.errors import TemplateSyntaxError, UnknownPlaceholder, UnsupportedFormat
+from nuclibgen.errors import (
+    InvalidInput,
+    TemplateSyntaxError,
+    UnknownPlaceholder,
+    UnsupportedFormat,
+)
 from nuclibgen.export import (
     export_table,
     export_template,
@@ -183,3 +188,32 @@ def test_template_cross_platform_example(ac225_alpha, tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == f"LIBRARY A {len(ac225_alpha.entries)}"
     assert len(lines) == len(ac225_alpha.entries) + 1
+
+
+LIBRARY_HEADER = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"
+                  "intensity_unc_pct,half_life_s,parent_level_kev,flags\n")
+LIBRARY_ROW = "99mo,g,739.5,0.096,12.2,0.366,237384,0,\n"
+
+
+@pytest.mark.parametrize("text, match", [
+    ("nuclide,radiation,energy_kev\n99mo,g,739.5\n", "missing columns energy_unc_kev"),
+    ("", "missing columns nuclide"),
+    (LIBRARY_HEADER + LIBRARY_ROW + LIBRARY_ROW.replace("739.5", "abc"), "line 3:"),
+    (LIBRARY_HEADER + LIBRARY_ROW.replace("12.2", "nan"), "line 2: non-finite intensity"),
+    (LIBRARY_HEADER + "99mo,g,739.5\n", "line 2: expected 9 cells"),
+    (LIBRARY_HEADER + LIBRARY_ROW.replace(",g,", ",q,"), "line 2:"),
+    (LIBRARY_HEADER + LIBRARY_ROW.replace("99mo", "99xx"), "line 2:"),
+])
+def test_bad_library_csv_is_an_input_error(tmp_path, text, match):
+    path = tmp_path / "lib.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match=match):
+        import_library_csv(path)
+
+
+def test_missing_library_csv_is_an_input_error(tmp_path):
+    with pytest.raises(InvalidInput, match="cannot read library"):
+        import_library_csv(tmp_path / "absent.csv")
+    path = tmp_path / "ok.csv"
+    path.write_text(LIBRARY_HEADER + LIBRARY_ROW)
+    assert [e.energy.kev for e in import_library_csv(path).entries] == [739.5]

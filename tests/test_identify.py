@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from nuclibgen.chains import assemble_subset
+from nuclibgen.errors import InvalidInput
 from nuclibgen.identify import Peak, PeakList, qualify_peaks
 from nuclibgen.library import PruneBounds, RadionuclideLibrary, assemble_library, prune
 from nuclibgen.nuclide import RadiationType, parse_nuclide_id
@@ -77,3 +80,34 @@ def test_peak_csv_loading(tmp_path):
 def test_peak_rejects_negative_centroid():
     with pytest.raises(ValueError):
         Peak(-1.0)
+
+
+@pytest.mark.parametrize("tol", [0.0, -1.0, math.nan, math.inf])
+def test_tolerance_must_be_finite_and_positive(tol):
+    empty = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=[])
+    with pytest.raises(InvalidInput, match="tolerance"):
+        qualify_peaks(PeakList([Peak(100.0)]), empty, tol)
+
+
+@pytest.mark.parametrize("centroid", [math.inf, math.nan, -0.5])
+def test_peak_rejects_non_finite_or_negative_centroid(centroid):
+    with pytest.raises(InvalidInput):
+        Peak(centroid)
+
+
+@pytest.mark.parametrize("text, line", [
+    ("centroid_kev,net_area\n100,5\n-3,1\n", 3),
+    ("100,abc\n", 1),
+    ("centroid_kev\n# comment\n50\n10,nan\n", 4),
+    ("inf\n", 1),
+])
+def test_bad_peak_row_names_its_line(tmp_path, text, line):
+    path = tmp_path / "peaks.csv"
+    path.write_text(text)
+    with pytest.raises(InvalidInput, match=f"line {line}:"):
+        PeakList.load_csv(path)
+
+
+def test_missing_peak_list_is_an_input_error(tmp_path):
+    with pytest.raises(InvalidInput, match="cannot read peak list"):
+        PeakList.load_csv(tmp_path / "absent.csv")

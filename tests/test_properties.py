@@ -2,6 +2,9 @@
 and traversal termination on randomized synthetic decay graphs.
 """
 
+import csv
+import math
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -9,8 +12,9 @@ from hypothesis import strategies as st
 from nuclibgen.chains import assemble_subset, build_progeny
 from nuclibgen.dataaccess import DatasetKey, RawDataset
 from nuclibgen.elements import SYMBOLS
-from nuclibgen.errors import DepthExceeded, EmptySubset
+from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput
 from nuclibgen.export import export_table, import_library_csv
+from nuclibgen.identify import Peak, PeakList
 from nuclibgen.levels import FlattenedLevels, cascade_visit
 from nuclibgen.library import LibraryEntry, PruneBounds, RadionuclideLibrary, prune
 from nuclibgen.nuclide import (
@@ -197,6 +201,48 @@ def test_csv_round_trip_identity(tmp_path_factory, lib):
     export_table(lib, "csv", path)
     back = import_library_csv(path)
     assert back.entries == lib.entries
+
+
+# --- peak lists -------------------------------------------------------------------
+
+peak_cells = st.one_of(
+    st.floats().map(repr),
+    st.sampled_from(["", " ", "centroid_kev", "net_area", "# note", "1e999", "-0"]),
+    st.text(alphabet="0123456789.-+eE_ nainf", max_size=6),
+)
+
+
+def expected_peaks(rows):
+    """Reference reading of peak rows: (peaks, line of the first bad row)."""
+    peaks = []
+    for line, row in enumerate(rows, start=1):
+        try:
+            centroid = float(row[0])
+        except (IndexError, ValueError):
+            continue
+        area_cell = row[1] if len(row) > 1 else ""
+        try:
+            area = float(area_cell) if area_cell.strip() else None
+        except ValueError:
+            return peaks, line
+        if not (0 <= centroid < math.inf) or (area is not None and not math.isfinite(area)):
+            return peaks, line
+        peaks.append(Peak(centroid, area))
+    return peaks, None
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=st.lists(st.lists(peak_cells, max_size=3), max_size=8))
+def test_peak_rows_load_or_name_the_bad_line(tmp_path, rows):
+    path = tmp_path / "peaks.csv"
+    with path.open("w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+    peaks, bad_line = expected_peaks(rows)
+    if bad_line is not None:
+        with pytest.raises(InvalidInput, match=f"line {bad_line}:"):
+            PeakList.load_csv(path)
+    else:
+        assert PeakList.load_csv(path).peaks == peaks
 
 
 # --- cascade laws ---------------------------------------------------------------
