@@ -23,7 +23,7 @@ from .chains import ParseMemo, assemble_subset, render_lineage
 from .config import JobConfig, RunConfig, load_config
 from .dataaccess import AccessConfig, DataStore
 from .errors import InvalidInput, NuclibError
-from .export import export_table, import_library_csv
+from .export import export_table, import_library_csv, table_rows
 from .identify import PeakList, qualify_peaks
 from .library import assemble_library, prune
 from .nuclide import display_name, format_nuclide_id
@@ -142,8 +142,9 @@ def run_job(
 
         with _phase(report, "export"):
             stem = f"library_{job.name}_{job.radiation.code}"
+            rows = table_rows(library)
             for fmt in job.outputs:
-                out = export_table(library, fmt, out_dir / f"{stem}.{fmt}")
+                out = export_table(library, fmt, out_dir / f"{stem}.{fmt}", rows)
                 report.outputs.append(str(out))
             if job.lineage:
                 for chain, tree in zip(subset.recursive_chains, subset.trees):

@@ -4,7 +4,9 @@ Every dataset request passes two screening tests before any network access:
 the absence registry (datasets known to have no data) and the disk cache.
 Only a miss on both triggers one HTTP GET; a data-bearing response is written
 to the cache atomically, a no-data response is recorded in the registry.
-Transport failures are never recorded as absence.
+Transport failures are never recorded as absence. Each writer writes through
+its own temp file (named by process and thread) and renames it into place,
+so stores and processes sharing a cache directory never collide.
 
 A store owns one pool of MAX_PARALLEL worker threads, created on first use.
 `DataStore.prefetch` screens keys inline and hands only the misses to the
@@ -19,10 +21,16 @@ import os
 import threading
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import requests
+
+try:
+    import fcntl
+except ImportError:  # not POSIX
+    fcntl = None
 
 from .errors import CacheWriteError, NetworkError, OfflineMiss, RegistryIoError
 from .nuclide import Nuclide, RadiationType
@@ -32,7 +40,8 @@ REGISTRY_FILENAME = "absent_registry.txt"
 # session's per-host connection pool.
 MAX_PARALLEL = 8
 
-# Serializes every registry file's read-merge-rewrite within this process.
+# Serializes every registry file's read-merge-rewrite within this process;
+# a flock on the registry's directory serializes it across processes.
 _REGISTRY_WRITE_LOCK = threading.Lock()
 
 KIND_LEVELS = "lv"
@@ -102,8 +111,9 @@ class AbsenceRegistry:
 
     The backing file is sorted, newline-delimited, duplicate-free UTF-8 text.
     A rewrite first merges the file's current entries into the in-memory set,
-    so registries sharing one file keep each other's keys; after every
-    mutation the file holds at least the in-memory set.
+    under a lock that holds across threads and processes, so registries
+    sharing one file keep each other's keys; after every mutation the file
+    holds at least the in-memory set.
     """
 
     def __init__(self, backing_path: Path, entries: set[str] | None = None):
@@ -138,16 +148,13 @@ class AbsenceRegistry:
         self._rewrite()
 
     def _rewrite(self) -> None:
-        # Unique temp name: other processes may rewrite the same file.
-        tmp = self.backing_path.with_name(
-            f".{self.backing_path.name}.{os.getpid()}.{threading.get_ident()}.tmp"
-        )
+        tmp = _temp_name(self.backing_path, "tmp")
         try:
-            with _REGISTRY_WRITE_LOCK:
+            self.backing_path.parent.mkdir(parents=True, exist_ok=True)
+            with _REGISTRY_WRITE_LOCK, _directory_lock(self.backing_path.parent):
                 if self.backing_path.exists():
                     lines = self.backing_path.read_text(encoding="utf-8").splitlines()
                     self.entries.update(ln.strip() for ln in lines if ln.strip())
-                self.backing_path.parent.mkdir(parents=True, exist_ok=True)
                 tmp.write_text(
                     "".join(f"{entry}\n" for entry in sorted(self.entries)),
                     encoding="utf-8",
@@ -155,9 +162,32 @@ class AbsenceRegistry:
                 )
                 os.replace(tmp, self.backing_path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise RegistryIoError(
                 f"cannot write registry {self.backing_path}: {exc}"
             ) from exc
+
+
+def _temp_name(path: Path, suffix: str) -> Path:
+    """A temp file beside ``path``, unique to this process and thread, so that
+    concurrent writers of one file never share a temp file."""
+    return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.{suffix}")
+
+
+@contextmanager
+def _directory_lock(directory: Path):
+    """Hold an exclusive flock on ``directory`` itself: it serializes the
+    processes that rewrite a file in it and leaves no lock file behind.
+    Without fcntl (not POSIX) only the callers' in-process lock applies."""
+    if fcntl is None:
+        yield
+        return
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX)
+        yield
+    finally:
+        os.close(fd)  # releases the lock
 
 
 def registry_load(path: Path | str) -> AbsenceRegistry:
@@ -394,9 +424,10 @@ class DataStore:
     def _write_cache(self, path: Path, body: str) -> None:
         # Write-to-temp-then-rename: a crash mid-download must not leave a
         # truncated file that would pass the existence screen.
+        tmp = _temp_name(path, "part")
         try:
-            tmp = path.with_name(path.name + ".part")
             tmp.write_text(body, encoding="utf-8", newline="")
             os.replace(tmp, path)
         except OSError as exc:
+            tmp.unlink(missing_ok=True)
             raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc

@@ -14,6 +14,7 @@ import io
 import json
 import math
 import re
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from .errors import (
@@ -58,26 +59,35 @@ def _half_life_cell(hl: HalfLife | None) -> str:
     return _num(hl.seconds)
 
 
+def entry_cells(entry: LibraryEntry) -> tuple[str, ...]:
+    """The entry's table cells, in CSV_COLUMNS order."""
+    return (
+        str(entry.nuclide),
+        entry.radiation.code,
+        _num(entry.energy.kev),
+        _num(entry.energy.uncertainty_kev),
+        _num(entry.intensity_percent),
+        _num(entry.intensity_unc),
+        _half_life_cell(entry.half_life),
+        _num(entry.parent_level.kev),
+        ";".join(sorted(entry.flags)),
+    )
+
+
 def entry_row(entry: LibraryEntry) -> dict[str, str]:
-    return {
-        "nuclide": str(entry.nuclide),
-        "radiation": entry.radiation.code,
-        "energy_kev": _num(entry.energy.kev),
-        "energy_unc_kev": _num(entry.energy.uncertainty_kev),
-        "intensity_pct": _num(entry.intensity_percent),
-        "intensity_unc_pct": _num(entry.intensity_unc),
-        "half_life_s": _half_life_cell(entry.half_life),
-        "parent_level_kev": _num(entry.parent_level.kev),
-        "flags": ";".join(sorted(entry.flags)),
-    }
+    return dict(zip(CSV_COLUMNS, entry_cells(entry)))
 
 
-def _render_csv(lib: RadionuclideLibrary) -> str:
+def table_rows(lib: RadionuclideLibrary) -> list[tuple[str, ...]]:
+    """Every entry's cells; compute them once and pass them to each format."""
+    return [entry_cells(entry) for entry in lib.entries]
+
+
+def _render_csv(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     out = io.StringIO()
-    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
-    writer.writeheader()
-    for entry in lib.entries:
-        writer.writerow(entry_row(entry))
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows(rows)
     return out.getvalue()
 
 
@@ -85,21 +95,40 @@ def _json_interval(interval: tuple[float, float]) -> list[float | None]:
     return [None if math.isinf(bound) else bound for bound in interval]
 
 
-def _render_json(lib: RadionuclideLibrary) -> str:
-    payload = {
-        "radiation": lib.radiation.code,
-        "bounds": {
-            "energy_kev": _json_interval(lib.bounds.energy_kev),
-            "intensity_percent": _json_interval(lib.bounds.intensity_percent),
-            "half_life_seconds": (
-                _json_interval(lib.bounds.half_life_seconds)
-                if lib.bounds.half_life_seconds
-                else None
-            ),
-        },
-        "entries": [entry_row(entry) for entry in lib.entries],
+# One entry object as json.dumps(indent=2, sort_keys=True) lays it out inside
+# the top-level "entries" list: keys sorted, four spaces in, "%s" per value.
+_JSON_ORDER = sorted(range(len(CSV_COLUMNS)), key=lambda i: CSV_COLUMNS[i])
+_JSON_ENTRY = (
+    "    {\n"
+    + ",\n".join(f'      "{CSV_COLUMNS[i]}": %s' for i in _JSON_ORDER)
+    + "\n    }"
+)
+
+
+def _render_json(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
+    """The bytes of json.dumps(payload, indent=2, sort_keys=True) + "\n" for
+    the payload {"bounds": ..., "entries": [<cells by column>...],
+    "radiation": ...}; the entries are laid out by _JSON_ENTRY with the C
+    string encoder rather than by the pure-Python indenting encoder."""
+    bounds = {
+        "energy_kev": _json_interval(lib.bounds.energy_kev),
+        "intensity_percent": _json_interval(lib.bounds.intensity_percent),
+        "half_life_seconds": (
+            _json_interval(lib.bounds.half_life_seconds)
+            if lib.bounds.half_life_seconds
+            else None
+        ),
     }
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    encode = encode_basestring_ascii
+    entries = ",\n".join(
+        _JSON_ENTRY % tuple([encode(cells[i]) for i in _JSON_ORDER]) for cells in rows
+    )
+    return (
+        '{\n  "bounds": '
+        + json.dumps(bounds, indent=2, sort_keys=True).replace("\n", "\n  ")
+        + (f',\n  "entries": [\n{entries}\n  ],\n' if rows else ',\n  "entries": [],\n')
+        + f'  "radiation": {encode(lib.radiation.code)}\n}}\n'
+    )
 
 
 def _html_escape(text: str) -> str:
@@ -108,7 +137,18 @@ def _html_escape(text: str) -> str:
     )
 
 
-def _render_html(lib: RadionuclideLibrary) -> str:
+def _escape_cells(
+    rows: list[tuple[str, ...]], escape, specials: str
+) -> list[tuple[str, ...]]:
+    """``rows`` with ``escape`` applied to every cell. When no cell holds one
+    of ``specials``, the usual case, that is ``rows`` itself."""
+    text = "".join(map("".join, rows))
+    if not any(ch in text for ch in specials):
+        return rows
+    return [tuple(map(escape, cells)) for cells in rows]
+
+
+def _render_html(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     lines = [
         "<!DOCTYPE html>",
         "<html><head><meta charset=\"utf-8\">"
@@ -120,46 +160,46 @@ def _render_html(lib: RadionuclideLibrary) -> str:
         + "</tr></thead>",
         "<tbody>",
     ]
-    for entry in lib.entries:
-        row = entry_row(entry)
-        cells = "".join(f"<td>{_html_escape(row[col])}</td>" for col in CSV_COLUMNS)
-        lines.append(f"<tr>{cells}</tr>")
+    lines += [
+        f"<tr><td>{'</td><td>'.join(cells)}</td></tr>"
+        for cells in _escape_cells(rows, _html_escape, "&<>")
+    ]
     lines.extend(["</tbody>", "</table>", "</body></html>"])
     return "\n".join(lines) + "\n"
 
 
-def _render_xml(lib: RadionuclideLibrary) -> str:
+_XML_ENTRY = "  <entry " + " ".join(f'{col}="%s"' for col in CSV_COLUMNS) + "/>"
+
+
+def _render_xml(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<library radiation="{lib.radiation.code}">',
     ]
-    for entry in lib.entries:
-        row = entry_row(entry)
-        attrs = " ".join(f'{col}="{_html_escape(row[col])}"' for col in CSV_COLUMNS)
-        lines.append(f"  <entry {attrs}/>")
+    lines += [_XML_ENTRY % cells for cells in _escape_cells(rows, _html_escape, "&<>")]
     lines.append("</library>")
     return "\n".join(lines) + "\n"
 
 
-_TEX_SPECIALS = {"&": r"\&", "%": r"\%", "_": r"\_", "#": r"\#", "$": r"\$"}
+_TEX_SPECIALS = str.maketrans(
+    {"&": r"\&", "%": r"\%", "_": r"\_", "#": r"\#", "$": r"\$"}
+)
 
 
 def _tex_escape(text: str) -> str:
-    return "".join(_TEX_SPECIALS.get(ch, ch) for ch in text)
+    return text.translate(_TEX_SPECIALS)
 
 
-def _render_tex(lib: RadionuclideLibrary) -> str:
+def _render_tex(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     colspec = "l" * len(CSV_COLUMNS)
     lines = [
         f"\\begin{{tabular}}{{{colspec}}}",
-        " & ".join(_tex_escape(col) for col in CSV_COLUMNS) + r" \\",
+        " & ".join(map(_tex_escape, CSV_COLUMNS)) + r" \\",
         r"\hline",
     ]
-    for entry in lib.entries:
-        row = entry_row(entry)
-        lines.append(
-            " & ".join(_tex_escape(row[col]) for col in CSV_COLUMNS) + r" \\"
-        )
+    lines += [
+        " & ".join(cells) + r" \\" for cells in _escape_cells(rows, _tex_escape, "&%_#$")
+    ]
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
 
@@ -173,19 +213,29 @@ _RENDERERS = {
 }
 
 
-def render_table(lib: RadionuclideLibrary, fmt: str) -> str:
+def render_table(
+    lib: RadionuclideLibrary, fmt: str, rows: list[tuple[str, ...]] | None = None
+) -> str:
+    """The library as one table format; ``rows`` is ``table_rows(lib)`` when
+    the caller renders several formats of one library."""
     try:
         renderer = _RENDERERS[fmt]
     except KeyError:
         raise UnsupportedFormat(
             f"format {fmt!r}; supported: {', '.join(TABLE_FORMATS)}"
         ) from None
-    return renderer(lib)
+    return renderer(lib, table_rows(lib) if rows is None else rows)
 
 
-def export_table(lib: RadionuclideLibrary, fmt: str, path: Path | str) -> Path:
-    """Write the library as csv/html/xml/tex/json; byte-deterministic."""
-    content = render_table(lib, fmt)
+def export_table(
+    lib: RadionuclideLibrary,
+    fmt: str,
+    path: Path | str,
+    rows: list[tuple[str, ...]] | None = None,
+) -> Path:
+    """Write the library as csv/html/xml/tex/json; byte-deterministic.
+    ``rows`` as for render_table."""
+    content = render_table(lib, fmt, rows)
     path = Path(path)
     try:
         path.parent.mkdir(parents=True, exist_ok=True)

@@ -182,14 +182,21 @@ class EnergyIndex:
         self._kevs = [e.kev for _, e in self._entries]
         self._u_max = max((e.uncertainty_kev for e in energies), default=0.0)
 
-    def matches(self, energy: EnergyValue) -> list[int]:
-        """Ascending positions, in the indexed list, of every matching energy."""
+    def _window(self, energy: EnergyValue) -> list[tuple[int, EnergyValue]]:
         half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
         # Widen past the rounding of kev +- half; energies_match decides.
         half += 1e-9 * (half + energy.kev)
         lo = bisect_left(self._kevs, energy.kev - half)
         hi = bisect_right(self._kevs, energy.kev + half, lo)
-        return sorted(i for i, e in self._entries[lo:hi] if energies_match(e, energy))
+        return self._entries[lo:hi]
+
+    def matches(self, energy: EnergyValue) -> list[int]:
+        """Ascending positions, in the indexed list, of every matching energy."""
+        return sorted(i for i, e in self._window(energy) if energies_match(e, energy))
+
+    def has_match(self, energy: EnergyValue) -> bool:
+        """Whether any indexed energy matches: ``bool(matches(energy))``."""
+        return any(energies_match(e, energy) for _, e in self._window(energy))
 
 
 @dataclass(frozen=True)

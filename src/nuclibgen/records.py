@@ -22,17 +22,31 @@ Intensities are percent per 100 decays of the emitting level. Radiation of a
 daughter's parent-induced excited states is carried by the parent's dataset;
 for gamma rows the start/end level energies are levels of the daughter
 nuclide (of the nuclide itself for isomeric transitions).
+
+Row errors. A dataset whose header lacks a required column raises
+HeaderMismatch. A row is skipped with a warning that names its dataset
+("levels" for level rows) and line when one of its cells is bad: a number
+that does not parse, is non-finite or is out of range; an unknown element
+symbol or a mass number outside 1..300; an unknown decay code in a decay row;
+or a required cell the row is too short to have. Lines are numbered from the
+header, line 1; blank rows are skipped and take no number. Header names are
+stripped; of a column named twice, the last wins. Cells beyond the header
+are ignored, and an optional cell that is absent, short or blank reads as
+empty. In a level row an unknown decay code drops only that mode. A
+transition row of another nuclide raises NuclideMismatch; an upward or
+unresolvable transition is excluded with a warning.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
+from math import isfinite
+from operator import itemgetter
 
 from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, RawDataset
-from .errors import HeaderMismatch, NuclideMismatch
+from .errors import HeaderMismatch, MalformedId, NuclideMismatch
 from .nuclide import (
     DecayMode,
     EnergyIndex,
@@ -128,6 +142,10 @@ class LevelScheme:
         matches = (self.levels[i] for i in self._level_index.matches(energy))
         return min(matches, key=lambda l: abs(l.energy.kev - energy.kev), default=None)
 
+    def has_level(self, energy: EnergyValue) -> bool:
+        """Whether some level matches ``energy``: find_level(energy) is not None."""
+        return self._level_index.has_match(energy)
+
     def transitions_from(self, energy: EnergyValue) -> list[TransitionRecord]:
         """Transitions whose start level matches ``energy``, in table order."""
         return [self.transitions[i] for i in self._start_index.matches(energy)]
@@ -140,30 +158,92 @@ class LevelScheme:
         )
 
 
-def _reader(raw: RawDataset) -> tuple[csv.DictReader, list[str]]:
-    reader = csv.DictReader(io.StringIO(raw.body))
-    header = reader.fieldnames or []
-    return reader, [h.strip() for h in header]
-
 def _require_columns(header: list[str], required: tuple[str, ...], key: str) -> None:
     missing = [col for col in required if col not in header]
     if missing:
         raise HeaderMismatch(f"{key}: missing columns {missing}")
 
 
+def _table(raw: RawDataset, required: tuple[str, ...], columns: tuple[str, ...]):
+    """Check the header of ``raw`` and return its rows plus a picker that reads
+    ``columns`` from a row of ``_rows`` as one tuple. A column named twice is
+    read from its last occurrence; an absent column reads as None."""
+    reader = csv.reader(io.StringIO(raw.body))
+    header = [name.strip() for name in next(reader, [])]
+    _require_columns(header, required, raw.key.serialize())
+    position = {name: i for i, name in enumerate(header)}
+    width = len(header)
+    pick = itemgetter(*(position.get(col, width) for col in columns))
+    return _rows(reader, width), pick
+
+
+_ABSENT = (None,)
+
+
+def _rows(reader, width: int):
+    """(line number, cells) of each non-blank row; the header is line 1 and
+    blank rows take no number. ``cells`` has ``width + 1`` items: a short row
+    is padded with None, extra cells are dropped, and the last item is the
+    None that absent columns read."""
+    pad = [None] * (width + 1)
+    lineno = 1
+    for row in reader:
+        if not row:
+            continue
+        lineno += 1
+        if len(row) <= width:
+            row += pad[len(row):]
+        else:
+            row[width:] = _ABSENT
+        yield lineno, row
+
+
 def _float(text: str) -> float:
     """A finite float; NaN and infinities raise ValueError like bad text."""
     value = float(text)
-    if not math.isfinite(value):
+    if not isfinite(value):
         raise ValueError(f"non-finite value {text.strip()!r}")
     return value
 
 
-def _opt_float(row: dict, col: str) -> float | None:
-    text = (row.get(col) or "").strip()
+def _opt_float(text: str | None) -> float | None:
+    """The float of an optional cell; None when it is absent or blank."""
+    if not text:
+        return None
+    text = text.strip()
     if not text:
         return None
     return _float(text)
+
+
+def _nuclide(memo: dict, symbol: str | None, mass: str | None, column: str) -> Nuclide:
+    """The nuclide of a (symbol, A) cell pair, built once per pair in ``memo``."""
+    nuclide = memo.get((symbol, mass))
+    if nuclide is None:
+        if symbol is None:
+            raise ValueError(f"short row: no {column!r} cell")
+        nuclide = memo[symbol, mass] = Nuclide(symbol.strip(), int(mass))
+    return nuclide
+
+
+def _energy(memo: dict, kev: str | None, unc: str | None) -> EnergyValue:
+    """The energy of a mandatory (value, uncertainty) cell pair, built once per
+    pair in ``memo``."""
+    energy = memo.get((kev, unc))
+    if energy is None:
+        energy = memo[kev, unc] = EnergyValue(_float(kev), _opt_float(unc) or 0.0)
+    return energy
+
+
+_NO_FLAGS = frozenset()
+_FLAGS_NO_INTENSITY = frozenset({FLAG_NO_INTENSITY})
+_FLAGS_NO_UNCERTAINTY = frozenset({FLAG_NO_UNCERTAINTY})
+
+_DECAY_CELLS = (
+    "p_symbol", "p_a", "d_symbol", "d_a", "energy", "unc_en", "p_energy", "unc_pe",
+    "decay", "decay_%", "intensity", "unc_i", "half_life_sec", "unc_hls",
+    "daughter_level_energy", "start_level_energy", "end_level_energy",
+)
 
 
 def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
@@ -175,38 +255,50 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
     rad = raw.key.radiation
     if rad is None:
         raise HeaderMismatch(f"{raw.key.serialize()} is not a decay-radiation dataset")
-    reader, header = _reader(raw)
-    _require_columns(header, _DECAY_COLUMNS, raw.key.serialize())
+    rows, pick = _table(raw, _DECAY_COLUMNS, _DECAY_CELLS)
 
     records: list[DecayRecord] = []
     warnings: list[str] = []
-    for lineno, row in enumerate(reader, start=2):
+    nuclides: dict = {}
+    energies: dict = {}
+    modes: dict = {}
+    half_lives: dict = {}
+    for lineno, row in rows:
+        (p_symbol, p_a, d_symbol, d_a, energy, unc_en, p_energy, unc_pe, decay,
+         decay_pct, intensity, unc_i, hl_s, unc_hls, fed, start, end) = pick(row)
         try:
-            parent = Nuclide(row["p_symbol"].strip(), int(row["p_a"]))
-            daughter = Nuclide(row["d_symbol"].strip(), int(row["d_a"]))
-            energy = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
-            parent_level = EnergyValue(
-                _float(row["p_energy"]), _opt_float(row, "unc_pe") or 0.0
-            )
-            mode = DecayMode.from_code(row["decay"])
-            branching = _float(row["decay_%"])
+            parent = _nuclide(nuclides, p_symbol, p_a, "p_symbol")
+            daughter = _nuclide(nuclides, d_symbol, d_a, "d_symbol")
+            energy = EnergyValue(_float(energy), _opt_float(unc_en) or 0.0)
+            parent_level = _energy(energies, p_energy, unc_pe)
+            mode = modes.get(decay)
+            if mode is None:
+                if decay is None:
+                    raise ValueError("short row: no 'decay' cell")
+                mode = modes[decay] = DecayMode.from_code(decay)
+            branching = _float(decay_pct)
 
-            flags = set()
-            intensity = _opt_float(row, "intensity")
+            intensity = _opt_float(intensity)
+            intensity_unc = _opt_float(unc_i)
             if intensity is None:
-                flags.add(FLAG_NO_INTENSITY)
-            intensity_unc = _opt_float(row, "unc_i")
-            if intensity is not None and intensity_unc is None:
-                flags.add(FLAG_NO_UNCERTAINTY)
+                flags = _FLAGS_NO_INTENSITY
+            elif intensity_unc is None:
+                flags = _FLAGS_NO_UNCERTAINTY
+            else:
+                flags = _NO_FLAGS
 
-            hl_s = _opt_float(row, "half_life_sec")
-            half_life = None
-            if hl_s is not None:
-                half_life = HalfLife(hl_s, _opt_float(row, "unc_hls") or 0.0)
+            if (hl_s, unc_hls) in half_lives:
+                half_life = half_lives[hl_s, unc_hls]
+            else:
+                seconds = _opt_float(hl_s)
+                half_life = None
+                if seconds is not None:
+                    half_life = HalfLife(seconds, _opt_float(unc_hls) or 0.0)
+                half_lives[hl_s, unc_hls] = half_life
 
-            fed = _opt_float(row, "daughter_level_energy")
-            start = _opt_float(row, "start_level_energy")
-            end = _opt_float(row, "end_level_energy")
+            fed = _opt_float(fed)
+            start = _opt_float(start)
+            end = _opt_float(end)
             records.append(
                 DecayRecord(
                     parent=parent,
@@ -222,34 +314,44 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
                     half_life=half_life,
                     start_level=None if start is None else EnergyValue(start),
                     end_level=None if end is None else EnergyValue(end),
-                    flags=frozenset(flags),
+                    flags=flags,
                 )
             )
-        except (ValueError, KeyError, TypeError) as exc:
+        except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{raw.key.serialize()} line {lineno}: {exc}")
     return records, warnings
 
 
-def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord | None:
+_LEVEL_CELLS = (
+    "symbol", "a", "energy", "unc_e", "half_life_sec", "unc_hls",
+    "decay_1_%", "decay_2_%", "decay_3_%", "decay_1", "decay_2", "decay_3", "jp",
+)
+
+
+def _parse_level_row(
+    cells: tuple, lineno: int, warnings: list[str], nuclides: dict
+) -> LevelRecord | None:
+    (symbol, a, energy, unc_e, hl_text, unc_hls,
+     pct_1, pct_2, pct_3, code_1, code_2, code_3, jp) = cells
     try:
-        nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
-        energy = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_e") or 0.0)
-        hl_text = (row.get("half_life_sec") or "").strip()
+        nuclide = _nuclide(nuclides, symbol, a, "symbol")
+        energy = EnergyValue(_float(energy), _opt_float(unc_e) or 0.0)
+        hl_text = (hl_text or "").strip()
         if hl_text.upper() == "STABLE":
             half_life = HalfLife.stable()
         elif hl_text:
-            half_life = HalfLife(_float(hl_text), _opt_float(row, "unc_hls") or 0.0)
+            half_life = HalfLife(_float(hl_text), _opt_float(unc_hls) or 0.0)
         else:
             half_life = None
-        percents = [_opt_float(row, f"decay_{i}_%") for i in (1, 2, 3)]
-    except (ValueError, KeyError, TypeError) as exc:
+        percents = (_opt_float(pct_1), _opt_float(pct_2), _opt_float(pct_3))
+    except (ValueError, TypeError, MalformedId) as exc:
         warnings.append(f"levels line {lineno}: {exc}")
         return None
 
     # An unknown decay code drops that mode only; the level itself is sound.
     modes: list[tuple[DecayMode, float]] = []
-    for i, pct in zip((1, 2, 3), percents):
-        code = (row.get(f"decay_{i}") or "").strip()
+    for code, pct in zip((code_1, code_2, code_3), percents):
+        code = (code or "").strip()
         if not code:
             continue
         try:
@@ -262,10 +364,16 @@ def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord
     return LevelRecord(
         nuclide=nuclide,
         energy=energy,
-        jpi=(row.get("jp") or "").strip() or None,
+        jpi=(jp or "").strip() or None,
         half_life=half_life,
         decay_modes=tuple(modes),
     )
+
+
+_TRANSITION_CELLS = (
+    "symbol", "a", "start_level_energy", "unc_sl", "end_level_energy", "unc_el",
+    "energy", "unc_en", "intensity",
+)
 
 
 def parse_level_scheme(
@@ -278,13 +386,15 @@ def parse_level_scheme(
     """
     if levels_raw.key.kindcode != KIND_LEVELS:
         raise HeaderMismatch(f"{levels_raw.key.serialize()} is not a levels dataset")
-    reader, header = _reader(levels_raw)
-    _require_columns(header, _LEVEL_COLUMNS, levels_raw.key.serialize())
+    rows, pick = _table(levels_raw, _LEVEL_COLUMNS, _LEVEL_CELLS)
 
+    nuclides: dict = {}
     parsed: list[tuple[LevelRecord | None, list[str]]] = []
-    for lineno, row in enumerate(reader, start=2):
+    for lineno, row in rows:
         row_warnings: list[str] = []
-        parsed.append((_parse_level_row(row, lineno, row_warnings), row_warnings))
+        parsed.append(
+            (_parse_level_row(pick(row), lineno, row_warnings, nuclides), row_warnings)
+        )
 
     # A level matching an earlier kept level is dropped, with a warning naming
     # the first such level; one index over all parsed levels finds them.
@@ -331,37 +441,34 @@ def parse_level_scheme(
             f"levels are {levels_raw.key.serialize()} but transitions are "
             f"{transitions_raw.key.serialize()}"
         )
-    t_reader, t_header = _reader(transitions_raw)
-    _require_columns(t_header, _TRANSITION_COLUMNS, transitions_raw.key.serialize())
+    t_rows, t_pick = _table(transitions_raw, _TRANSITION_COLUMNS, _TRANSITION_CELLS)
+    t_key = transitions_raw.key.serialize()
+    energies: dict = {}
     transitions: list[TransitionRecord] = []
-    for lineno, row in enumerate(t_reader, start=2):
+    for lineno, row in t_rows:
+        (symbol, a, start, unc_sl, end, unc_el, gamma, unc_en, intensity) = t_pick(row)
         try:
-            t_nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
-            start = EnergyValue(
-                _float(row["start_level_energy"]), _opt_float(row, "unc_sl") or 0.0
-            )
-            end = EnergyValue(
-                _float(row["end_level_energy"]), _opt_float(row, "unc_el") or 0.0
-            )
-            gamma = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
-            intensity = _opt_float(row, "intensity")
-        except (ValueError, KeyError, TypeError) as exc:
-            warnings.append(f"{transitions_raw.key.serialize()} line {lineno}: {exc}")
+            t_nuclide = _nuclide(nuclides, symbol, a, "symbol")
+            start = _energy(energies, start, unc_sl)
+            end = _energy(energies, end, unc_el)
+            gamma = EnergyValue(_float(gamma), _opt_float(unc_en) or 0.0)
+            intensity = _opt_float(intensity)
+        except (ValueError, TypeError, MalformedId) as exc:
+            warnings.append(f"{t_key} line {lineno}: {exc}")
             continue
         if t_nuclide != nuclide:
             raise NuclideMismatch(
-                f"{transitions_raw.key.serialize()} line {lineno}: "
-                f"row nuclide {t_nuclide} != {nuclide}"
+                f"{t_key} line {lineno}: row nuclide {t_nuclide} != {nuclide}"
             )
         if start.kev <= end.kev:
             warnings.append(
-                f"{transitions_raw.key.serialize()} line {lineno}: "
+                f"{t_key} line {lineno}: "
                 f"non-downward transition {start.kev} -> {end.kev}; excluded"
             )
             continue
-        if scheme.find_level(start) is None or scheme.find_level(end) is None:
+        if not (scheme.has_level(start) and scheme.has_level(end)):
             warnings.append(
-                f"{transitions_raw.key.serialize()} line {lineno}: transition "
+                f"{t_key} line {lineno}: transition "
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue

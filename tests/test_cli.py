@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import nuclibgen.chains as chains_mod
+import nuclibgen.export as export_mod
 from nuclibgen.cli import main, run
 from nuclibgen.config import load_config
 
@@ -50,6 +51,39 @@ jobs:
     text = capsys.readouterr().out
     assert "norm" in text and "ok" in text
 
+
+
+def test_each_entry_is_rendered_once_for_all_table_formats(tmp_path, corpus_dir,
+                                                            monkeypatch):
+    """One job exporting all five table formats computes each library entry's
+    cells once, not once per format."""
+    calls = Counter()
+    cells = export_mod.entry_cells
+
+    def counted(entry):
+        calls[entry] += 1
+        return cells(entry)
+
+    monkeypatch.setattr(export_mod, "entry_cells", counted)
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: th
+    recursive_progenitors: [232Th]
+    radiation: gamma
+    outputs: [csv, html, xml, tex, json]
+    lineage: false
+    plot: false
+""")
+    report = run(load_config(cfg))
+    job = report.jobs[0]
+    assert job.ok and len(job.outputs) == 5
+    assert job.entries_post_prune > 100
+    assert sum(calls.values()) == job.entries_post_prune
 
 def test_cold_then_warm_run_over_mock_server(tmp_path, mini_server):
     out = tmp_path / "out"

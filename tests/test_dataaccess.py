@@ -1,3 +1,4 @@
+import multiprocessing
 import sys
 import threading
 import time
@@ -9,13 +10,14 @@ import nuclibgen.dataaccess as dataaccess
 from nuclibgen.chains import assemble_subset
 from nuclibgen.dataaccess import (
     MAX_PARALLEL,
+    AbsenceRegistry,
     AccessConfig,
     DataStore,
     DatasetKey,
     registry_load,
     registry_record,
 )
-from nuclibgen.errors import NetworkError, OfflineMiss
+from nuclibgen.errors import CacheWriteError, NetworkError, OfflineMiss
 from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
 
 from conftest import MockServer, prime_cache
@@ -97,6 +99,67 @@ def test_concurrent_stores_lose_no_absences(tmp_path):
     recorded = (tmp_path / "absent_registry.txt").read_text().splitlines()
     assert recorded == sorted(key.serialize() for key in keys)
 
+
+def _record_in_process(path, masses, barrier):
+    registry = AbsenceRegistry.load(path)
+    barrier.wait(timeout=60)
+    for mass in masses:
+        registry.record(DatasetKey.levels(Nuclide("H", mass)))
+
+
+def test_processes_sharing_a_registry_lose_no_absences(tmp_path):
+    """Four processes each record 60 keys into one registry file; the
+    read-merge-replace of each record is locked across processes."""
+    context = multiprocessing.get_context("spawn")
+    path = tmp_path / "absent_registry.txt"
+    barrier = context.Barrier(4)
+    workers = [context.Process(target=_record_in_process,
+                               args=(path, list(range(1 + i, 241, 4)), barrier))
+               for i in range(4)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join(timeout=120)
+    assert [worker.exitcode for worker in workers] == [0] * 4
+    expected = sorted(DatasetKey.levels(Nuclide("H", a)).serialize() for a in range(1, 241))
+    assert path.read_text().splitlines() == expected
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["absent_registry.txt"]
+
+
+def test_stores_writing_one_cache_file_do_not_collide(tmp_path):
+    """Stores on one cache directory that write one key at the same time
+    each write through their own temp file."""
+    workers, rounds = 4, 25
+    stores = [DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+              for _ in range(workers)]
+    key = key_for("225ac")
+    body = "energy,intensity\n5830.0,50.0\n"
+    barrier = threading.Barrier(workers)
+
+    def write(store):
+        barrier.wait(timeout=30)
+        for _ in range(rounds):
+            store._write_cache(store.cache_path(key), body)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            for future in [pool.submit(write, store) for store in stores]:
+                future.result(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [key.filename()]
+    assert stores[0].cache_path(key).read_text() == body
+
+
+def test_failed_cache_write_removes_its_temp_file(tmp_path):
+    store = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+    path = store.cache_path(key_for("225ac"))
+    path.mkdir()  # os.replace onto a directory fails
+    with pytest.raises(CacheWriteError):
+        store._write_cache(path, "energy\n1.0\n")
+    assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 def test_registry_short_circuits_before_cache_and_network(tmp_path):
     server = MockServer(tmp_path)  # empty corpus; any hit would count

@@ -80,3 +80,26 @@ def test_cold_endpoint_outputs_cache_and_registry(tmp_path):
     assert len(requested) == len(set(requested))
     assert set(requested) == {n[:-4].replace("_", ":") for n in cached} | set(registered)
     assert sum(job.network_calls for job in report.jobs) == len(requested)
+
+
+NORM_EXPORTS = Path(__file__).resolve().parent / "data" / "norm_exports"
+
+
+def test_norm_exports_match_recorded_files(tmp_path, capsys):
+    """The NORM job's html, xml, tex, json and svg outputs, which the perfbench
+    goldens do not cover, equal the files recorded under tests/data/norm_exports
+    (made by this same run before the exporters were rewritten)."""
+    jobs = [job for job in workloads.WORKLOADS["warm_norm_suite"].jobs
+            if job["name"] == "norm"]
+    cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
+    workloads.prime_cache(cache_dir)
+    config = tmp_path / "run.yaml"
+    config.write_text(
+        workloads.config_yaml(jobs, cache_dir=cache_dir, out_dir=out_dir, base_url=None),
+        encoding="utf-8",
+    )
+    assert main(["generate", str(config), "--jobs", "1"]) == 0, capsys.readouterr().out
+    recorded = sorted(NORM_EXPORTS.iterdir())
+    assert [path.suffix for path in recorded] == [".html", ".json", ".svg", ".tex", ".xml"]
+    for path in recorded:
+        assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name

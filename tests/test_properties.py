@@ -3,17 +3,27 @@ and traversal termination on randomized synthetic decay graphs.
 """
 
 import csv
+import dataclasses
+import io
+import json
 import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nuclibgen.chains import assemble_subset, build_progeny
 from nuclibgen.dataaccess import DatasetKey, RawDataset
 from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput
-from nuclibgen.export import export_table, import_library_csv
+from nuclibgen.export import (
+    CSV_COLUMNS,
+    entry_row,
+    export_table,
+    import_library_csv,
+    render_table,
+    table_rows,
+)
 from nuclibgen.identify import Peak, PeakList
 from nuclibgen.levels import FlattenedLevels, cascade_visit
 from nuclibgen.library import LibraryEntry, PruneBounds, RadionuclideLibrary, prune
@@ -28,6 +38,8 @@ from nuclibgen.nuclide import (
     parse_nuclide_id,
 )
 from nuclibgen.records import (
+    _DECAY_COLUMNS,
+    _TRANSITION_COLUMNS,
     LevelRecord,
     LevelScheme,
     TransitionRecord,
@@ -36,6 +48,9 @@ from nuclibgen.records import (
 )
 
 from conftest import (
+    DR_COLUMNS,
+    LV_COLUMNS,
+    TR_COLUMNS,
     brute_radioactive,
     brute_reachable,
     dr_body,
@@ -201,6 +216,100 @@ def test_csv_round_trip_identity(tmp_path_factory, lib):
     export_table(lib, "csv", path)
     back = import_library_csv(path)
     assert back.entries == lib.entries
+
+
+
+def reference_json(lib: RadionuclideLibrary) -> str:
+    """The JSON export as json.dumps lays it out."""
+    def interval(bounds):
+        return [None if math.isinf(bound) else bound for bound in bounds]
+
+    payload = {
+        "radiation": lib.radiation.code,
+        "bounds": {
+            "energy_kev": interval(lib.bounds.energy_kev),
+            "intensity_percent": interval(lib.bounds.intensity_percent),
+            "half_life_seconds": (
+                interval(lib.bounds.half_life_seconds)
+                if lib.bounds.half_life_seconds else None
+            ),
+        },
+        "entries": [entry_row(entry) for entry in lib.entries],
+    }
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+open_bounds = st.builds(
+    PruneBounds,
+    energy_kev=st.tuples(st.floats(0, 3000), st.sampled_from([3000.5, math.inf])),
+    intensity_percent=st.tuples(st.floats(0, 100), st.just(100.0)),
+    half_life_seconds=st.one_of(
+        st.none(), st.tuples(st.floats(0, 1e19), st.sampled_from([1e19, math.inf]))),
+)
+json_libraries = st.builds(
+    RadionuclideLibrary,
+    radiation=st.sampled_from(list(RadiationType)),
+    entries=st.lists(
+        st.tuples(entry_strategy, st.frozensets(st.sampled_from(
+            ["no-intensity", "unvalidated", 'q"uote', "back\\slash", "tab\t", "\x01",
+             "\u00fcn\u00efcode", "\U0001f600", "a;b", "<&>", "%_#$"]))).map(
+            lambda pair: dataclasses.replace(pair[0], flags=pair[1])),
+        max_size=8),
+    bounds=st.one_of(st.just(PruneBounds()), open_bounds),
+)
+
+
+@example(RadionuclideLibrary(radiation=RadiationType.ALPHA, entries=[]))
+@given(json_libraries)
+def test_json_export_equals_json_dumps_layout(lib):
+    assert render_table(lib, "json") == reference_json(lib)
+
+
+TEX_SPECIALS = {"&": r"\&", "%": r"\%", "_": r"\_", "#": r"\#", "$": r"\$"}
+
+
+def html_escape(text: str) -> str:
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def tex_escape(text: str) -> str:
+    return "".join(TEX_SPECIALS.get(ch, ch) for ch in text)
+
+
+def reference_tables(lib: RadionuclideLibrary) -> dict[str, str]:
+    """The csv, html, xml and tex exports rendered cell by cell from entry_row."""
+    rows = [entry_row(entry) for entry in lib.entries]
+    out = io.StringIO()
+    writer = csv.DictWriter(out, fieldnames=CSV_COLUMNS, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    html = ["<!DOCTYPE html>",
+            f'<html><head><meta charset="utf-8"><title>{lib.radiation.code} '
+            "radionuclide library</title></head>", "<body>", "<table>",
+            "<thead><tr>" + "".join(f"<th>{c}</th>" for c in CSV_COLUMNS) + "</tr></thead>",
+            "<tbody>"]
+    html += ["<tr>" + "".join(f"<td>{html_escape(r[c])}</td>" for c in CSV_COLUMNS)
+             + "</tr>" for r in rows]
+    html += ["</tbody>", "</table>", "</body></html>"]
+    xml = ['<?xml version="1.0" encoding="UTF-8"?>',
+           f'<library radiation="{lib.radiation.code}">']
+    xml += ["  <entry " + " ".join(f'{c}="{html_escape(r[c])}"' for c in CSV_COLUMNS)
+            + "/>" for r in rows]
+    xml.append("</library>")
+    tex = ["\\begin{tabular}{" + "l" * len(CSV_COLUMNS) + "}",
+           " & ".join(tex_escape(c) for c in CSV_COLUMNS) + r" \\", r"\hline"]
+    tex += [" & ".join(tex_escape(r[c]) for c in CSV_COLUMNS) + r" \\" for r in rows]
+    tex.append(r"\end{tabular}")
+    return {"csv": out.getvalue(), "html": "\n".join(html) + "\n",
+            "xml": "\n".join(xml) + "\n", "tex": "\n".join(tex) + "\n"}
+
+
+@example(RadionuclideLibrary(radiation=RadiationType.ALPHA, entries=[]))
+@given(json_libraries)
+def test_table_exports_equal_cell_by_cell_rendering(lib):
+    rows = table_rows(lib)
+    for fmt, expected in reference_tables(lib).items():
+        assert render_table(lib, fmt, rows) == expected, fmt
 
 
 # --- peak lists -------------------------------------------------------------------
@@ -486,6 +595,116 @@ def test_bad_transition_row_is_a_warning(column, value):
     assert [t.intensity_percent for t in scheme.transitions] == [89.0]
     assert len(warnings) == 1 and "line 2" in warnings[0]
 
+
+
+# --- bad ids and short rows become parse warnings --------------------------------
+
+BAD_SYMBOLS = st.sampled_from(["0", "Xx", "abc", "", " "])
+BAD_MASSES = st.sampled_from(["0", "301", "-5", "abc", "", "2.5"])
+
+
+def _cut(body: str, line: int, cells: int) -> str:
+    """``body`` with its ``line``-th line (1-based) cut to its first ``cells`` cells."""
+    lines = body.split("\n")
+    lines[line - 1] = ",".join(lines[line - 1].split(",")[:cells])
+    return "\n".join(lines)
+
+
+def _decay(body: str):
+    key = DatasetKey.decay_rads(Nuclide("U", 238), RadiationType.ALPHA)
+    return parse_decay_records(RawDataset(key, body, "cache"))
+
+
+GOOD_DR = dr_row(("U", 238), ("Th", 234), mode="A", energy=4198.0)
+
+
+@given(column=st.sampled_from(["p_symbol", "d_symbol"]), value=BAD_SYMBOLS)
+def test_bad_symbol_in_decay_row_is_a_warning(column, value):
+    records, warnings = _decay(dr_body([dict(GOOD_DR, **{column: value}), GOOD_DR]))
+    assert len(records) == 1
+    assert len(warnings) == 1 and "line 2: " in warnings[0]
+
+
+@given(column=st.sampled_from(["p_a", "d_a"]), value=BAD_MASSES)
+def test_bad_mass_in_decay_row_is_a_warning(column, value):
+    records, warnings = _decay(dr_body([dict(GOOD_DR, **{column: value}), GOOD_DR]))
+    assert len(records) == 1
+    assert len(warnings) == 1 and "line 2: " in warnings[0]
+
+
+@given(cells=st.integers(min_value=1, max_value=len(DR_COLUMNS)))
+def test_short_decay_row_is_a_warning_or_lacks_only_optional_cells(cells):
+    full = _decay(dr_body([GOOD_DR, GOOD_DR]))[0][0]
+    records, warnings = _decay(_cut(dr_body([GOOD_DR, GOOD_DR]), 2, cells))
+    present = DR_COLUMNS[:cells]
+    if all(col in present for col in _DECAY_COLUMNS):
+        assert warnings == [] and len(records) == 2
+        assert records[0].energy == full.energy and records[0].parent == full.parent
+    else:
+        assert len(records) == 1
+        assert len(warnings) == 1 and "line 2: " in warnings[0]
+
+
+GOOD_LV = {"symbol": "Tc", "a": 99, "energy": 142.6836, "half_life_sec": 1000.0,
+           "decay_1": "IT", "decay_1_%": 100.0}
+GROUND_LV = dict(GOOD_LV, energy=0.0)
+
+
+def _levels(body: str):
+    key = DatasetKey.levels(Nuclide("Tc", 99))
+    return parse_level_scheme(RawDataset(key, body, "cache"), None)
+
+
+@given(column=st.sampled_from(["symbol", "a"]),
+       value=st.one_of(BAD_SYMBOLS, BAD_MASSES))
+def test_bad_id_in_level_row_is_a_warning(column, value):
+    scheme, warnings = _levels(lv_body([GROUND_LV, dict(GOOD_LV, **{column: value}),
+                                        GOOD_LV]))
+    assert [r.energy.kev for r in scheme.levels] == [0.0, 142.6836]
+    assert len(warnings) == 1 and "line 3: " in warnings[0]
+
+
+@given(cells=st.integers(min_value=1, max_value=len(LV_COLUMNS)))
+def test_short_level_row_is_a_warning_or_lacks_only_optional_cells(cells):
+    scheme, warnings = _levels(_cut(lv_body([GROUND_LV, GOOD_LV]), 3, cells))
+    present = LV_COLUMNS[:cells]
+    if all(col in present for col in ("symbol", "a", "energy")):
+        assert [r.energy.kev for r in scheme.levels] == [0.0, 142.6836]
+    else:
+        assert [r.energy.kev for r in scheme.levels] == [0.0]
+        assert len(warnings) == 1 and "line 3: " in warnings[0]
+
+
+GOOD_TR = {"symbol": "Tc", "a": 99, "start_level_energy": 140.511,
+           "end_level_energy": 0.0, "energy": 140.511, "intensity": 89.0}
+
+
+def _transitions(body: str):
+    nuclide = Nuclide("Tc", 99)
+    levels = lv_body([{"symbol": "Tc", "a": 99, "energy": kev} for kev in (0.0, 140.511)])
+    return parse_level_scheme(
+        RawDataset(DatasetKey.levels(nuclide), levels, "cache"),
+        RawDataset(DatasetKey.transitions(nuclide), body, "cache"),
+    )
+
+
+@given(column=st.sampled_from(["symbol", "a"]),
+       value=st.one_of(BAD_SYMBOLS, BAD_MASSES))
+def test_bad_id_in_transition_row_is_a_warning(column, value):
+    scheme, warnings = _transitions(tr_body([dict(GOOD_TR, **{column: value}), GOOD_TR]))
+    assert len(scheme.transitions) == 1
+    assert len(warnings) == 1 and "line 2: " in warnings[0]
+
+
+@given(cells=st.integers(min_value=1, max_value=len(TR_COLUMNS)))
+def test_short_transition_row_is_a_warning_or_lacks_only_optional_cells(cells):
+    scheme, warnings = _transitions(_cut(tr_body([GOOD_TR, GOOD_TR]), 2, cells))
+    present = TR_COLUMNS[:cells]
+    if all(col in present for col in _TRANSITION_COLUMNS):
+        assert len(scheme.transitions) == 2 and warnings == []
+    else:
+        assert len(scheme.transitions) == 1
+        assert len(warnings) == 1 and "line 2: " in warnings[0]
 
 # --- traversal termination on random graphs -------------------------------------
 
