@@ -24,8 +24,6 @@ from .dataaccess import (
     DataStore,
     DatasetKey,
     RawDataset,
-    registry_load,
-    registry_record,
 )
 from .errors import NuclibError
 from .export import export_table, export_template, import_library_csv
@@ -103,7 +101,5 @@ __all__ = [
     "plot_library",
     "prune",
     "qualify_peaks",
-    "registry_load",
-    "registry_record",
     "render_lineage",
 ]

@@ -190,16 +190,6 @@ def _directory_lock(directory: Path):
         os.close(fd)  # releases the lock
 
 
-def registry_load(path: Path | str) -> AbsenceRegistry:
-    """Load a registry file; a missing file yields an empty registry."""
-    return AbsenceRegistry.load(path)
-
-
-def registry_record(registry: AbsenceRegistry, key: DatasetKey | str) -> AbsenceRegistry:
-    registry.record(key)
-    return registry
-
-
 @dataclass(frozen=True)
 class AccessConfig:
     """Connection and screening settings for dataset retrieval."""

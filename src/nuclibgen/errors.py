@@ -67,12 +67,6 @@ class InvertedBounds(NuclibError):
     """A prune interval has lo > hi."""
 
 
-# --- level validation --------------------------------------------------------
-
-class UnresolvedLevel(NuclibError):
-    """A start level matches no level record within tolerance."""
-
-
 # --- rendering / export ------------------------------------------------------
 
 class UnsupportedFormat(NuclibError):

@@ -15,6 +15,7 @@ import json
 import math
 import re
 from json.encoder import encode_basestring_ascii
+from operator import itemgetter
 from pathlib import Path
 
 from .errors import (
@@ -255,15 +256,25 @@ def import_library_csv(path: Path | str) -> RadionuclideLibrary:
         text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read library {path}: {exc}") from exc
-    reader = csv.DictReader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(text))
     entries: list[LibraryEntry] = []
     try:
-        missing = [col for col in CSV_COLUMNS if col not in (reader.fieldnames or ())]
+        header = next(reader, None) or ()
+        missing = [col for col in CSV_COLUMNS if col not in header]
         if missing:
             raise InvalidInput(f"{path}: missing columns {', '.join(missing)}")
+        # A column named twice is read from its last occurrence.
+        position = {name: i for i, name in enumerate(header)}
+        pick = itemgetter(*(position[col] for col in CSV_COLUMNS))
+        width = 1 + max(position[col] for col in CSV_COLUMNS)
+        entry = _entry_parser()
         for row in reader:
+            if not row:
+                continue
             try:
-                entries.append(_entry_from_row(row))
+                if len(row) < width:
+                    raise InvalidInput(f"expected {len(CSV_COLUMNS)} cells")
+                entries.append(entry(pick(row)))
             except (ValueError, NuclibError) as exc:
                 raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
     except csv.Error as exc:
@@ -275,34 +286,50 @@ def import_library_csv(path: Path | str) -> RadionuclideLibrary:
     )
 
 
-def _entry_from_row(row: dict[str, str | None]) -> LibraryEntry:
-    if row[CSV_COLUMNS[-1]] is None:  # DictReader's fill for cells missing at the end
-        raise InvalidInput(f"expected {len(CSV_COLUMNS)} cells")
-    half_life = None
-    hl_cell = row["half_life_s"].strip()
-    if hl_cell == "stable":
-        half_life = HalfLife.stable()
-    elif hl_cell:
-        half_life = HalfLife(float(hl_cell))
-    intensity = float(row["intensity_pct"]) if row["intensity_pct"] else None
-    intensity_unc = float(row["intensity_unc_pct"]) if row["intensity_unc_pct"] else 0.0
-    if not math.isfinite(intensity_unc) or (
-        intensity is not None and not math.isfinite(intensity)
-    ):
-        raise InvalidInput("non-finite intensity")
-    return LibraryEntry(
-        nuclide=parse_nuclide_id(row["nuclide"]),
-        radiation=RadiationType.from_code(row["radiation"]),
-        energy=EnergyValue(
-            float(row["energy_kev"]),
-            float(row["energy_unc_kev"]) if row["energy_unc_kev"] else 0.0,
-        ),
-        intensity_percent=intensity,
-        intensity_unc=intensity_unc,
-        half_life=half_life,
-        parent_level=EnergyValue(float(row["parent_level_kev"])),
-        flags=frozenset(flag for flag in row["flags"].split(";") if flag),
-    )
+def _half_life(cell: str) -> HalfLife | None:
+    cell = cell.strip()
+    if cell == "stable":
+        return HalfLife.stable()
+    return HalfLife(float(cell)) if cell else None
+
+
+def _entry_parser():
+    """A function from one row's cells, in CSV_COLUMNS order, to its
+    LibraryEntry. It builds the nuclide, radiation type, half-life, parent
+    level and flags once per distinct cell; a bad cell raises each time."""
+    nuclides, radiations, half_lives, parents, flag_sets = {}, {}, {}, {}, {}
+
+    def entry(cells: tuple[str, ...]) -> LibraryEntry:
+        nid, code, kev, unc, intensity, intensity_unc, hl, parent_kev, flags = cells
+        try:
+            half_life = half_lives[hl]
+        except KeyError:
+            half_life = half_lives[hl] = _half_life(hl)
+        intensity = float(intensity) if intensity else None
+        intensity_unc = float(intensity_unc) if intensity_unc else 0.0
+        if not math.isfinite(intensity_unc) or (
+            intensity is not None and not math.isfinite(intensity)
+        ):
+            raise InvalidInput("non-finite intensity")
+        nuclide = nuclides.get(nid)
+        if nuclide is None:
+            nuclide = nuclides[nid] = parse_nuclide_id(nid)
+        radiation = radiations.get(code)
+        if radiation is None:
+            radiation = radiations[code] = RadiationType.from_code(code)
+        energy = EnergyValue(float(kev), float(unc) if unc else 0.0)
+        parent = parents.get(parent_kev)
+        if parent is None:
+            parent = parents[parent_kev] = EnergyValue(float(parent_kev))
+        flag_set = flag_sets.get(flags)
+        if flag_set is None:
+            flag_set = flag_sets[flags] = frozenset(f for f in flags.split(";") if f)
+        return LibraryEntry(
+            nuclide, radiation, energy, intensity, intensity_unc, half_life, parent,
+            flag_set,
+        )
+
+    return entry
 
 
 # --- template engine ----------------------------------------------------------

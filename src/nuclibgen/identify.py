@@ -12,6 +12,7 @@ from pathlib import Path
 
 from .errors import InvalidInput
 from .library import LibraryEntry, RadionuclideLibrary
+from .nuclide import EnergyIndex
 
 
 @dataclass(frozen=True)
@@ -83,24 +84,27 @@ def qualify_peaks(
 
     A candidate is any entry with |entry energy - centroid| <= tol_kev,
     sorted by |deltaE| then descending intensity (energy agreement is the
-    physical discriminator; intensity breaks ties). Total: peaks without
-    candidates come back flagged unassigned.
+    physical discriminator; intensity breaks ties), a missing intensity
+    last, then nuclide id, then library order. Candidates are looked up on
+    a sorted energy index. Total: peaks without candidates come back
+    flagged unassigned.
     """
     if not (0 < tol_kev < math.inf):
         raise InvalidInput(f"tolerance {tol_kev!r} keV is not finite and positive")
+    entries = lib.entries
+    index = EnergyIndex([entry.energy for entry in entries])
+    # The parts of the sort key that do not depend on the peak, once per entry.
+    ranks = [
+        (
+            -(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
+            str(entry.nuclide),
+        )
+        for entry in entries
+    ]
     matches = []
     for peak in peaks.peaks:
-        candidates = [
-            entry
-            for entry in lib.entries
-            if abs(entry.energy.kev - peak.centroid_kev) <= tol_kev
-        ]
-        candidates.sort(
-            key=lambda entry: (
-                abs(entry.energy.kev - peak.centroid_kev),
-                -(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
-                str(entry.nuclide),
-            )
-        )
-        matches.append(PeakMatch(peak=peak, candidates=candidates))
+        centroid = peak.centroid_kev
+        found = index.within(centroid, tol_kev)
+        found.sort(key=lambda pair: (abs(pair[1].kev - centroid), ranks[pair[0]], pair[0]))
+        matches.append(PeakMatch(peak=peak, candidates=[entries[i] for i, _ in found]))
     return matches

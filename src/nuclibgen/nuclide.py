@@ -175,28 +175,38 @@ def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
 class EnergyIndex:
     """A sorted snapshot of a list of energies. A lookup for q bisects the window
     |kev - q.kev| <= max(3 * sqrt(u_max^2 + q.u^2), 1 keV), u_max the largest
-    indexed uncertainty, and confirms each candidate with ``energies_match``."""
+    indexed uncertainty, and confirms each candidate with ``energies_match``;
+    ``within`` bisects a fixed half-width instead and confirms it exactly."""
 
     def __init__(self, energies: list[EnergyValue]):
         self._entries = sorted(enumerate(energies), key=lambda entry: entry[1].kev)
         self._kevs = [e.kev for _, e in self._entries]
         self._u_max = max((e.uncertainty_kev for e in energies), default=0.0)
 
-    def _window(self, energy: EnergyValue) -> list[tuple[int, EnergyValue]]:
-        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
-        # Widen past the rounding of kev +- half; energies_match decides.
-        half += 1e-9 * (half + energy.kev)
-        lo = bisect_left(self._kevs, energy.kev - half)
-        hi = bisect_right(self._kevs, energy.kev + half, lo)
+    def _window(self, kev: float, half: float) -> list[tuple[int, EnergyValue]]:
+        # Widen past the rounding of kev +- half; the caller's exact test decides.
+        half += 1e-9 * (half + kev)
+        lo = bisect_left(self._kevs, kev - half)
+        hi = bisect_right(self._kevs, kev + half, lo)
         return self._entries[lo:hi]
 
     def matches(self, energy: EnergyValue) -> list[int]:
         """Ascending positions, in the indexed list, of every matching energy."""
-        return sorted(i for i, e in self._window(energy) if energies_match(e, energy))
+        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
+        window = self._window(energy.kev, half)
+        return sorted(i for i, e in window if energies_match(e, energy))
 
     def has_match(self, energy: EnergyValue) -> bool:
         """Whether any indexed energy matches: ``bool(matches(energy))``."""
-        return any(energies_match(e, energy) for _, e in self._window(energy))
+        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
+        return any(energies_match(e, energy) for _, e in self._window(energy.kev, half))
+
+    def within(self, kev: float, tol: float) -> list[tuple[int, EnergyValue]]:
+        """(position, energy) of every indexed energy e with
+        ``abs(e.kev - kev) <= tol``, in ascending position."""
+        return sorted(
+            (i, e) for i, e in self._window(kev, tol) if abs(e.kev - kev) <= tol
+        )
 
 
 @dataclass(frozen=True)

@@ -14,8 +14,6 @@ from nuclibgen.dataaccess import (
     AccessConfig,
     DataStore,
     DatasetKey,
-    registry_load,
-    registry_record,
 )
 from nuclibgen.errors import CacheWriteError, NetworkError, OfflineMiss
 from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
@@ -48,23 +46,23 @@ def test_key_is_level_erased():
 
 
 def test_registry_load_missing_file_is_empty(tmp_path):
-    reg = registry_load(tmp_path / "absent_registry.txt")
+    reg = AbsenceRegistry.load(tmp_path / "absent_registry.txt")
     assert not reg.entries
     assert not (tmp_path / "absent_registry.txt").exists()
 
 
 def test_registry_record_idempotent(tmp_path):
     path = tmp_path / "absent_registry.txt"
-    reg = registry_load(path)
-    registry_record(reg, "225ac:dr-x")
-    registry_record(reg, "225ac:dr-x")
+    reg = AbsenceRegistry.load(path)
+    reg.record("225ac:dr-x")
+    reg.record("225ac:dr-x")
     assert path.read_text() == "225ac:dr-x\n"
 
 
 def test_registry_normalizes_unsorted_duplicates(tmp_path):
     path = tmp_path / "absent_registry.txt"
     path.write_text("b:lv\na:lv\na:lv\n")
-    reg = registry_load(path)
+    reg = AbsenceRegistry.load(path)
     assert reg.entries == {"a:lv", "b:lv"}
     assert path.read_text() == "a:lv\nb:lv\n"
 

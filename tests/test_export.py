@@ -203,6 +203,8 @@ LIBRARY_ROW = "99mo,g,739.5,0.096,12.2,0.366,237384,0,\n"
     (LIBRARY_HEADER + "99mo,g,739.5\n", "line 2: expected 9 cells"),
     (LIBRARY_HEADER + LIBRARY_ROW.replace(",g,", ",q,"), "line 2:"),
     (LIBRARY_HEADER + LIBRARY_ROW.replace("99mo", "99xx"), "line 2:"),
+    ("flags," + LIBRARY_HEADER.replace(",flags", "") + ",99mo,g,739.5\n",
+     "line 2: expected 9 cells"),
 ])
 def test_bad_library_csv_is_an_input_error(tmp_path, text, match):
     path = tmp_path / "lib.csv"

@@ -1,8 +1,9 @@
 """Golden outputs: each benchmark workload's job set, run offline in-process
 from the primed fixture cache, reproduces the committed files under
 perfbench/goldens byte for byte; so does the cold workload fetched from the
-mock endpoint into an empty cache. The workload definitions are imported from
-perfbench/workloads.py and only read.
+mock endpoint into an empty cache; ``qualify`` prints what the benchmark's
+brute-force oracle expects. The workload definitions and the oracle are
+imported from perfbench/workloads.py and perfbench/checks.py and only read.
 """
 
 import importlib.util
@@ -16,18 +17,20 @@ from nuclibgen.config import load_config
 
 from conftest import MockServer
 
-WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
-def _load_workloads():
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS_PY)
+def _load_perfbench(name):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     sys.modules[spec.name] = module  # dataclasses resolve their module here
     spec.loader.exec_module(module)
     return module
 
 
-workloads = _load_workloads()
+workloads = _load_perfbench("workloads")
+checks = _load_perfbench("checks")
 
 
 @pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
@@ -103,3 +106,20 @@ def test_norm_exports_match_recorded_files(tmp_path, capsys):
     assert [path.suffix for path in recorded] == [".html", ".json", ".svg", ".tex", ".xml"]
     for path in recorded:
         assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+@pytest.mark.parametrize("tol_kev", [0.5, 1.0])
+@pytest.mark.parametrize("seed", [1, 2])
+@pytest.mark.parametrize("library", ["library_norm_g.csv", "library_shared_gamma_g.csv"])
+def test_qualify_matches_oracle(library, seed, tol_kev, tmp_path, capsys):
+    """``nuclibgen qualify`` on a golden library prints, line for line, what the
+    benchmark's brute-force oracle computes from the CSV rows."""
+    golden = workloads.GOLDENS / library
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text(workloads.peak_list_csv(golden, seed), encoding="utf-8")
+    centroids = [float(x) for x in peaks.read_text().split()[1:]]
+    expected = checks.qualify_oracle(golden.read_text(encoding="utf-8"), centroids, tol_kev)
+    assert main(["qualify", str(peaks), str(golden), "--tol-kev", repr(tol_kev)]) == 0
+    out = capsys.readouterr().out
+    assert checks.check_qualify(out, expected) == []
+    assert out == expected

@@ -6,7 +6,7 @@ from nuclibgen.chains import assemble_subset
 from nuclibgen.errors import InvalidInput
 from nuclibgen.identify import Peak, PeakList, qualify_peaks
 from nuclibgen.library import PruneBounds, RadionuclideLibrary, assemble_library, prune
-from nuclibgen.nuclide import RadiationType, parse_nuclide_id
+from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
 
 
 @pytest.fixture(scope="module")
@@ -40,6 +40,24 @@ def test_candidates_ranked_by_delta_then_intensity(norm_gamma):
     matches = qualify_peaks(PeakList([Peak(186.0)]), norm_gamma, 0.5)
     deltas = [abs(c.energy.kev - 186.0) for c in matches[0].candidates]
     assert deltas == sorted(deltas)
+
+
+def test_each_entry_nuclide_is_formatted_once(norm_gamma, monkeypatch):
+    """qualify_peaks formats each entry's nuclide at most once per call,
+    however many peaks there are and however many candidates each has."""
+    calls = 0
+    fmt = Nuclide.__str__
+
+    def counted(nuclide):
+        nonlocal calls
+        calls += 1
+        return fmt(nuclide)
+
+    monkeypatch.setattr(Nuclide, "__str__", counted)
+    peaks = PeakList([Peak(entry.energy.kev) for entry in norm_gamma.entries] * 2)
+    matches = qualify_peaks(peaks, norm_gamma, 1.0)
+    assert sum(len(match.candidates) for match in matches) > len(norm_gamma.entries)
+    assert 0 < calls <= len(norm_gamma.entries)
 
 
 def test_empty_library_leaves_all_unassigned():

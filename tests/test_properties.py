@@ -24,7 +24,7 @@ from nuclibgen.export import (
     render_table,
     table_rows,
 )
-from nuclibgen.identify import Peak, PeakList
+from nuclibgen.identify import Peak, PeakList, PeakMatch, qualify_peaks
 from nuclibgen.levels import FlattenedLevels, cascade_visit
 from nuclibgen.library import LibraryEntry, PruneBounds, RadionuclideLibrary, prune
 from nuclibgen.nuclide import (
@@ -535,6 +535,72 @@ def test_duplicate_level_warnings_match_linear_scan(data, bad_rows):
     assert len(warnings) == len(expected)
     assert all(w.startswith(e) for w, e in zip(warnings, expected))
     assert [r.energy for r in parsed.levels] == sorted(kept, key=lambda e: e.kev)
+
+
+# --- qualify on the energy index equals the linear scan --------------------------
+
+def scan_qualify_peaks(
+    peaks: PeakList, lib: RadionuclideLibrary, tol_kev: float
+) -> list[PeakMatch]:
+    """The linear-scan qualify_peaks that the energy index replaced, verbatim."""
+    if not (0 < tol_kev < math.inf):
+        raise InvalidInput(f"tolerance {tol_kev!r} keV is not finite and positive")
+    matches = []
+    for peak in peaks.peaks:
+        candidates = [
+            entry
+            for entry in lib.entries
+            if abs(entry.energy.kev - peak.centroid_kev) <= tol_kev
+        ]
+        candidates.sort(
+            key=lambda entry: (
+                abs(entry.energy.kev - peak.centroid_kev),
+                -(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
+                str(entry.nuclide),
+            )
+        )
+        matches.append(PeakMatch(peak=peak, candidates=candidates))
+    return matches
+
+
+@st.composite
+def qualify_cases(draw):
+    """A library whose entries share energies, intensities (None among them)
+    and nuclides, a tolerance, and peaks that include every entry energy and
+    every energy +- tolerance. Some energies are a whole number of tolerances
+    apart, and the offset puts some libraries where kev +- tol rounds."""
+    tol = draw(st.floats(min_value=1e-6, max_value=50.0))
+    offset = draw(st.sampled_from([0.0, 1000.1, 98765.4321]))
+    base = draw(st.lists(st.floats(min_value=0.0, max_value=200.0), min_size=1,
+                         max_size=5))
+    pool = [offset + kev for kev in base] + [offset + base[0] + k * tol for k in (1, 2, 3)]
+    entries = draw(st.lists(st.builds(
+        LibraryEntry,
+        nuclide=st.sampled_from([Nuclide("U", 238), Nuclide("Ra", 226),
+                                 Nuclide("Tc", 99, LevelSpec.meta(1))]),
+        radiation=st.just(RadiationType.GAMMA),
+        energy=st.sampled_from(pool).map(EnergyValue),
+        intensity_percent=st.sampled_from([None, 0.0, 1.5, 30.0]),
+        intensity_unc=st.just(0.0),
+        half_life=st.none(),
+        parent_level=st.just(EnergyValue(0.0)),
+    ), max_size=30))
+    centroids = {kev + step for kev in pool for step in (-tol, 0.0, tol)}
+    centroids |= set(draw(st.lists(st.floats(min_value=0.0, max_value=offset + 400.0),
+                                   max_size=5)))
+    peaks = PeakList([Peak(c) for c in sorted(centroids) if c >= 0])
+    return RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=entries), peaks, tol
+
+
+@given(qualify_cases())
+def test_qualify_matches_linear_scan(case):
+    lib, peaks, tol = case
+    got = qualify_peaks(peaks, lib, tol)
+    want = scan_qualify_peaks(peaks, lib, tol)
+    assert [match.peak for match in got] == [match.peak for match in want]
+    assert [[id(entry) for entry in match.candidates] for match in got] == [
+        [id(entry) for entry in match.candidates] for match in want
+    ]
 
 
 # --- non-finite values in a dataset row become parse warnings --------------------
