@@ -13,6 +13,10 @@ A store owns one pool of MAX_PARALLEL worker threads, created on first use.
 pool; `DataStore.fetch_dataset` collects a pending fetch's result, or screens
 and fetches inline when nothing is pending. An offline store never prefetches.
 `DataStore.close` (or leaving a ``with`` block) shuts the pool down.
+
+The HTTP stack (``requests``) is imported, and the store's one session
+built, only when the store first goes to the network: offline stores, cache
+hits and registry skips never load it.
 """
 
 from __future__ import annotations
@@ -24,8 +28,10 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-import requests
+if TYPE_CHECKING:
+    import requests
 
 try:
     import fcntl
@@ -281,19 +287,15 @@ class DataStore:
     a prefetch that nobody collects counts only its network call.
     """
 
-    def __init__(
-        self,
-        cfg: AccessConfig,
-        adapter: CsvEndpointAdapter | None = None,
-        session: requests.Session | None = None,
-    ):
+    def __init__(self, cfg: AccessConfig, adapter: CsvEndpointAdapter | None = None):
         self.cfg = cfg
         self.adapter = adapter or CsvEndpointAdapter()
         self.cache_dir = Path(cfg.cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.registry = AbsenceRegistry.load(self.cache_dir / REGISTRY_FILENAME)
         self.stats = AccessStats()
-        self._session = session or requests.Session()
+        self._session: requests.Session | None = None
+        self._session_lock = threading.Lock()
         self._registry_lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
@@ -346,6 +348,7 @@ class DataStore:
                 if key in self._pending:
                     continue
                 if self._pool is None:
+                    self._open_session()  # here, so no two workers race to import
                     self._pool = ThreadPoolExecutor(
                         max_workers=MAX_PARALLEL, thread_name_prefix="nuclibgen-fetch"
                     )
@@ -376,11 +379,13 @@ class DataStore:
             path = self.cache_path(key)
             if path.exists():
                 body = path.read_text(encoding="utf-8")
-                return RawDataset(key, body, "cache"), "cache_hits"
+                if body.strip():  # a blank file is no cached copy: refetch it
+                    return RawDataset(key, body, "cache"), "cache_hits"
 
             if self.cfg.offline:
                 raise OfflineMiss(f"offline and not cached: {key.serialize()}")
 
+            self._open_session()
             body = self._http_get(key)
             if self.adapter.is_no_data(body):
                 if self.cfg.registry_enabled:
@@ -390,7 +395,19 @@ class DataStore:
             self._write_cache(path, body)
             return RawDataset(key, body, "remote"), None
 
+    def _open_session(self) -> None:
+        """Import the HTTP stack and build the store's one session, once."""
+        with self._session_lock:
+            if self._session is None:
+                import requests
+
+                self._session = requests.Session()
+
     def _http_get(self, key: DatasetKey) -> str:
+        from email.message import Message  # both loaded by _open_session
+
+        import requests
+
         failed = f"request failed for {key.serialize()}"
         self.stats.bump("network_calls")
         try:
@@ -403,7 +420,15 @@ class DataStore:
             raise NetworkError(f"{failed}: {exc}") from exc
         if resp.status_code != 200:
             raise NetworkError(f"{failed}: HTTP {resp.status_code} for {key.serialize()}")
-        return resp.text
+        # The declared charset, else UTF-8 (the cache's encoding), not the
+        # ISO-8859-1 that requests assumes for text/* without a charset.
+        header = Message()
+        header["Content-Type"] = resp.headers.get("Content-Type", "")
+        charset = header.get_content_charset("utf-8")
+        try:
+            return resp.content.decode(charset)
+        except (LookupError, UnicodeDecodeError) as exc:
+            raise NetworkError(f"{failed}: body does not decode as {charset}: {exc}") from exc
 
     def _record_absent(self, key: DatasetKey) -> None:
         with self._registry_lock:

@@ -183,9 +183,9 @@ class _CorpusHandler(BaseHTTPRequestHandler):
             self.send_response(503)
             self.end_headers()
             return
-        data = body.encode("utf-8")
+        data = body if isinstance(body, bytes) else body.encode("utf-8")
         self.send_response(200)
-        self.send_header("Content-Type", "text/csv")
+        self.send_header("Content-Type", cfg["content_type"])
         self.send_header("Content-Length", str(len(data)))
         self.end_headers()
         self.wfile.write(data)
@@ -224,15 +224,17 @@ class MockServer:
     """Serves a fixture corpus over HTTP with optional latency/failure.
 
     ``fail`` answers every request with HTTP 503, ``fail_keys`` only those
-    serialized keys; ``overrides`` maps a serialized key to a body. It
-    records the key of every request and the most requests in flight at once.
+    serialized keys; ``overrides`` maps a serialized key to a body (text is
+    sent as UTF-8, bytes as they are) and ``content_type`` is the header
+    every body is sent with. It records the key of every request and the
+    most requests in flight at once.
     """
 
     def __init__(self, corpus: Path, latency: float = 0.0):
         self.cfg = {
             "corpus": corpus, "latency": latency, "fail": False, "fail_keys": set(),
             "requests": 0, "keys": [], "inflight": 0, "max_inflight": 0,
-            "overrides": {}, "lock": threading.Lock(),
+            "overrides": {}, "content_type": "text/csv", "lock": threading.Lock(),
         }
         self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _CorpusHandler)
         self._httpd.cfg = self.cfg

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import threading
 from collections import Counter
 from pathlib import Path
@@ -10,7 +13,7 @@ import nuclibgen.export as export_mod
 from nuclibgen.cli import main, run
 from nuclibgen.config import load_config
 
-from conftest import prime_cache
+from conftest import REPO, prime_cache
 
 
 def write_config(tmp_path, text) -> Path:
@@ -173,6 +176,63 @@ jobs:
     assert not by_name["broken"]["ok"]
     assert by_name["fine"]["ok"]
     assert (out / "library_fine_g.csv").exists()
+
+
+def test_blank_cache_file_fails_only_its_job_offline(tmp_path, corpus_dir):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    (cache / "225ac_dr-a.csv").write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: alpha
+    recursive_progenitors: [225Ac]
+    radiation: alpha
+  - name: fine
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    by_name = {j["name"]: j for j in report["jobs"]}
+    assert by_name["alpha"]["error"].endswith("offline and not cached: 225ac:dr-a")
+    assert by_name["fine"]["ok"]
+    assert (out / "library_fine_g.csv").exists()
+
+
+def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
+    """A fresh interpreter imports the package, generates from a primed cache
+    offline and qualifies peaks without loading the HTTP stack."""
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: ra
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("centroid_kev\n186.2\n609.3\n", encoding="utf-8")
+    script = (
+        "import sys\n"
+        "import nuclibgen, nuclibgen.cli\n"
+        "cfg, peaks, library = sys.argv[1:]\n"
+        "assert nuclibgen.cli.main(['generate', cfg]) == 0\n"
+        "assert nuclibgen.cli.main(['qualify', peaks, library, '--tol-kev', '1']) == 0\n"
+        "print('requests' in sys.modules)\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(cfg), str(peaks), str(out / "library_ra_g.csv")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.splitlines()[-1] == "False"
 
 
 def test_unknown_nuclide_id_fails_job_cleanly(tmp_path, corpus_dir):

@@ -239,6 +239,73 @@ def test_offline_miss(tmp_path):
         store.fetch_dataset(key_for("225ac"))
 
 
+LEVELS_BODY = "symbol,a,energy,jp\nAc,225,40.1,(3/2\u2212)\n"
+
+
+@pytest.mark.parametrize("content_type, payload, body", [
+    # No charset: UTF-8, not the ISO-8859-1 that HTTP/1.1 assumes for text.
+    ("text/csv", LEVELS_BODY.encode("utf-8"), LEVELS_BODY),
+    ("text/csv; charset=ISO-8859-1", "a\n\u00b5\u00e9\n".encode("latin-1"),
+     "a\n\u00b5\u00e9\n"),
+], ids=["no-charset", "declared-charset"])
+def test_fetched_body_is_decoded_with_its_charset(tmp_path, corpus_dir, content_type,
+                                                  payload, body):
+    server = MockServer(corpus_dir)
+    try:
+        key = DatasetKey.levels(Nuclide("Ac", 225))
+        server.cfg["overrides"][key.serialize()] = payload
+        server.cfg["content_type"] = content_type
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        assert store.fetch_dataset(key).body == body
+        assert store.cache_path(key).read_text(encoding="utf-8") == body
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("content_type", ["text/csv", "text/csv; charset=no-such-codec"],
+                         ids=["bad-utf8", "unknown-charset"])
+def test_body_that_does_not_decode_is_a_network_error(tmp_path, corpus_dir,
+                                                      content_type):
+    server = MockServer(corpus_dir)
+    try:
+        key = DatasetKey.levels(Nuclide("Ac", 225))
+        server.cfg["overrides"][key.serialize()] = b"symbol,a\n\xff\xfe,225\n"
+        server.cfg["content_type"] = content_type
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        with pytest.raises(NetworkError, match="does not decode"):
+            store.fetch_dataset(key)
+        assert not store.cache_path(key).exists()
+        assert key not in store.registry
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("blank", ["", " \n\n"], ids=["empty", "whitespace"])
+def test_blank_cache_file_is_refetched_and_overwritten(tmp_path, corpus_dir, blank):
+    server = MockServer(corpus_dir)
+    try:
+        key = key_for("225ac")
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        store.cache_path(key).write_text(blank, encoding="utf-8")
+        raw = store.fetch_dataset(key)
+        expected = (corpus_dir / key.filename()).read_text(encoding="utf-8")
+        assert raw.origin == "remote" and raw.body == expected
+        assert store.cache_path(key).read_text(encoding="utf-8") == expected
+        assert server.requests == 1
+        assert store.stats.cache_hits == 0
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("blank", ["", " \n\n"], ids=["empty", "whitespace"])
+def test_blank_cache_file_is_an_offline_miss(tmp_path, blank):
+    key = key_for("225ac")
+    store = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+    store.cache_path(key).write_text(blank, encoding="utf-8")
+    with pytest.raises(OfflineMiss):
+        store.fetch_dataset(key)
+
+
 def test_no_partial_cache_files_left_behind(tmp_path, corpus_dir):
     server = MockServer(corpus_dir)
     try:
@@ -378,6 +445,42 @@ def test_offline_store_never_submits_to_its_pool(monkeypatch, tmp_path, corpus_d
                                     offline=True))
     assemble_subset([parse_nuclide_id("232th")], [parse_nuclide_id("213bi")], [], primed)
     assert primed.stats.cache_hits > 0
+
+
+def test_store_builds_one_session_and_only_for_the_network(monkeypatch, tmp_path,
+                                                          corpus_dir):
+    """No session for screening; one for eight prefetched keys, built before
+    any pool worker runs."""
+    import requests
+
+    sessions = []
+    real_session = requests.Session
+
+    def counting_session():
+        sessions.append(real_session())
+        return sessions[-1]
+
+    monkeypatch.setattr(requests, "Session", counting_session)
+    server = MockServer(corpus_dir, latency=0.02)
+    try:
+        ac = Nuclide("Ac", 225)
+        keys = ([DatasetKey.decay_rads(ac, rad) for rad in RadiationType]
+                + [DatasetKey.levels(ac), DatasetKey.transitions(ac)])
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        (cache / "absent_registry.txt").write_text("209bi:dr-x\n")
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=cache)) as store:
+            assert store.fetch_dataset(key_for("209bi", RadiationType.XRAY)) is None
+            assert sessions == []
+            store.prefetch(keys)
+            results = [store.fetch_dataset(key) for key in keys]
+        assert len(keys) == 8 and server.requests == 8
+        assert sum(r is not None for r in results) == 5  # no dr-bm, dr-bp or dr-x
+        assert len(sessions) == 1
+    finally:
+        server.stop()
+        for session in sessions:
+            session.close()
 
 
 def test_endpoint_sees_at_most_max_parallel_requests(tmp_path, corpus_dir):
