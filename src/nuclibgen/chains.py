@@ -4,9 +4,9 @@ Every nuclide goes through one node-visit core. `_visit` prefetches its eight
 datasets (six decay-radiation kinds, levels, transitions), then reads them in
 that order: it parses the decay records, tallies the daughters, and reads the
 transitions only when the levels exist. `_settle` flattens the levels fed to
-it (ground when none), infers its level outcomes and isomers, and resolves its
-level-resolved chain members (for example Pa-234m and Pa-234 from one visited
-nuclide).
+it (ground when none) and resolves its level-resolved chain members, isomers
+included (for example Pa-234m and Pa-234 from one visited nuclide). Level
+outcomes are inferred only when read (`NodeData.outcomes`).
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
@@ -26,9 +26,16 @@ What a visit parses depends only on the nuclide, never on who reached it, so
 a run keeps one `ParseMemo`: each ground-state nuclide's decay records, level
 scheme, daughters and parse warnings, stored by its first successful visit.
 Every later visit of that nuclide, by another progenitor's build, a static or
-another job (threads of `--jobs N` included), takes the stored entry and only
-settles it in its own feeding context. A visit that fails is not stored. A
-static's daughters still read only their level schemes, outside the memo.
+another job (threads of `--jobs N` included), takes the stored entry. A
+static's daughters read their level schemes alone through the same memo, under
+their levels key. A visit that fails is not stored.
+
+What a settle derives depends only on the parse and the feeding context, so
+each memo entry also keeps a settle table keyed by the node's inherited levels
+and ``simulate_cascade``: the flattened levels, the members and the warnings
+that settling added. Each (nuclide, feeding context) is settled once per run;
+every other node in that context, whatever build, merge, static or job it
+belongs to, takes the stored results and reports the same warnings.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class DatasetSource(Protocol):
     def fetch_dataset(self, key: DatasetKey) -> RawDataset | None: ...
 
 
-@dataclass
+@dataclass(frozen=True)
 class ChainMember:
     """One level-resolved subset member backed by a visited nuclide."""
 
@@ -84,19 +91,31 @@ class ChainMember:
     unvalidated: bool = False
 
 
+# A settle's inputs beyond the parse: the inherited levels, in the node's
+# order, and whether cascades are simulated. Its results: the flattened levels
+# (None without a level scheme), the members and the warnings it added.
+SettleKey = tuple[tuple[EnergyValue, ...], bool]
+Settled = tuple[FlattenedLevels | None, tuple[ChainMember, ...], tuple[str, ...]]
+
+
 @dataclass(frozen=True)
 class ParsedNuclide:
-    """One visit's parse of a ground-state nuclide; shared, never mutated."""
+    """One visit's parse of a ground-state nuclide (of its level scheme alone
+    for a static's daughter); shared, never replaced. ``settled`` fills with
+    the results of each feeding context settled on this parse."""
 
     records: tuple[DecayRecord, ...]
     scheme: LevelScheme | None
     daughters: tuple[DaughterFeed, ...]
     warnings: tuple[str, ...]
+    settled: dict[SettleKey, Settled] = field(
+        default_factory=dict, compare=False, repr=False)
 
 
-# Run-scoped memo of successful visits, keyed by ground-state nuclide. Racing
-# visits parse identical entries, so `setdefault` needs no lock.
-ParseMemo = dict[Nuclide, ParsedNuclide]
+# Run-scoped memo of successful visits, keyed by ground-state nuclide, and of
+# static daughters' level schemes, keyed by their levels dataset. Racing visits
+# and settles compute identical values, so `setdefault` needs no lock.
+ParseMemo = dict[Nuclide | DatasetKey, ParsedNuclide]
 
 
 @dataclass
@@ -104,14 +123,28 @@ class NodeData:
     """Everything learned about one visited (element, A) nuclide."""
 
     nuclide: Nuclide
-    records: tuple[DecayRecord, ...] = ()
-    daughters: tuple[DaughterFeed, ...] = ()
+    parsed: ParsedNuclide | None = None  # set by the node's visit
     inherited: list[EnergyValue] = field(default_factory=list)
-    scheme: LevelScheme | None = None
     warnings: list[str] = field(default_factory=list)
     flattened: FlattenedLevels | None = None
-    outcomes: list[LevelOutcome] = field(default_factory=list)
     members: list[ChainMember] = field(default_factory=list)
+
+    @property
+    def records(self) -> tuple[DecayRecord, ...]:
+        return self.parsed.records if self.parsed else ()
+
+    @property
+    def scheme(self) -> LevelScheme | None:
+        return self.parsed.scheme if self.parsed else None
+
+    @property
+    def daughters(self) -> tuple[DaughterFeed, ...]:
+        return self.parsed.daughters if self.parsed else ()
+
+    @property
+    def outcomes(self) -> list[LevelOutcome]:
+        """Feasibility and isomer verdicts in the current feeding context."""
+        return infer_level_outcomes(self.flattened, self.scheme) if self.flattened else []
 
     def add_inherited(self, levels: tuple[EnergyValue, ...]) -> bool:
         """Add the feeding levels not yet known; True when any was added."""
@@ -232,25 +265,47 @@ def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
         scheme = _fetch_scheme(source, node.nuclide, warnings)
         entry = memo.setdefault(node.nuclide, ParsedNuclide(
             tuple(records), scheme, tuple(extract_daughters(records)), tuple(warnings)))
-    node.records, node.scheme, node.daughters = entry.records, entry.scheme, entry.daughters
+    node.parsed = entry
     node.warnings.extend(entry.warnings)
     return missed
 
 
+def _visit_scheme(node: NodeData, source: DatasetSource, memo: ParseMemo) -> None:
+    """Give a static's daughter its level scheme and that parse's warnings:
+    from the memo under the levels key, else fetched, parsed and stored."""
+    key = DatasetKey.levels(node.nuclide)
+    entry = memo.get(key)
+    if entry is None:
+        warnings: list[str] = []
+        scheme = _fetch_scheme(source, node.nuclide, warnings)
+        entry = memo.setdefault(key, ParsedNuclide((), scheme, (), tuple(warnings)))
+    node.parsed = entry
+    node.warnings.extend(entry.warnings)
+
+
 def _settle(node: NodeData, simulate_cascade: bool) -> None:
-    """(Re)derive a node's flattened levels, level outcomes and members from
-    its current feeding context; the ground state stands in for no feeding."""
-    if node.scheme is not None:
-        node.flattened = flatten_levels(
-            node.nuclide,
-            node.inherited or [EnergyValue(0.0)],
-            node.scheme,
-            node.warnings,
-            simulate_cascade=simulate_cascade,
-        )
-        node.outcomes = infer_level_outcomes(node.flattened, node.scheme)
-    node.members = []
-    _resolve_members(node)
+    """(Re)derive a node's flattened levels and members from its current
+    feeding context; the ground state stands in for no feeding. A context
+    already settled on the node's parse is taken from its settle table, with
+    the warnings that settling added."""
+    key = (tuple(node.inherited), simulate_cascade)
+    settled = node.parsed.settled.get(key)
+    if settled is None:
+        warnings: list[str] = []
+        flattened = None
+        if node.scheme is not None:
+            flattened = flatten_levels(
+                node.nuclide,
+                node.inherited or [EnergyValue(0.0)],
+                node.scheme,
+                warnings,
+                simulate_cascade=simulate_cascade,
+            )
+        settled = node.parsed.settled.setdefault(
+            key, (flattened, _resolve_members(node, flattened), tuple(warnings)))
+    node.flattened, members, added = settled
+    node.members = list(members)
+    node.warnings.extend(added)
 
 
 def resolve_level_spec(spec: LevelSpec, scheme: LevelScheme | None) -> EnergyValue:
@@ -284,8 +339,10 @@ def _member_identity(node: NodeData, level: EnergyValue) -> Nuclide:
     return node.nuclide.at_level(LevelSpec.energy(level.kev))
 
 
-def _resolve_members(node: NodeData) -> None:
-    """Turn a validated node into its level-resolved chain members.
+def _resolve_members(
+    node: NodeData, flattened: FlattenedLevels | None
+) -> tuple[ChainMember, ...]:
+    """The level-resolved chain members of a node validated as ``flattened``.
 
     A member is a feasible level at which the nuclide decays, i.e. one that
     appears as a parent level in the decay records. Members are ordered by
@@ -297,14 +354,15 @@ def _resolve_members(node: NodeData) -> None:
             decaying.append(rec.parent_level)
     decaying.sort(key=lambda e: e.kev, reverse=True)
 
+    members: list[ChainMember] = []
     for level in decaying:
-        unvalidated = node.flattened is None
-        if node.flattened is not None and not node.flattened.contains(level):
+        unvalidated = flattened is None
+        if flattened is not None and not flattened.contains(level):
             continue  # unfeasible decaying level: radiation excluded downstream
         matched = node.scheme.find_level(level) if node.scheme else None
         canonical = matched.energy if matched is not None else level
         identity = _member_identity(node, canonical)
-        if any(m.nuclide == identity for m in node.members):
+        if any(m.nuclide == identity for m in members):
             continue
         half_life = None
         if matched is not None and matched.half_life is not None:
@@ -316,7 +374,7 @@ def _resolve_members(node: NodeData) -> None:
                 if rec.half_life is not None and energies_match(rec.parent_level, level):
                     half_life = rec.half_life.seconds
                     break
-        node.members.append(
+        members.append(
             ChainMember(
                 nuclide=identity,
                 node=node.nuclide,
@@ -325,6 +383,7 @@ def _resolve_members(node: NodeData) -> None:
                 unvalidated=unvalidated,
             )
         )
+    return tuple(members)
 
 
 def build_progeny(
@@ -554,12 +613,13 @@ def assemble_subset(
             parsed += _visit(node, source, memo)
             warnings.extend(node.warnings)
             _prefetch(source, [key for feed in node.daughters if feed.daughter not in nodes
+                               and DatasetKey.levels(feed.daughter) not in memo
                                for key in _scheme_keys(feed.daughter)])
             for feed in node.daughters:
                 child = nodes.get(feed.daughter)
                 if child is None:
                     child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
-                    child.scheme = _fetch_scheme(source, feed.daughter, child.warnings)
+                    _visit_scheme(child, source, memo)
                     warnings.extend(child.warnings)
                 child.add_inherited(feed.feeding_levels)
                 _settle(child, simulate_cascade)

@@ -378,7 +378,10 @@ class DataStore:
                 return None, "registry_skips"
             path = self.cache_path(key)
             if path.exists():
-                body = path.read_text(encoding="utf-8")
+                try:
+                    body = path.read_text(encoding="utf-8")
+                except UnicodeDecodeError:
+                    body = ""  # no more a cached copy than a blank file
                 if body.strip():  # a blank file is no cached copy: refetch it
                     return RawDataset(key, body, "cache"), "cache_hits"
 

@@ -1,3 +1,8 @@
+import sys
+import threading
+from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import nuclibgen.chains as chains_mod
@@ -12,7 +17,7 @@ from nuclibgen.errors import DataUnavailable, DepthExceeded, EmptySubset, Networ
 from nuclibgen.library import assemble_library
 from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 
-from conftest import MockServer, brute_edges, lv_body, simple_chain_source
+from conftest import MockServer, brute_edges, dr_body, dr_row, lv_body, simple_chain_source
 
 
 def ids(members):
@@ -354,3 +359,95 @@ def test_failed_visit_is_not_memoised():
         key.startswith("131te:") for key in source.requests)
     assert (subset.nuclides_parsed, subset.nuclides_reused) == (2, 1)
     assert ids(subset.members) == ids(assemble_subset([te131], [], [], source).members)
+
+
+NESTED = [parse_nuclide_id(n) for n in ("237np", "233u", "229th", "225ac")]
+
+
+def test_settle_warnings_are_reported_by_every_job_sharing_the_memo():
+    """131I is fed at 50 keV, which its level scheme lacks; a job that takes
+    that settle from the memo reports the warning a fresh settle adds."""
+    source = simple_chain_source(
+        {"131te": [("131i", 100.0)], "131i": [("131xe", 100.0)]},
+        stable={"131xe"},
+    )
+    source.bodies["131te:dr-bm"] = dr_body([dr_row(("Te", 131), ("I", 131), fed=50.0)])
+    te131 = parse_nuclide_id("131te")
+    memo = {}
+    first = assemble_subset([te131], [], [], source, memo=memo)
+    second = assemble_subset([te131], [], [], source, memo=memo)
+    alone = assemble_subset([te131], [], [], source)
+    missing = [w for w in first.warnings if "matches no level record" in w]
+    assert missing == ["131i: start level 50.0 keV matches no level record"]
+    assert second.warnings == first.warnings == alone.warnings
+    assert second.nuclides_parsed == 0
+
+
+def test_shared_chains_settle_each_feeding_context_once(monkeypatch, primed_store):
+    """The six jobs of the benchmark's shared-chains workload, which share one
+    memo, flatten each (nuclide, fed levels, cascade) context once."""
+    flattens = Counter()
+    flatten = chains_mod.flatten_levels
+
+    def counting(nuclide, inherited, scheme, warnings=None, simulate_cascade=True):
+        flattens[nuclide, tuple(inherited), simulate_cascade] += 1
+        return flatten(nuclide, inherited, scheme, warnings, simulate_cascade)
+
+    monkeypatch.setattr(chains_mod, "flatten_levels", counting)
+    memo = {}
+    subsets = [assemble_subset(NESTED, [], [], primed_store, memo=memo) for _ in range(6)]
+    assert sum(flattens.values()) == 17
+    assert set(flattens.values()) == {1}
+    assert all(subset.members == subsets[0].members for subset in subsets)
+
+
+def test_static_daughters_level_schemes_are_parsed_once_per_run(monkeypatch,
+                                                                 primed_store):
+    parses = Counter()
+    parse = chains_mod.parse_level_scheme
+
+    def counting(levels, transitions):
+        parses[levels.key.serialize()] += 1
+        return parse(levels, transitions)
+
+    monkeypatch.setattr(chains_mod, "parse_level_scheme", counting)
+    statics = [parse_nuclide_id(n) for n in ("213bi", "99mo", "228ac")]
+    memo = {}
+    subsets = [assemble_subset([], statics, [], primed_store, memo=memo) for _ in range(3)]
+    daughters = {"209tl:lv", "213po:lv", "99tc:lv", "228th:lv"}
+    assert daughters <= set(parses)
+    assert set(parses.values()) == {1}
+    alone = assemble_subset([], statics, [], primed_store)
+    for subset in subsets:
+        assert subset.members == alone.members
+        assert subset.warnings == alone.warnings
+        for nuclide, node in alone.nodes.items():
+            assert subset.nodes[nuclide].flattened == node.flattened, nuclide
+
+
+def test_threads_sharing_a_memo_store_one_settle_per_context(primed_store):
+    """Six threads assemble the nested chains on one memo with a tiny switch
+    interval: each matches a serial assembly, and every node of a nuclide takes
+    the one stored settle (the same flattened object), not a racing copy."""
+    workers, barrier, memo = 6, threading.Barrier(6), {}
+    serial = assemble_subset(NESTED, [], [], primed_store)
+
+    def assemble(_):
+        store = DataStore(AccessConfig(cache_dir=primed_store.cache_dir, offline=True))
+        barrier.wait(timeout=30)
+        return assemble_subset(NESTED, [], [], store, memo=memo)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(assemble, i) for i in range(workers)]
+            subsets = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    for subset in subsets:
+        assert subset.members == serial.members
+        assert subset.warnings == serial.warnings
+        for nuclide, node in subset.nodes.items():
+            assert node.flattened is subsets[0].nodes[nuclide].flattened, nuclide
+            assert node.flattened == serial.nodes[nuclide].flattened, nuclide

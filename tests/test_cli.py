@@ -202,6 +202,31 @@ jobs:
     assert (out / "library_fine_g.csv").exists()
 
 
+def test_cache_file_not_utf8_fails_only_its_job_offline(tmp_path, corpus_dir):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    (cache / "225ac_dr-a.csv").write_bytes(b"energy\n\xff\n")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: alpha
+    recursive_progenitors: [225Ac]
+    radiation: alpha
+  - name: fine
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    by_name = {j["name"]: j for j in report["jobs"]}
+    assert by_name["alpha"]["error"] == (
+        "DataUnavailable: offline and not cached: 225ac:dr-a")
+    assert by_name["fine"]["ok"]
+    assert (out / "library_fine_g.csv").exists()
+
+
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
     offline and qualifies peaks without loading the HTTP stack."""

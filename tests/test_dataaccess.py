@@ -280,13 +280,18 @@ def test_body_that_does_not_decode_is_a_network_error(tmp_path, corpus_dir,
         server.stop()
 
 
-@pytest.mark.parametrize("blank", ["", " \n\n"], ids=["empty", "whitespace"])
+# Blank files, and files that are not valid UTF-8, are no cached copy.
+UNUSABLE = [b"", b" \n\n", b"energy\n\xff\n", b"\xfe\xff"]
+UNUSABLE_IDS = ["empty", "whitespace", "not-utf8", "not-utf8-start"]
+
+
+@pytest.mark.parametrize("blank", UNUSABLE, ids=UNUSABLE_IDS)
 def test_blank_cache_file_is_refetched_and_overwritten(tmp_path, corpus_dir, blank):
     server = MockServer(corpus_dir)
     try:
         key = key_for("225ac")
         store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
-        store.cache_path(key).write_text(blank, encoding="utf-8")
+        store.cache_path(key).write_bytes(blank)
         raw = store.fetch_dataset(key)
         expected = (corpus_dir / key.filename()).read_text(encoding="utf-8")
         assert raw.origin == "remote" and raw.body == expected
@@ -297,13 +302,14 @@ def test_blank_cache_file_is_refetched_and_overwritten(tmp_path, corpus_dir, bla
         server.stop()
 
 
-@pytest.mark.parametrize("blank", ["", " \n\n"], ids=["empty", "whitespace"])
+@pytest.mark.parametrize("blank", UNUSABLE, ids=UNUSABLE_IDS)
 def test_blank_cache_file_is_an_offline_miss(tmp_path, blank):
     key = key_for("225ac")
     store = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
-    store.cache_path(key).write_text(blank, encoding="utf-8")
-    with pytest.raises(OfflineMiss):
+    store.cache_path(key).write_bytes(blank)
+    with pytest.raises(OfflineMiss, match="225ac:dr-a"):
         store.fetch_dataset(key)
+    assert store.cache_path(key).read_bytes() == blank  # left as it was
 
 
 def test_no_partial_cache_files_left_behind(tmp_path, corpus_dir):

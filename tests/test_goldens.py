@@ -1,12 +1,14 @@
 """Golden outputs: each benchmark workload's job set, run offline in-process
-from the primed fixture cache, reproduces the committed files under
-perfbench/goldens byte for byte; so does the cold workload fetched from the
-mock endpoint into an empty cache; ``qualify`` prints what the benchmark's
-brute-force oracle expects. The workload definitions and the oracle are
+from the primed fixture cache in shuffled orders under ``--jobs`` 1 and 4,
+reproduces the committed files under perfbench/goldens byte for byte, with
+each job's warnings as in a serial run; so does the cold workload fetched
+from the mock endpoint into an empty cache; ``qualify`` prints what the
+benchmark's brute-force oracle expects. The workload definitions and the oracle are
 imported from perfbench/workloads.py and perfbench/checks.py and only read.
 """
 
 import importlib.util
+import json
 import sys
 from pathlib import Path
 
@@ -33,23 +35,53 @@ workloads = _load_perfbench("workloads")
 checks = _load_perfbench("checks")
 
 
-@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
-def test_workload_outputs_match_goldens(name, tmp_path, capsys):
-    workload = workloads.WORKLOADS[name]
+def _generate(jobs, tmp_path, jobs_parallel):
+    """``nuclibgen generate`` of ``jobs`` offline from a primed cache; the
+    output directory and each job's report.json warnings by job name."""
     cache_dir, out_dir = tmp_path / "cache", tmp_path / "out"
     workloads.prime_cache(cache_dir)
     config = tmp_path / "run.yaml"
     config.write_text(
-        workloads.config_yaml(workload.jobs, cache_dir=cache_dir, out_dir=out_dir,
-                              base_url=None),
+        workloads.config_yaml(jobs, cache_dir=cache_dir, out_dir=out_dir, base_url=None),
         encoding="utf-8",
     )
-    assert main(["generate", str(config), "--jobs", "1"]) == 0, capsys.readouterr().out
+    code = main(["generate", str(config), "--jobs", str(jobs_parallel)])
+    assert code == 0, (out_dir / "report.txt").read_text(encoding="utf-8")
+    report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
+    return out_dir, {job["name"]: job["warnings"] for job in report["jobs"]}
+
+
+@pytest.fixture(scope="module")
+def workload_warnings(tmp_path_factory):
+    """Each job's warnings when its workload runs serially in listed order."""
+    known = {}
+
+    def warnings_of(name):
+        if name not in known:
+            _, known[name] = _generate(workloads.WORKLOADS[name].jobs,
+                                       tmp_path_factory.mktemp(name), 1)
+        return known[name]
+
+    return warnings_of
+
+
+@pytest.mark.parametrize("jobs_parallel", [1, 4], ids=["jobs1", "jobs4"])
+@pytest.mark.parametrize("seed", [1, 2], ids=["seed1", "seed2"])
+@pytest.mark.parametrize("name", sorted(workloads.WORKLOADS))
+def test_workload_outputs_match_goldens(name, seed, jobs_parallel, tmp_path,
+                                        workload_warnings):
+    """Whatever the job order and ``--jobs``, the outputs equal the goldens and
+    every job reports the warnings it reports in a serial run."""
+    workload = workloads.WORKLOADS[name]
+    jobs = workloads.shuffled_jobs(workload, seed)
+    assert jobs != list(workload.jobs)  # not the reference order
+    out_dir, warnings = _generate(jobs, tmp_path, jobs_parallel)
     names = workload.golden_files()
     assert names
     for fname in names:
         produced = (out_dir / fname).read_bytes()
         assert produced == (workloads.GOLDENS / fname).read_bytes(), fname
+    assert warnings == workload_warnings(name)
 
 
 def test_cold_endpoint_outputs_cache_and_registry(tmp_path):

@@ -26,7 +26,13 @@ from nuclibgen.export import (
 )
 from nuclibgen.identify import Peak, PeakList, PeakMatch, qualify_peaks
 from nuclibgen.levels import FlattenedLevels, cascade_visit
-from nuclibgen.library import LibraryEntry, PruneBounds, RadionuclideLibrary, prune
+from nuclibgen.library import (
+    LibraryEntry,
+    PruneBounds,
+    RadionuclideLibrary,
+    assemble_library,
+    prune,
+)
 from nuclibgen.nuclide import (
     EnergyValue,
     HalfLife,
@@ -127,6 +133,50 @@ def test_subset_equals_set_identity(primed_store, corpus_dir, roots, statics,
     oracle |= set(statics)
     oracle -= set(exclusions)
     assert engine == oracle
+
+
+# --- the run's settle table --------------------------------------------------------
+
+NESTED_POOL = ("237np", "233u", "229th", "225ac")
+# 213bi, 99mo and 228ac bring daughters read for their level schemes alone;
+# 225ac is also a chain member, 209tl a stable-ending chain member.
+SETTLE_STATIC_POOL = ("213bi", "99mo", "228ac", "225ac", "209tl")
+
+subset_calls = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(NESTED_POOL), max_size=4, unique=True),
+        st.lists(st.sampled_from(SETTLE_STATIC_POOL), max_size=2, unique=True),
+        st.booleans(),
+    ).filter(lambda call: call[0] or call[1]),
+    min_size=1, max_size=3,
+)
+
+
+def _settled(subset):
+    nodes = {nuclide: (node.flattened.all if node.flattened else None,
+                       node.members, node.warnings)
+             for nuclide, node in subset.nodes.items()}
+    libraries = [assemble_library(subset, rad).entries for rad in RadiationType]
+    return subset.members, subset.warnings, nodes, libraries
+
+
+@settings(max_examples=10, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(calls=[(["225ac"], ["213bi"], True),
+                (["237np", "225ac"], ["213bi", "99mo"], False),
+                (["229th"], ["225ac", "228ac"], True),
+                (["225ac"], ["213bi"], True)])
+@given(calls=subset_calls)
+def test_shared_memo_settles_like_a_fresh_one(primed_store, calls):
+    """Subsets assembled in any order on one memo, whose settle tables they
+    share, equal the same subsets each assembled on a fresh memo."""
+    memo = {}
+    for roots, statics, simulate_cascade in calls:
+        args = ([parse_nuclide_id(r) for r in roots],
+                [parse_nuclide_id(s) for s in statics], [], primed_store)
+        shared = assemble_subset(*args, simulate_cascade=simulate_cascade, memo=memo)
+        fresh = assemble_subset(*args, simulate_cascade=simulate_cascade)
+        assert _settled(shared) == _settled(fresh)
 
 
 # --- pruning laws ---------------------------------------------------------------
