@@ -26,9 +26,11 @@ What a visit parses depends only on the nuclide, never on who reached it, so
 a run keeps one `ParseMemo`: each ground-state nuclide's decay records, level
 scheme, daughters and parse warnings, stored by its first successful visit.
 Every later visit of that nuclide, by another progenitor's build, a static or
-another job (threads of `--jobs N` included), takes the stored entry. A
-static's daughters read their level schemes alone through the same memo, under
-their levels key. A visit that fails is not stored.
+another job (threads of `--jobs N` included), takes the stored entry. The
+level scheme is also stored alone, under the nuclide's levels key: a static's
+daughters read only that, so a nuclide that one job visits in a chain and
+another reads as a static's daughter is parsed once. A visit that fails is not
+stored.
 
 What a settle derives depends only on the parse and the feeding context, so
 each memo entry also keeps a settle table keyed by the node's inherited levels
@@ -100,8 +102,8 @@ Settled = tuple[FlattenedLevels | None, tuple[ChainMember, ...], tuple[str, ...]
 
 @dataclass(frozen=True)
 class ParsedNuclide:
-    """One visit's parse of a ground-state nuclide (of its level scheme alone
-    for a static's daughter); shared, never replaced. ``settled`` fills with
+    """One visit's parse of a ground-state nuclide (of its level scheme alone,
+    under its levels key); shared, never replaced. ``settled`` fills with
     the results of each feeding context settled on this parse."""
 
     records: tuple[DecayRecord, ...]
@@ -113,7 +115,7 @@ class ParsedNuclide:
 
 
 # Run-scoped memo of successful visits, keyed by ground-state nuclide, and of
-# static daughters' level schemes, keyed by their levels dataset. Racing visits
+# their level schemes alone, keyed by the levels dataset. Racing visits
 # and settles compute identical values, so `setdefault` needs no lock.
 ParseMemo = dict[Nuclide | DatasetKey, ParsedNuclide]
 
@@ -205,9 +207,15 @@ def _scheme_keys(nuclide: Nuclide) -> list[DatasetKey]:
     return [DatasetKey.levels(nuclide), DatasetKey.transitions(nuclide)]
 
 
-def _node_keys(nuclide: Nuclide) -> list[DatasetKey]:
-    """A nuclide's eight datasets in reading order."""
+def _unread_keys(nuclide: Nuclide, memo: ParseMemo) -> list[DatasetKey]:
+    """The datasets a visit of ``nuclide`` would read, in reading order: its
+    six decay kinds and, unless its scheme is in the memo, levels and
+    transitions; none once the nuclide itself is."""
+    if nuclide in memo:
+        return []
     decay = [DatasetKey.decay_rads(nuclide, rad) for rad in KIND_ORDER]
+    if DatasetKey.levels(nuclide) in memo:
+        return decay
     return decay + _scheme_keys(nuclide)
 
 
@@ -254,33 +262,35 @@ def _fetch_scheme(
 
 def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
     """Give a node its nuclide's decay records, level scheme, daughters and
-    parse warnings: from the memo, else fetched, parsed and stored there.
-    True when this visit parsed them."""
+    parse warnings (the decay warnings, then the scheme's): from the memo,
+    else fetched, parsed and stored there. True when this visit parsed them."""
     entry = memo.get(node.nuclide)
     missed = entry is None
     if missed:
-        _prefetch(source, _node_keys(node.nuclide))
+        _prefetch(source, _unread_keys(node.nuclide, memo))
         warnings: list[str] = []
         records = _fetch_records(source, node.nuclide, warnings)
-        scheme = _fetch_scheme(source, node.nuclide, warnings)
+        levels = _visit_scheme(node.nuclide, source, memo)
         entry = memo.setdefault(node.nuclide, ParsedNuclide(
-            tuple(records), scheme, tuple(extract_daughters(records)), tuple(warnings)))
+            tuple(records), levels.scheme, tuple(extract_daughters(records)),
+            tuple(warnings) + levels.warnings))
     node.parsed = entry
     node.warnings.extend(entry.warnings)
     return missed
 
 
-def _visit_scheme(node: NodeData, source: DatasetSource, memo: ParseMemo) -> None:
-    """Give a static's daughter its level scheme and that parse's warnings:
+def _visit_scheme(
+    nuclide: Nuclide, source: DatasetSource, memo: ParseMemo
+) -> ParsedNuclide:
+    """A nuclide's level scheme and that parse's warnings, with no records:
     from the memo under the levels key, else fetched, parsed and stored."""
-    key = DatasetKey.levels(node.nuclide)
+    key = DatasetKey.levels(nuclide)
     entry = memo.get(key)
     if entry is None:
         warnings: list[str] = []
-        scheme = _fetch_scheme(source, node.nuclide, warnings)
+        scheme = _fetch_scheme(source, nuclide, warnings)
         entry = memo.setdefault(key, ParsedNuclide((), scheme, (), tuple(warnings)))
-    node.parsed = entry
-    node.warnings.extend(entry.warnings)
+    return entry
 
 
 def _settle(node: NodeData, simulate_cascade: bool) -> None:
@@ -433,8 +443,8 @@ def build_progeny(
                 discoverer[feed.daughter] = current
                 fresh.append(feed.daughter)
         # fresh[0] is visited next, so its datasets are queued first.
-        _prefetch(source, [key for daughter in fresh if daughter not in memo
-                           for key in _node_keys(daughter)])
+        _prefetch(source, [key for daughter in fresh
+                           for key in _unread_keys(daughter, memo)])
         stack.extend(reversed(fresh))
 
     # Progenitor levels are designated by the user; omission means ground.
@@ -583,8 +593,8 @@ def assemble_subset(
     warnings: list[str] = []
     visits = parsed = 0
 
-    _prefetch(source, [key for n in [*recursive, *statics] if n.ground_state not in memo
-                       for key in _node_keys(n)])
+    _prefetch(source, [key for n in [*recursive, *statics]
+                       for key in _unread_keys(n.ground_state, memo)])
     for progenitor in recursive:
         build = build_progeny(
             progenitor,
@@ -618,8 +628,10 @@ def assemble_subset(
             for feed in node.daughters:
                 child = nodes.get(feed.daughter)
                 if child is None:
-                    child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
-                    _visit_scheme(child, source, memo)
+                    child = nodes[feed.daughter] = NodeData(
+                        nuclide=feed.daughter,
+                        parsed=_visit_scheme(feed.daughter, source, memo))
+                    child.warnings.extend(child.parsed.warnings)
                     warnings.extend(child.warnings)
                 child.add_inherited(feed.feeding_levels)
                 _settle(child, simulate_cascade)

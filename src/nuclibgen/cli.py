@@ -240,20 +240,23 @@ def _cmd_qualify(args: argparse.Namespace) -> int:
     peaks = PeakList.load_csv(args.peaks)
     library = import_library_csv(args.library)
     matches = qualify_peaks(peaks, library, args.tol_kev)
+    labels: dict[int, str] = {}  # by entry identity: each entry is formatted once
+    lines = []
     for match in matches:
         if match.unassigned:
-            sys.stdout.write(f"{match.peak.centroid_kev:g} keV: unassigned\n")
+            lines.append(f"{match.peak.centroid_kev:g} keV: unassigned\n")
             continue
-        best = ", ".join(
-            f"{display_name(c.nuclide)} {c.energy.kev:g} keV"
-            + (
-                f" ({c.intensity_percent:g}%)"
-                if c.intensity_percent is not None
-                else ""
-            )
-            for c in match.candidates[: args.top]
-        )
-        sys.stdout.write(f"{match.peak.centroid_kev:g} keV: {best}\n")
+        shown = []
+        for c in match.candidates[: args.top]:
+            label = labels.get(id(c))
+            if label is None:
+                label = f"{display_name(c.nuclide)} {c.energy.kev:g} keV"
+                if c.intensity_percent is not None:
+                    label += f" ({c.intensity_percent:g}%)"
+                labels[id(c)] = label
+            shown.append(label)
+        lines.append(f"{match.peak.centroid_kev:g} keV: {', '.join(shown)}\n")
+    sys.stdout.write("".join(lines))
     return 0
 
 

@@ -230,6 +230,11 @@ def _parse_job(value, index: int) -> JobConfig:
     )
 
 
+# libyaml's safe loader builds the same objects as the pure-Python one about
+# ten times faster; PyYAML built without libyaml has only the latter.
+_YAML_LOADER = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+
+
 def load_config(path: Path | str) -> RunConfig:
     """Load and validate a YAML run configuration.
 
@@ -238,7 +243,7 @@ def load_config(path: Path | str) -> RunConfig:
     """
     path = Path(path)
     try:
-        raw = yaml.safe_load(path.read_text(encoding="utf-8"))
+        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""

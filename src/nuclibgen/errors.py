@@ -88,8 +88,9 @@ class IoError(NuclibError):
 # --- peak qualification --------------------------------------------------------
 
 class InvalidInput(NuclibError, ValueError):
-    """A peak list, an imported library CSV or a qualify setting is unreadable
-    or out of range. Also a ValueError, which these checks used to raise."""
+    """A peak list, an imported library CSV, a marker registry or a qualify
+    setting is unreadable or out of range. Also a ValueError, which these
+    checks used to raise."""
 
 
 # --- configuration -----------------------------------------------------------

@@ -253,7 +253,7 @@ def import_library_csv(path: Path | str) -> RadionuclideLibrary:
     its line number, a row that is short or holds a bad value.
     """
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"cannot read library {path}: {exc}") from exc
     reader = csv.reader(io.StringIO(text))

@@ -7,12 +7,12 @@ from __future__ import annotations
 import csv
 import io
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidInput
 from .library import LibraryEntry, RadionuclideLibrary
-from .nuclide import EnergyIndex
 
 
 @dataclass(frozen=True)
@@ -42,7 +42,7 @@ class PeakList:
         number, for a row whose centroid or net area is invalid.
         """
         try:
-            text = Path(path).read_text(encoding="utf-8")
+            text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInput(f"cannot read peak list {path}: {exc}") from exc
         peaks = []
@@ -85,26 +85,35 @@ def qualify_peaks(
     A candidate is any entry with |entry energy - centroid| <= tol_kev,
     sorted by |deltaE| then descending intensity (energy agreement is the
     physical discriminator; intensity breaks ties), a missing intensity
-    last, then nuclide id, then library order. Candidates are looked up on
-    a sorted energy index. Total: peaks without candidates come back
-    flagged unassigned.
+    last, then nuclide id, then library order. The library is ranked once
+    per call on the tie-break, which does not depend on the peak, and each
+    peak bisects an energy-sorted table. Total: peaks without candidates
+    come back flagged unassigned.
     """
     if not (0 < tol_kev < math.inf):
         raise InvalidInput(f"tolerance {tol_kev!r} keV is not finite and positive")
     entries = lib.entries
-    index = EnergyIndex([entry.energy for entry in entries])
-    # The parts of the sort key that do not depend on the peak, once per entry.
-    ranks = [
-        (
-            -(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
-            str(entry.nuclide),
-        )
-        for entry in entries
-    ]
+    # The tie-break order, which does not depend on the peak; an entry's rank
+    # is its place in it.
+    ranked = sorted(
+        (-(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
+         str(entry.nuclide), i)
+        for i, entry in enumerate(entries)
+    )
+    table = sorted((entries[i].energy.kev, rank, i) for rank, (_, _, i) in enumerate(ranked))
+    kevs = [kev for kev, _, _ in table]
     matches = []
     for peak in peaks.peaks:
         centroid = peak.centroid_kev
-        found = index.within(centroid, tol_kev)
-        found.sort(key=lambda pair: (abs(pair[1].kev - centroid), ranks[pair[0]], pair[0]))
-        matches.append(PeakMatch(peak=peak, candidates=[entries[i] for i, _ in found]))
+        # Widen past the rounding of centroid +- tol; the exact test decides.
+        half = tol_kev + 1e-9 * (tol_kev + centroid)
+        lo = bisect_left(kevs, centroid - half)
+        hi = bisect_right(kevs, centroid + half, lo)
+        found = [
+            (delta, rank, i)
+            for kev, rank, i in table[lo:hi]
+            if (delta := abs(kev - centroid)) <= tol_kev
+        ]
+        found.sort()
+        matches.append(PeakMatch(peak=peak, candidates=[entries[i] for _, _, i in found]))
     return matches

@@ -175,8 +175,7 @@ def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
 class EnergyIndex:
     """A sorted snapshot of a list of energies. A lookup for q bisects the window
     |kev - q.kev| <= max(3 * sqrt(u_max^2 + q.u^2), 1 keV), u_max the largest
-    indexed uncertainty, and confirms each candidate with ``energies_match``;
-    ``within`` bisects a fixed half-width instead and confirms it exactly."""
+    indexed uncertainty, and confirms each candidate with ``energies_match``."""
 
     def __init__(self, energies: list[EnergyValue]):
         self._entries = sorted(enumerate(energies), key=lambda entry: entry[1].kev)
@@ -200,13 +199,6 @@ class EnergyIndex:
         """Whether any indexed energy matches: ``bool(matches(energy))``."""
         half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
         return any(energies_match(e, energy) for _, e in self._window(energy.kev, half))
-
-    def within(self, kev: float, tol: float) -> list[tuple[int, EnergyValue]]:
-        """(position, energy) of every indexed energy e with
-        ``abs(e.kev - kev) <= tol``, in ascending position."""
-        return sorted(
-            (i, e) for i, e in self._window(kev, tol) if abs(e.kev - kev) <= tol
-        )
 
 
 @dataclass(frozen=True)

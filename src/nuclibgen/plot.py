@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import IoError
+from .errors import InvalidInput, IoError, MalformedId
 from .library import RadionuclideLibrary
 from .nuclide import Nuclide, display_name, parse_nuclide_id
 
@@ -47,16 +47,31 @@ class MarkerRegistry:
 
     @classmethod
     def load_csv(cls, path: Path | str) -> "MarkerRegistry":
-        """Read a registry file with columns nuclide,shape,color,label."""
+        """Read a registry file with columns nuclide,shape,color,label.
+
+        Raises InvalidInput naming the file when it cannot be read or has no
+        nuclide column, and with its line number for a row whose id is bad.
+        """
+        try:
+            text = Path(path).read_text(encoding="utf-8-sig")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise InvalidInput(f"cannot read marker registry {path}: {exc}") from exc
         registry = cls()
-        text = Path(path).read_text(encoding="utf-8")
-        for row in csv.DictReader(io.StringIO(text)):
-            nuclide = parse_nuclide_id(row["nuclide"])
-            registry.styles[nuclide] = MarkerStyle(
-                shape=(row.get("shape") or "").strip() or "circle",
-                color=(row.get("color") or "").strip() or PALETTE[0],
-                label=(row.get("label") or "").strip() or display_name(nuclide),
-            )
+        reader = csv.DictReader(io.StringIO(text))
+        try:
+            if "nuclide" not in (reader.fieldnames or ()):
+                raise InvalidInput(f"marker registry {path}: missing column nuclide")
+            for row in reader:
+                nuclide = parse_nuclide_id(row["nuclide"])
+                registry.styles[nuclide] = MarkerStyle(
+                    shape=(row.get("shape") or "").strip() or "circle",
+                    color=(row.get("color") or "").strip() or PALETTE[0],
+                    label=(row.get("label") or "").strip() or display_name(nuclide),
+                )
+        except (MalformedId, csv.Error) as exc:
+            raise InvalidInput(
+                f"marker registry {path} line {reader.line_num}: {exc}"
+            ) from exc
         return registry
 
     def style_for(self, nuclide: Nuclide) -> MarkerStyle:

@@ -425,6 +425,37 @@ def test_static_daughters_level_schemes_are_parsed_once_per_run(monkeypatch,
             assert subset.nodes[nuclide].flattened == node.flattened, nuclide
 
 
+@pytest.mark.parametrize("chain_first", [True, False])
+def test_chain_and_static_daughter_share_one_scheme_parse(monkeypatch, primed_store,
+                                                         chain_first):
+    """99Mo as a progenitor and as a static, in either order on one memo: its
+    daughter 99Tc, visited in the chain and read as the static's daughter,
+    has its level scheme parsed once, and both subsets match fresh ones."""
+    parses = Counter()
+    parse = chains_mod.parse_level_scheme
+
+    def counting(levels, transitions):
+        parses[levels.key.serialize()] += 1
+        return parse(levels, transitions)
+
+    monkeypatch.setattr(chains_mod, "parse_level_scheme", counting)
+    mo99 = parse_nuclide_id("99mo")
+    calls = [([mo99], []), ([], [mo99])]
+    if not chain_first:
+        calls.reverse()
+    memo = {}
+    subsets = [assemble_subset(r, s, [], primed_store, memo=memo) for r, s in calls]
+    assert parses["99tc:lv"] == 1
+    assert set(parses.values()) == {1}
+    for (recursive, statics), subset in zip(calls, subsets):
+        alone = assemble_subset(recursive, statics, [], primed_store)
+        assert subset.members == alone.members
+        assert subset.warnings == alone.warnings
+        for nuclide, node in alone.nodes.items():
+            assert subset.nodes[nuclide].flattened == node.flattened, nuclide
+            assert subset.nodes[nuclide].warnings == node.warnings, nuclide
+
+
 def test_threads_sharing_a_memo_store_one_settle_per_context(primed_store):
     """Six threads assemble the nested chains on one memo with a tiny switch
     interval: each matches a serial assembly, and every node of a nuclide takes

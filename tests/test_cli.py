@@ -227,6 +227,40 @@ jobs:
     assert (out / "library_fine_g.csv").exists()
 
 
+@pytest.mark.parametrize("registry, error", [
+    (None, "cannot read marker registry {path}: "),
+    ("shape,color\nstar,#112233\n", "marker registry {path}: missing column nuclide"),
+    ("nuclide,shape\n99mo,star\n99xx,circle\n", "marker registry {path} line 3: "),
+], ids=["missing-file", "missing-column", "bad-id"])
+def test_bad_marker_registry_fails_only_its_job(tmp_path, corpus_dir, registry, error):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    markers = tmp_path / "markers.csv"
+    if registry is not None:
+        markers.write_text(registry, encoding="utf-8")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: mo
+    recursive_progenitors: [99Mo]
+    radiation: gamma
+    plot:
+      marker_registry: {markers}
+  - name: lu
+    recursive_progenitors: [177Lu@m4]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    by_name = {j["name"]: j for j in report["jobs"]}
+    assert by_name["mo"]["error"].startswith(
+        "InvalidInput: " + error.format(path=markers))
+    assert by_name["lu"]["ok"]
+    assert (out / "library_lu_g.svg").exists()
+
+
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
     offline and qualifies peaks without loading the HTTP stack."""

@@ -1,5 +1,7 @@
 import pytest
+import yaml
 
+import nuclibgen.config as config_mod
 from nuclibgen.config import load_config
 from nuclibgen.errors import ConfigParseError, MalformedId, UnknownKey
 from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType
@@ -103,6 +105,43 @@ def test_yaml_syntax_error_reports_line(tmp_path):
     with pytest.raises(ConfigParseError) as err:
         load_config(write(tmp_path, "jobs:\n  - recursive_progenitors: [238U\n"))
     assert "line" in str(err.value)
+
+
+@pytest.mark.parametrize("text, where", [
+    ("jobs:\n  - recursive_progenitors: [238U\n", "at line 3, column 1"),
+    ("jobs:\n\t- recursive_progenitors: [238U]\n", "at line 2, column 1"),
+])
+@pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
+def test_either_yaml_loader_reports_the_error_position(tmp_path, monkeypatch, text,
+                                                       where, loader):
+    if not hasattr(yaml, loader):
+        pytest.skip("PyYAML built without libyaml")
+    monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+    with pytest.raises(ConfigParseError, match=f"{where}$"):
+        load_config(write(tmp_path, text))
+
+
+def test_yaml_loaders_build_the_same_config(tmp_path, monkeypatch):
+    """libyaml's loader, used when PyYAML has it, reads what the pure-Python
+    one reads: unbounded intervals, exponents, null, yes/no and a repeated key."""
+    path = write(tmp_path, """
+offline: yes
+offline: no
+jobs:
+  - name: th
+    recursive_progenitors: [232Th, 177Lu@m4]
+    static_nuclides: [99Tc@142.6836keV]
+    prune:
+      energy_kev: [0, .inf]
+      half_life_seconds: [1e-6, ~]
+    plot: {enabled: true, windows: [{energy_kev: [0, 2e3]}]}
+""")
+    loaded = {}
+    for loader in ("SafeLoader", "CSafeLoader"):
+        if hasattr(yaml, loader):
+            monkeypatch.setattr(config_mod, "_YAML_LOADER", getattr(yaml, loader))
+            loaded[loader] = load_config(path)
+    assert len(set(map(repr, loaded.values()))) == 1
 
 
 def test_prune_and_plot_sections(tmp_path):

@@ -219,3 +219,9 @@ def test_missing_library_csv_is_an_input_error(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(LIBRARY_HEADER + LIBRARY_ROW)
     assert [e.energy.kev for e in import_library_csv(path).entries] == [739.5]
+
+
+def test_library_csv_with_a_byte_order_mark_is_read(tmp_path):
+    path = tmp_path / "lib.csv"
+    path.write_text("\ufeff" + LIBRARY_HEADER + LIBRARY_ROW, encoding="utf-8")
+    assert [e.energy.kev for e in import_library_csv(path).entries] == [739.5]

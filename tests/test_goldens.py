@@ -14,8 +14,11 @@ from pathlib import Path
 
 import pytest
 
+import nuclibgen.cli as cli_mod
 from nuclibgen.cli import main, run
 from nuclibgen.config import load_config
+from nuclibgen.export import import_library_csv
+from nuclibgen.identify import PeakList, qualify_peaks
 
 from conftest import MockServer
 
@@ -155,3 +158,24 @@ def test_qualify_matches_oracle(library, seed, tol_kev, tmp_path, capsys):
     out = capsys.readouterr().out
     assert checks.check_qualify(out, expected) == []
     assert out == expected
+
+
+def test_qualify_formats_each_displayed_entry_once(tmp_path, capsys, monkeypatch):
+    """One ``qualify`` over the norm golden library names each entry it
+    displays once, however many peaks show it."""
+    golden = workloads.GOLDENS / "library_norm_g.csv"
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text(workloads.peak_list_csv(golden, 1), encoding="utf-8")
+    calls = []
+    display_name = cli_mod.display_name
+
+    def counting(nuclide):
+        calls.append(nuclide)
+        return display_name(nuclide)
+
+    monkeypatch.setattr(cli_mod, "display_name", counting)
+    assert main(["qualify", str(peaks), str(golden), "--tol-kev", "1.0"]) == 0
+    capsys.readouterr()
+    matches = qualify_peaks(PeakList.load_csv(peaks), import_library_csv(golden), 1.0)
+    displayed = [id(entry) for match in matches for entry in match.candidates[:5]]
+    assert len(calls) == len(set(displayed)) < len(displayed)

@@ -95,6 +95,12 @@ def test_peak_csv_loading(tmp_path):
     assert peaks.peaks[1].net_area is None
 
 
+def test_peak_list_with_a_byte_order_mark_keeps_its_first_peak(tmp_path):
+    path = tmp_path / "peaks.csv"
+    path.write_text("\ufeff100.5\n200.25\n", encoding="utf-8")
+    assert [p.centroid_kev for p in PeakList.load_csv(path).peaks] == [100.5, 200.25]
+
+
 def test_peak_rejects_negative_centroid():
     with pytest.raises(ValueError):
         Peak(-1.0)

@@ -1,5 +1,7 @@
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from nuclibgen.chains import assemble_subset
 from nuclibgen.library import (
     LibraryEntry,
@@ -94,10 +96,11 @@ def test_marker_identical_across_alpha_and_gamma_plots(primed_store, tmp_path):
         assert a_fill == g_fill
 
 
-def test_registry_file_overrides_style(tmp_path):
+@pytest.mark.parametrize("bom", ["", "\ufeff"])
+def test_registry_file_overrides_style(tmp_path, bom):
     reg_path = tmp_path / "markers.csv"
     reg_path.write_text(
-        "nuclide,shape,color,label\n137cs,star,#112233,Caesium-137\n",
+        bom + "nuclide,shape,color,label\n137cs,star,#112233,Caesium-137\n",
         encoding="utf-8",
     )
     registry = MarkerRegistry.load_csv(reg_path)
