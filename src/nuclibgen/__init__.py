@@ -28,7 +28,7 @@ from .dataaccess import (
 from .errors import NuclibError
 from .export import export_table, export_template, import_library_csv
 from .identify import Peak, PeakList, qualify_peaks
-from .levels import cascade_visit, flatten_levels, infer_level_outcomes
+from .levels import cascade_visit, flatten_levels
 from .library import (
     LibraryEntry,
     PruneBounds,
@@ -94,7 +94,6 @@ __all__ = [
     "flatten_levels",
     "format_nuclide_id",
     "import_library_csv",
-    "infer_level_outcomes",
     "parse_decay_records",
     "parse_level_scheme",
     "parse_nuclide_id",

@@ -5,8 +5,7 @@ datasets (six decay-radiation kinds, levels, transitions), then reads them in
 that order: it parses the decay records, tallies the daughters, and reads the
 transitions only when the levels exist. `_settle` flattens the levels fed to
 it (ground when none) and resolves its level-resolved chain members, isomers
-included (for example Pa-234m and Pa-234 from one visited nuclide). Level
-outcomes are inferred only when read (`NodeData.outcomes`).
+included (for example Pa-234m and Pa-234 from one visited nuclide).
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
@@ -47,7 +46,7 @@ from typing import Protocol
 
 from .dataaccess import DatasetKey, RawDataset
 from .errors import DataUnavailable, DepthExceeded, EmptySubset, NetworkError, OfflineMiss
-from .levels import FlattenedLevels, LevelOutcome, flatten_levels, infer_level_outcomes
+from .levels import FlattenedLevels, flatten_levels
 from .nuclide import EnergyValue, LevelSpec, Nuclide, RadiationType, energies_match
 from .records import (
     DaughterFeed,
@@ -142,11 +141,6 @@ class NodeData:
     @property
     def daughters(self) -> tuple[DaughterFeed, ...]:
         return self.parsed.daughters if self.parsed else ()
-
-    @property
-    def outcomes(self) -> list[LevelOutcome]:
-        """Feasibility and isomer verdicts in the current feeding context."""
-        return infer_level_outcomes(self.flattened, self.scheme) if self.flattened else []
 
     def add_inherited(self, levels: tuple[EnergyValue, ...]) -> bool:
         """Add the feeding levels not yet known; True when any was added."""
@@ -538,7 +532,6 @@ class RadionuclideSubset:
     trees: list[LineageTree] = field(default_factory=list)
     nodes: dict[Nuclide, NodeData] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    source_id: str = ""
     nuclides_parsed: int = 0  # visits that fetched and parsed their nuclide
     nuclides_reused: int = 0  # visits served from the parse memo
 
@@ -575,7 +568,6 @@ def assemble_subset(
     *,
     simulate_cascade: bool = True,
     visited_cap: int = DEFAULT_VISITED_CAP,
-    source_id: str = "",
     memo: ParseMemo | None = None,
 ) -> RadionuclideSubset:
     """Assemble the complete radionuclide subset (R | Y | S) \\ E.
@@ -660,7 +652,6 @@ def assemble_subset(
         trees=trees,
         nodes=nodes,
         warnings=warnings,
-        source_id=source_id,
         nuclides_parsed=parsed,
         nuclides_reused=visits - parsed,
     )

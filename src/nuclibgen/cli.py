@@ -23,7 +23,7 @@ from .chains import ParseMemo, assemble_subset, render_lineage
 from .config import JobConfig, RunConfig, load_config
 from .dataaccess import AccessConfig, DataStore
 from .errors import InvalidInput, NuclibError
-from .export import export_table, import_library_csv, table_rows
+from .export import export_table, import_library_csv, table_rows, write_text
 from .identify import PeakList, qualify_peaks
 from .library import assemble_library, prune
 from .nuclide import display_name, format_nuclide_id
@@ -124,7 +124,6 @@ def run_job(
                 job.static_nuclides,
                 job.exclusions,
                 store,
-                source_id=access.base_url,
                 memo=memo,
             )
         report.subset_size = len(subset.members)
@@ -149,9 +148,7 @@ def run_job(
             if job.lineage:
                 for chain, tree in zip(subset.recursive_chains, subset.trees):
                     name = format_nuclide_id(chain.progenitor)
-                    path = out_dir / f"lineage_{name}.txt"
-                    path.parent.mkdir(parents=True, exist_ok=True)
-                    path.write_text(render_lineage(tree), encoding="utf-8", newline="\n")
+                    path = write_text(out_dir / f"lineage_{name}.txt", render_lineage(tree))
                     report.outputs.append(str(path))
 
         if job.plot.enabled:
@@ -188,7 +185,6 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
         started_at=time.strftime("%Y-%m-%dT%H:%M:%S%z"),
     )
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     overrides = {
         "offline": config.offline,
@@ -212,10 +208,8 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
         report.jobs = [run_job(job, access, out_dir, memo) for job in config.jobs]
     report.total_seconds = round(time.perf_counter() - t0, 6)
 
-    (out_dir / "report.json").write_text(
-        json.dumps(report.as_dict(), indent=2) + "\n", encoding="utf-8", newline="\n"
-    )
-    (out_dir / "report.txt").write_text(report.as_text(), encoding="utf-8", newline="\n")
+    write_text(out_dir / "report.json", json.dumps(report.as_dict(), indent=2) + "\n")
+    write_text(out_dir / "report.txt", report.as_text())
     return report
 
 

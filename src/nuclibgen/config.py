@@ -113,13 +113,33 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
     raise ConfigParseError(f"{context}: expected a nuclide id or mapping, got {item!r}")
 
 
-def _parse_interval(value, context: str, default: tuple[float, float]) -> tuple[float, float]:
+def _bool(value, default: bool, context: str) -> bool:
+    """A YAML boolean; ``default`` when the key is absent or null."""
     if value is None:
         return default
+    if not isinstance(value, bool):
+        raise ConfigParseError(f"{context}: expected true or false, got {value!r}")
+    return value
+
+
+def _number(value, context: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ConfigParseError(f"{context}: expected a number, got {value!r}") from None
+
+
+def _parse_interval(mapping: dict, key: str, context: str, default):
+    """``mapping[key]`` as a (lo, hi) pair, null meaning unbounded; ``default``
+    when the key is absent or null."""
+    value = mapping.get(key)
+    if value is None:
+        return default
+    context = f"{context}.{key}"
     if not isinstance(value, (list, tuple)) or len(value) != 2:
         raise ConfigParseError(f"{context}: expected [lo, hi]")
-    lo = -INF if value[0] is None else float(value[0])
-    hi = INF if value[1] is None else float(value[1])
+    lo = -INF if value[0] is None else _number(value[0], context)
+    hi = INF if value[1] is None else _number(value[1], context)
     return (lo, hi)
 
 
@@ -129,15 +149,10 @@ def _parse_prune(value, context: str) -> PruneBounds:
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: prune must be a mapping")
     _reject_unknown(value, _PRUNE_KEYS, context)
-    half_life = None
-    if value.get("half_life_seconds") is not None:
-        half_life = _parse_interval(value["half_life_seconds"], context, (0.0, INF))
     bounds = PruneBounds(
-        energy_kev=_parse_interval(value.get("energy_kev"), context, (0.0, INF)),
-        intensity_percent=_parse_interval(
-            value.get("intensity_percent"), context, (0.0, 100.0)
-        ),
-        half_life_seconds=half_life,
+        energy_kev=_parse_interval(value, "energy_kev", context, (0.0, INF)),
+        intensity_percent=_parse_interval(value, "intensity_percent", context, (0.0, 100.0)),
+        half_life_seconds=_parse_interval(value, "half_life_seconds", context, None),
     )
     try:
         bounds.validate()
@@ -162,16 +177,19 @@ def _parse_plot(value, context: str) -> PlotConfig:
         _reject_unknown(win, _WINDOW_KEYS, wctx)
         windows.append(
             PlotWindow(
-                energy_kev=_parse_interval(win.get("energy_kev"), wctx, (0.0, INF)),
+                energy_kev=_parse_interval(win, "energy_kev", wctx, (0.0, INF)),
                 intensity_percent=_parse_interval(
-                    win.get("intensity_percent"), wctx, (0.0, 100.0)
+                    win, "intensity_percent", wctx, (0.0, 100.0)
                 ),
-                annotate=bool(win.get("annotate", True)),
-                annotation_min_intensity=float(win.get("annotation_min_intensity", 10.0)),
+                annotate=_bool(win.get("annotate"), True, f"{wctx}.annotate"),
+                annotation_min_intensity=_number(
+                    win.get("annotation_min_intensity", 10.0),
+                    f"{wctx}.annotation_min_intensity",
+                ),
             )
         )
     return PlotConfig(
-        enabled=bool(value.get("enabled", True)),
+        enabled=_bool(value.get("enabled"), True, f"{context}.enabled"),
         windows=windows,
         marker_registry=value.get("marker_registry"),
     )
@@ -226,7 +244,7 @@ def _parse_job(value, index: int) -> JobConfig:
         prune=_parse_prune(value.get("prune"), f"{context}.prune"),
         outputs=[o.lower() for o in outputs],
         plot=_parse_plot(value.get("plot"), f"{context}.plot"),
-        lineage=bool(value.get("lineage", True)),
+        lineage=_bool(value.get("lineage"), True, f"{context}.lineage"),
     )
 
 
@@ -250,7 +268,7 @@ def load_config(path: Path | str) -> RunConfig:
         raise ConfigParseError(f"{path}: {exc.problem}{where}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigParseError(f"cannot read {path}: {exc}") from exc
 
     if raw is None:
@@ -269,8 +287,8 @@ def load_config(path: Path | str) -> RunConfig:
     return RunConfig(
         jobs=jobs,
         cache_dir=raw.get("cache_dir"),
-        offline=bool(raw.get("offline", False)),
-        registry_enabled=bool(raw.get("registry_enabled", True)),
+        offline=_bool(raw.get("offline"), False, "offline"),
+        registry_enabled=_bool(raw.get("registry_enabled"), True, "registry_enabled"),
         base_url=raw.get("base_url"),
         out_dir=str(raw.get("out_dir", "out")),
     )

@@ -220,38 +220,33 @@ class AccessConfig:
         return cfg
 
 
-class CsvEndpointAdapter:
-    """Adapter for an IAEA-style CSV web endpoint.
+def query_params(key: DatasetKey) -> dict[str, str]:
+    """The IAEA-style CSV endpoint's query for one dataset:
+    nuclides=<A><element> with fields=levels, fields=gammas (transitions) or
+    fields=decay_rads and rad_types=a|bm|bp|g|e|x."""
+    n = key.nuclide
+    nuclide_q = f"{n.mass_number}{n.element.lower()}"
+    if key.kindcode == KIND_LEVELS:
+        return {"fields": "levels", "nuclides": nuclide_q}
+    if key.kindcode == KIND_TRANSITIONS:
+        return {"fields": "gammas", "nuclides": nuclide_q}
+    return {
+        "fields": "decay_rads",
+        "nuclides": nuclide_q,
+        "rad_types": key.radiation.code,
+    }
 
-    Maps a DatasetKey to query parameters (nuclides=<A><element>,
-    fields=decay_rads|levels|gammas, rad_types=a|bm|bp|g|e|x) and decides
-    whether a response body carries data. Alternative data sources plug in
-    by implementing the same two methods.
+
+def is_no_data(body: str) -> bool:
+    """True when the endpoint authoritatively reports no such dataset.
+
+    The endpoint answers "0" (or an empty body, or a bare header) for
+    unknown datasets; those responses are safe to register as absent.
     """
-
-    def query_params(self, key: DatasetKey) -> dict[str, str]:
-        n = key.nuclide
-        nuclide_q = f"{n.mass_number}{n.element.lower()}"
-        if key.kindcode == KIND_LEVELS:
-            return {"fields": "levels", "nuclides": nuclide_q}
-        if key.kindcode == KIND_TRANSITIONS:
-            return {"fields": "gammas", "nuclides": nuclide_q}
-        return {
-            "fields": "decay_rads",
-            "nuclides": nuclide_q,
-            "rad_types": key.radiation.code,
-        }
-
-    def is_no_data(self, body: str) -> bool:
-        """True when the endpoint authoritatively reports no such dataset.
-
-        The endpoint answers "0" (or an empty body, or a bare header) for
-        unknown datasets; those responses are safe to register as absent.
-        """
-        stripped = body.strip()
-        if not stripped or stripped == "0":
-            return True
-        return len(stripped.splitlines()) < 2  # header only, no data rows
+    stripped = body.strip()
+    if not stripped or stripped == "0":
+        return True
+    return len(stripped.splitlines()) < 2  # header only, no data rows
 
 
 @dataclass
@@ -287,9 +282,8 @@ class DataStore:
     a prefetch that nobody collects counts only its network call.
     """
 
-    def __init__(self, cfg: AccessConfig, adapter: CsvEndpointAdapter | None = None):
+    def __init__(self, cfg: AccessConfig):
         self.cfg = cfg
-        self.adapter = adapter or CsvEndpointAdapter()
         self.cache_dir = Path(cfg.cache_dir)
         self.cache_dir.mkdir(parents=True, exist_ok=True)
         self.registry = AbsenceRegistry.load(self.cache_dir / REGISTRY_FILENAME)
@@ -390,7 +384,7 @@ class DataStore:
 
             self._open_session()
             body = self._http_get(key)
-            if self.adapter.is_no_data(body):
+            if is_no_data(body):
                 if self.cfg.registry_enabled:
                     self._record_absent(key)
                 return None, None
@@ -416,7 +410,7 @@ class DataStore:
         try:
             resp = self._session.get(
                 self.cfg.base_url,
-                params=self.adapter.query_params(key),
+                params=query_params(key),
                 timeout=self.cfg.timeout_s,
             )
         except requests.RequestException as exc:

@@ -40,7 +40,7 @@ class RegistryIoError(NuclibError):
 # --- dataset parsing ---------------------------------------------------------
 
 class HeaderMismatch(NuclibError):
-    """A raw dataset lacks columns required by the endpoint adapter."""
+    """A raw dataset lacks columns required by the endpoint's CSV contract."""
 
 
 class NuclideMismatch(NuclibError):

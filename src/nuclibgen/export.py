@@ -44,6 +44,19 @@ CSV_COLUMNS = (
 TABLE_FORMATS = ("csv", "html", "xml", "tex", "json")
 
 
+def write_text(path: Path | str, content: str) -> Path:
+    """Write ``content`` to ``path`` as UTF-8 with LF endings, creating the
+    parent directories; every output file of a run is written here. Raises
+    IoError when the file cannot be written."""
+    path = Path(path)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(content, encoding="utf-8", newline="\n")
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc}") from exc
+    return path
+
+
 def _num(value: float | None) -> str:
     if value is None:
         return ""
@@ -236,14 +249,7 @@ def export_table(
 ) -> Path:
     """Write the library as csv/html/xml/tex/json; byte-deterministic.
     ``rows`` as for render_table."""
-    content = render_table(lib, fmt, rows)
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(path, render_table(lib, fmt, rows))
 
 
 def import_library_csv(path: Path | str) -> RadionuclideLibrary:
@@ -438,11 +444,4 @@ def export_template(
     The template is rendered fully before the file is opened, so a template
     error never leaves a partial file behind.
     """
-    content = render_template(lib, template)
-    path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
-    return path
+    return write_text(path, render_template(lib, template))

@@ -37,24 +37,29 @@ class PeakList:
     def load_csv(cls, path: Path | str) -> "PeakList":
         """Read 'centroid_kev[,net_area]' rows; a header row is optional.
 
-        A row whose first cell is not a number (a header or a comment) is
-        skipped. Raises InvalidInput for an unreadable file and, with its line
-        number, for a row whose centroid or net area is invalid.
+        Blank lines and lines starting with '#' are skipped, and so is a first
+        row whose centroid is not a number (a header). Raises InvalidInput for
+        an unreadable file and, with its line number, for any other row whose
+        centroid or net area is invalid.
         """
         try:
             text = Path(path).read_text(encoding="utf-8-sig")
         except (OSError, UnicodeDecodeError) as exc:
             raise InvalidInput(f"cannot read peak list {path}: {exc}") from exc
         peaks = []
+        first = True
         reader = csv.reader(io.StringIO(text))
         try:
             for row in reader:
-                if not row or not row[0].strip():
+                if not row or not row[0].strip() or row[0].lstrip().startswith("#"):
                     continue
+                header, first = first, False
                 try:
                     centroid = float(row[0])
-                except ValueError:
-                    continue  # header or comment line
+                except ValueError as exc:
+                    if header:
+                        continue
+                    raise InvalidInput(f"{path} line {reader.line_num}: {exc}") from exc
                 try:
                     area = float(row[1]) if len(row) > 1 and row[1].strip() else None
                     peaks.append(Peak(centroid, area))

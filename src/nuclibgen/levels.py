@@ -1,5 +1,4 @@
-"""Energy level feasibility validation by cascade simulation, plus isomer
-inference.
+"""Energy level feasibility validation by cascade simulation.
 
 A daughter nuclide is populated at the levels its parents feed directly; the
 remaining reachable levels are established by simulating electromagnetic
@@ -11,9 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nuclide import DecayMode, EnergyIndex, EnergyValue, Nuclide
+from .nuclide import EnergyIndex, EnergyValue, Nuclide
 from .nuclide import energies_match  # noqa: F401  (re-exported)
-from .records import LevelRecord, LevelScheme
+from .records import LevelScheme
 
 
 @dataclass
@@ -29,16 +28,6 @@ class FlattenedLevels:
 
     def contains(self, energy: EnergyValue) -> bool:
         return bool(self._index.matches(energy))
-
-
-@dataclass(frozen=True)
-class LevelOutcome:
-    """Feasibility verdict for one level of a nuclide's level dataset."""
-
-    level: LevelRecord
-    feasible: bool
-    modes: tuple[tuple[DecayMode, float], ...]
-    is_isomer: bool
 
 
 def _dedup_desc(values: list[EnergyValue]) -> list[EnergyValue]:
@@ -106,22 +95,3 @@ def flatten_levels(
         visited = list(inherited)
     return FlattenedLevels(nuclide=nuclide, all=_dedup_desc(inherited + visited))
 
-
-def infer_level_outcomes(
-    flat: FlattenedLevels, scheme: LevelScheme
-) -> list[LevelOutcome]:
-    """Feasibility and isomer verdicts for every level in the dataset.
-
-    A level is feasible iff it is in the flattened set; an isomer iff
-    ``LevelRecord.is_isomer`` (excited, half-life of at least 1 ns). Isomer
-    inference needs no extra data pass: it reuses the flattened levels.
-    """
-    return [
-        LevelOutcome(
-            level=record,
-            feasible=flat.contains(record.energy),
-            modes=record.decay_modes,
-            is_isomer=record.is_isomer,
-        )
-        for record in sorted(scheme.levels, key=lambda r: r.energy.kev, reverse=True)
-    ]

@@ -42,7 +42,7 @@ class PruneBounds:
             ("intensity_percent", self.intensity_percent),
             ("half_life_seconds", self.half_life_seconds),
         ):
-            if interval is not None and interval[0] > interval[1]:
+            if interval is not None and not interval[0] <= interval[1]:
                 raise InvertedBounds(f"{name}: lo {interval[0]} > hi {interval[1]}")
 
 
@@ -53,15 +53,6 @@ class RadionuclideLibrary:
     radiation: RadiationType
     entries: list[LibraryEntry]
     bounds: PruneBounds = field(default_factory=PruneBounds)
-    provenance: dict = field(default_factory=dict)
-
-    def emitters(self) -> list[Nuclide]:
-        """Distinct entry nuclides in entry order."""
-        seen: list[Nuclide] = []
-        for entry in self.entries:
-            if entry.nuclide not in seen:
-                seen.append(entry.nuclide)
-        return seen
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -169,11 +160,7 @@ def assemble_library(
         entries.extend(_member_entries(member, node, radiation, subset.nodes, sink))
 
     entries.sort(key=_entry_sort_key(order))
-    return RadionuclideLibrary(
-        radiation=radiation,
-        entries=entries,
-        provenance={"source": subset.source_id, "members": len(subset.members)},
-    )
+    return RadionuclideLibrary(radiation=radiation, entries=entries)
 
 
 def _within(value: float, interval: tuple[float, float]) -> bool:
@@ -205,14 +192,4 @@ def prune(lib: RadionuclideLibrary, bounds: PruneBounds) -> RadionuclideLibrary:
             if not _within(seconds, bounds.half_life_seconds):
                 continue
         kept.append(entry)
-    provenance = dict(lib.provenance)
-    provenance["bounds"] = {
-        "energy_kev": list(bounds.energy_kev),
-        "intensity_percent": list(bounds.intensity_percent),
-        "half_life_seconds": (
-            list(bounds.half_life_seconds) if bounds.half_life_seconds else None
-        ),
-    }
-    return RadionuclideLibrary(
-        radiation=lib.radiation, entries=kept, bounds=bounds, provenance=provenance
-    )
+    return RadionuclideLibrary(radiation=lib.radiation, entries=kept, bounds=bounds)

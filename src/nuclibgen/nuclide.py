@@ -17,16 +17,6 @@ from .errors import MalformedId, MassOutOfRange, UnknownElement
 MAX_MASS_NUMBER = 300
 _INF = float("inf")
 
-SECONDS_PER_YEAR = 365.2422 * 86400.0
-
-_TIME_UNIT_S = {
-    "s": 1.0,
-    "m": 60.0,
-    "h": 3600.0,
-    "d": 86400.0,
-    "y": SECONDS_PER_YEAR,
-}
-
 
 @dataclass(frozen=True)
 class LevelSpec:
@@ -221,19 +211,6 @@ class HalfLife:
     @staticmethod
     def stable() -> "HalfLife":
         return HalfLife(None)
-
-    @staticmethod
-    def from_value(value: float, unit: str, uncertainty: float = 0.0) -> "HalfLife":
-        try:
-            factor = _TIME_UNIT_S[unit]
-        except KeyError:
-            raise ValueError(f"unknown time unit: {unit!r}") from None
-        return HalfLife(value * factor, uncertainty * factor)
-
-    def in_unit(self, unit: str) -> float:
-        if self.is_stable:
-            raise ValueError("stable nuclide has no finite half-life")
-        return self.seconds / _TIME_UNIT_S[unit]
 
 
 # Accepted identifier spellings, case-insensitive:

@@ -16,7 +16,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import InvalidInput, IoError, MalformedId
+from .errors import InvalidInput, MalformedId
+from .export import write_text
 from .library import RadionuclideLibrary
 from .nuclide import Nuclide, display_name, parse_nuclide_id
 
@@ -312,10 +313,4 @@ def plot_library(
     svg.append("</g>")
     svg.append("</svg>")
 
-    out = Path(path)
-    try:
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text("\n".join(svg) + "\n", encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise IoError(f"cannot write {out}: {exc}") from exc
-    return out
+    return write_text(path, "\n".join(svg) + "\n")

@@ -1,6 +1,6 @@
 """Parse raw CSV datasets into typed records.
 
-The endpoint adapter's CSV contract:
+The endpoint's CSV contract:
 
 decay radiation (dr-*)::
 

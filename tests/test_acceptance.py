@@ -82,7 +82,7 @@ def test_criterion_02_ac225_alpha_emitters(primed_store):
 
     subset = assemble_subset([parse_nuclide_id("225ac")], [], [], primed_store)
     lib = prune(assemble_library(subset, RadiationType.ALPHA), ALPHA_BOUNDS)
-    emitters = {str(n) for n in lib.emitters()}
+    emitters = {str(e.nuclide) for e in lib.entries}
     assert emitters == {"225ac", "221fr", "217at", "213bi", "213po"}
     print("PASS criterion 2: Ac-225 alpha emitters exactly "
           "{Ac-225, Fr-221, At-217, Bi-213, Po-213} at >= 0.001%")
@@ -93,12 +93,12 @@ def test_criterion_03_isomer_inference_and_cascade_regression(primed_store):
     assert "99tc@m" in ids(subset.members)
 
     node = subset.nodes[parse_nuclide_id("99tc")]
-    isomer_outcome = next(
-        o for o in node.outcomes
-        if abs(o.level.energy.kev - 142.6836) < 0.01
+    isomer = next(
+        record for record in node.scheme.levels
+        if abs(record.energy.kev - 142.6836) < 0.01
     )
-    assert isomer_outcome.feasible and isomer_outcome.is_isomer
-    assert {m for m, _ in isomer_outcome.modes} == {
+    assert node.flattened.contains(isomer.energy) and isomer.is_isomer
+    assert {m for m, _ in isomer.decay_modes} == {
         DecayMode.IT, DecayMode.BETA_MINUS
     }
 
@@ -235,7 +235,7 @@ def test_criterion_07_lu177m_job(primed_store):
     subset = assemble_subset([parse_nuclide_id("177lu@m4")], [], [],
                              primed_store)
     lib = assemble_library(subset, RadiationType.GAMMA)
-    emitters = {str(n) for n in lib.emitters()}
+    emitters = {str(e.nuclide) for e in lib.entries}
     assert "177lu@m4" in emitters, "the designated m4 isomer emits"
     assert "177lu" in emitters, "its ground-state daughter is included"
     member = next(m for m in subset.nodes[parse_nuclide_id("177lu")].members

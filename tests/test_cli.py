@@ -261,6 +261,50 @@ jobs:
     assert (out / "library_lu_g.svg").exists()
 
 
+def test_unwritable_lineage_file_fails_only_its_job(tmp_path, corpus_dir):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    out = tmp_path / "out"
+    (out / "lineage_99mo.txt").mkdir(parents=True)
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: mo
+    recursive_progenitors: [99Mo]
+    radiation: gamma
+  - name: lu
+    recursive_progenitors: [177Lu@m4]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    by_name = {j["name"]: j for j in report["jobs"]}
+    assert by_name["mo"]["error"].startswith(
+        f"IoError: cannot write {out / 'lineage_99mo.txt'}: ")
+    assert by_name["lu"]["ok"]
+    assert (out / "report.txt").exists()
+
+
+def test_out_dir_that_is_a_file_is_one_error_line(tmp_path, corpus_dir, capsys):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    out = tmp_path / "out"
+    out.write_text("not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: ra
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: IoError: cannot write {out / 'report.json'}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
     offline and qualifies peaks without loading the HTTP stack."""

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 import yaml
 
@@ -188,6 +190,49 @@ jobs:
   - recursive_progenitors: [238U]
     prune: {energy_kev: [100, 10]}
 """))
+
+
+@pytest.mark.parametrize("section, key", [
+    ("prune: {energy_kev: [a, 1]}", "jobs[0].prune.energy_kev"),
+    ("prune: {half_life_seconds: [1, b]}", "jobs[0].prune.half_life_seconds"),
+    ("prune: {energy_kev: [.nan, 1000]}", "energy_kev"),
+    ("plot: {windows: [{intensity_percent: [0, x]}]}",
+     "jobs[0].plot.windows[0].intensity_percent"),
+    ("plot: {windows: [{annotation_min_intensity: abc}]}",
+     "jobs[0].plot.windows[0].annotation_min_intensity"),
+], ids=["energy", "half-life", "nan-bound", "window-intensity", "annotation-min"])
+def test_bad_number_names_its_key(tmp_path, section, key):
+    with pytest.raises(ConfigParseError, match=re.escape(key)):
+        load_config(write(tmp_path, f"""
+jobs:
+  - recursive_progenitors: [238U]
+    {section}
+"""))
+
+
+@pytest.mark.parametrize("top, job, key", [
+    ('offline: "false"', "", "offline"),
+    ("registry_enabled: 0", "", "registry_enabled"),
+    ("", "lineage: 'no'", "jobs[0].lineage"),
+    ("", "plot: {enabled: 1}", "jobs[0].plot.enabled"),
+    ("", "plot: {windows: [{annotate: 'true'}]}", "jobs[0].plot.windows[0].annotate"),
+], ids=["offline", "registry_enabled", "lineage", "plot-enabled", "annotate"])
+def test_switch_that_is_not_a_yaml_boolean_is_rejected(tmp_path, top, job, key):
+    with pytest.raises(ConfigParseError, match=re.escape(key) + ": expected true or false"):
+        load_config(write(tmp_path, f"""
+{top}
+jobs:
+  - recursive_progenitors: [238U]
+    {job}
+"""))
+
+
+def test_config_not_utf8_is_a_parse_error(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_bytes("jobs:\n  - name: café\n    recursive_progenitors: [238U]\n"
+                     .encode("latin-1"))
+    with pytest.raises(ConfigParseError, match="cannot read"):
+        load_config(path)
 
 
 def test_bare_job_list_accepted(tmp_path):

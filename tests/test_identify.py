@@ -124,6 +124,7 @@ def test_peak_rejects_non_finite_or_negative_centroid(centroid):
     ("100,abc\n", 1),
     ("centroid_kev\n# comment\n50\n10,nan\n", 4),
     ("inf\n", 1),
+    ("100\n1OO.5\n200\n", 2),
 ])
 def test_bad_peak_row_names_its_line(tmp_path, text, line):
     path = tmp_path / "peaks.csv"

@@ -1,7 +1,7 @@
 import pytest
 
 from nuclibgen.dataaccess import DatasetKey
-from nuclibgen.levels import cascade_visit, flatten_levels, infer_level_outcomes
+from nuclibgen.levels import cascade_visit, flatten_levels
 from nuclibgen.nuclide import DecayMode, EnergyValue, LevelSpec, Nuclide
 from nuclibgen.records import LevelRecord, LevelScheme, TransitionRecord, parse_level_scheme
 from nuclibgen.chains import resolve_level_spec
@@ -98,24 +98,25 @@ def test_lu177_m4_resolves_to_paper_energy(primed_store):
 
 
 def test_outcomes_tc99_isomer(tc99):
+    """A level is feasible iff the flattened set contains it, and an isomer
+    iff its record says so."""
     flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(142.6836)], tc99)
-    outcomes = infer_level_outcomes(flat, tc99)
-    by_kev = {o.level.energy.kev: o for o in outcomes}
+    by_kev = {record.energy.kev: record for record in tc99.levels}
 
     isomer = by_kev[142.6836]
-    assert isomer.feasible and isomer.is_isomer
-    assert {m for m, _ in isomer.modes} == {DecayMode.IT, DecayMode.BETA_MINUS}
+    assert flat.contains(isomer.energy) and isomer.is_isomer
+    assert {m for m, _ in isomer.decay_modes} == {DecayMode.IT, DecayMode.BETA_MINUS}
 
     ground = by_kev[0.0]
-    assert ground.feasible and not ground.is_isomer
-    assert {m for m, _ in ground.modes} == {DecayMode.BETA_MINUS}
+    assert flat.contains(ground.energy) and not ground.is_isomer
+    assert {m for m, _ in ground.decay_modes} == {DecayMode.BETA_MINUS}
 
     # 140.511 keV: reached by cascade, too short-lived to be an isomer
     medical = by_kev[140.511]
-    assert medical.feasible and not medical.is_isomer
+    assert flat.contains(medical.energy) and not medical.is_isomer
 
     # unfed high level is excluded
-    assert not by_kev[920.619].feasible or 920.619 in {
+    assert not flat.contains(by_kev[920.619].energy) or 920.619 in {
         e.kev for e in flat.all
     }
 
@@ -128,12 +129,5 @@ def test_outcomes_ground_only_nuclide():
                             decay_modes=((DecayMode.BETA_MINUS, 100.0),))],
     )
     flat = flatten_levels(n, [EnergyValue(0.0)], scheme)
-    outcomes = infer_level_outcomes(flat, scheme)
-    assert len(outcomes) == 1
-    assert outcomes[0].feasible and not outcomes[0].is_isomer
-
-
-def test_feasible_iff_in_flattened(tc99):
-    flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(142.6836)], tc99)
-    for outcome in infer_level_outcomes(flat, tc99):
-        assert outcome.feasible == flat.contains(outcome.level.energy)
+    [ground] = scheme.levels
+    assert flat.contains(ground.energy) and not ground.is_isomer

@@ -87,13 +87,6 @@ def test_parse_format_round_trip(nuclide):
     assert parse_nuclide_id(format_nuclide_id(nuclide)) == nuclide
 
 
-@given(st.floats(min_value=1e-9, max_value=1e12,
-                 allow_nan=False, allow_infinity=False))
-def test_half_life_year_second_round_trip(years):
-    back = HalfLife(HalfLife.from_value(years, "y").seconds).in_unit("y")
-    assert abs(back - years) <= years * 1e-9
-
-
 # --- Eq-style subset algebra over the fixture corpus ---------------------------
 
 ROOT_POOL = ("225ac", "99mo", "232th", "226ra", "212pb", "40k")
@@ -372,13 +365,22 @@ peak_cells = st.one_of(
 
 
 def expected_peaks(rows):
-    """Reference reading of peak rows: (peaks, line of the first bad row)."""
+    """Reference reading of peak rows: (peaks, line of the first bad row).
+    Blank rows and '#' rows are skipped, and so is a first row whose centroid
+    is not a number (a header); any later non-numeric centroid is bad."""
     peaks = []
+    header = True
     for line, row in enumerate(rows, start=1):
+        if not row or not row[0].strip() or row[0].strip().startswith("#"):
+            continue
         try:
             centroid = float(row[0])
-        except (IndexError, ValueError):
-            continue
+        except ValueError:
+            if header:
+                header = False
+                continue
+            return peaks, line
+        header = False
         area_cell = row[1] if len(row) > 1 else ""
         try:
             area = float(area_cell) if area_cell.strip() else None

@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Build the committed fixture corpora (fixtures/ and tests/data/mini/).
 
-The files follow the endpoint adapter's CSV contract and the cache file
+The files follow the endpoint's CSV contract and the cache file
 layout, so tests can either prime a cache directory with them or serve them
 from the mock HTTP server. Evaluated key values (energies, intensities,
 levels, half-lives, chain structure, branchings) are embedded verbatim;
