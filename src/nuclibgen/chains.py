@@ -5,7 +5,9 @@ datasets (six decay-radiation kinds, levels, transitions), then reads them in
 that order: it parses the decay records, tallies the daughters, and reads the
 transitions only when the levels exist. `_settle` flattens the levels fed to
 it (ground when none) and resolves its level-resolved chain members, isomers
-included (for example Pa-234m and Pa-234 from one visited nuclide).
+included (for example Pa-234m and Pa-234 from one visited nuclide). It reads
+the cascade graph and isomer list the level scheme built when it was parsed,
+so its cascade makes one level lookup per fed level.
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
@@ -322,7 +324,7 @@ def resolve_level_spec(spec: LevelSpec, scheme: LevelScheme | None) -> EnergyVal
         raise DataUnavailable(
             "metastable ordinal cannot be resolved without a level dataset"
         )
-    isomers = scheme.isomer_levels()
+    isomers = scheme.isomers
     if spec.ordinal > len(isomers):
         raise DataUnavailable(
             f"{scheme.nuclide}: no isomer with ordinal m{spec.ordinal} "
@@ -335,7 +337,7 @@ def _member_identity(node: NodeData, level: EnergyValue) -> Nuclide:
     """The member identity of a feasible decaying level: its 'm' ordinal when
     the level is an isomer, else its energy (none for the ground state)."""
     if node.scheme is not None:
-        for ordinal, record in enumerate(node.scheme.isomer_levels(), start=1):
+        for ordinal, record in enumerate(node.scheme.isomers, start=1):
             if energies_match(record.energy, level):
                 return node.nuclide.at_level(LevelSpec.meta(ordinal))
     if level.kev == 0:

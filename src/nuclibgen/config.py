@@ -8,11 +8,12 @@ to remove.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isfinite
 from pathlib import Path
 
 import yaml
 
-from .errors import ConfigParseError, InvertedBounds, MalformedId, UnknownKey
+from .errors import ConfigParseError, MalformedId, UnknownKey
 from .library import INF, PruneBounds
 from .nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 from .plot import PlotWindow
@@ -122,6 +123,15 @@ def _bool(value, default: bool, context: str) -> bool:
     return value
 
 
+def _str(value, default: str | None, context: str) -> str | None:
+    """A YAML string; ``default`` when the key is absent or null."""
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise ConfigParseError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
 def _number(value, context: str) -> float:
     try:
         return float(value)
@@ -130,8 +140,8 @@ def _number(value, context: str) -> float:
 
 
 def _parse_interval(mapping: dict, key: str, context: str, default):
-    """``mapping[key]`` as a (lo, hi) pair, null meaning unbounded; ``default``
-    when the key is absent or null."""
+    """``mapping[key]`` as a (lo, hi) pair with lo <= hi, null meaning
+    unbounded; ``default`` when the key is absent or null."""
     value = mapping.get(key)
     if value is None:
         return default
@@ -140,6 +150,8 @@ def _parse_interval(mapping: dict, key: str, context: str, default):
         raise ConfigParseError(f"{context}: expected [lo, hi]")
     lo = -INF if value[0] is None else _number(value[0], context)
     hi = INF if value[1] is None else _number(value[1], context)
+    if not lo <= hi:
+        raise ConfigParseError(f"{context}: expected lo <= hi, got [{lo}, {hi}]")
     return (lo, hi)
 
 
@@ -149,16 +161,11 @@ def _parse_prune(value, context: str) -> PruneBounds:
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: prune must be a mapping")
     _reject_unknown(value, _PRUNE_KEYS, context)
-    bounds = PruneBounds(
+    return PruneBounds(
         energy_kev=_parse_interval(value, "energy_kev", context, (0.0, INF)),
         intensity_percent=_parse_interval(value, "intensity_percent", context, (0.0, 100.0)),
         half_life_seconds=_parse_interval(value, "half_life_seconds", context, None),
     )
-    try:
-        bounds.validate()
-    except InvertedBounds as exc:
-        raise ConfigParseError(f"{context}: {exc}") from exc
-    return bounds
 
 
 def _parse_plot(value, context: str) -> PlotConfig:
@@ -175,6 +182,11 @@ def _parse_plot(value, context: str) -> PlotConfig:
         if not isinstance(win, dict):
             raise ConfigParseError(f"{wctx}: expected a mapping")
         _reject_unknown(win, _WINDOW_KEYS, wctx)
+        minimum = _number(win.get("annotation_min_intensity", 10.0),
+                          f"{wctx}.annotation_min_intensity")
+        if not isfinite(minimum):
+            raise ConfigParseError(
+                f"{wctx}.annotation_min_intensity: expected a finite number, got {minimum}")
         windows.append(
             PlotWindow(
                 energy_kev=_parse_interval(win, "energy_kev", wctx, (0.0, INF)),
@@ -182,16 +194,14 @@ def _parse_plot(value, context: str) -> PlotConfig:
                     win, "intensity_percent", wctx, (0.0, 100.0)
                 ),
                 annotate=_bool(win.get("annotate"), True, f"{wctx}.annotate"),
-                annotation_min_intensity=_number(
-                    win.get("annotation_min_intensity", 10.0),
-                    f"{wctx}.annotation_min_intensity",
-                ),
+                annotation_min_intensity=minimum,
             )
         )
     return PlotConfig(
         enabled=_bool(value.get("enabled"), True, f"{context}.enabled"),
         windows=windows,
-        marker_registry=value.get("marker_registry"),
+        marker_registry=_str(value.get("marker_registry"), None,
+                             f"{context}.marker_registry"),
     )
 
 
@@ -200,7 +210,9 @@ def _parse_job(value, index: int) -> JobConfig:
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: expected a mapping")
     _reject_unknown(value, _JOB_KEYS, context)
-    name = str(value.get("name") or f"job{index + 1}")
+    name = _str(value.get("name"), "", f"{context}.name") or f"job{index + 1}"
+    if "/" in name or "\\" in name:
+        raise ConfigParseError(f"{context}.name: {name!r} contains a path separator")
 
     try:
         progenitors = [
@@ -283,12 +295,17 @@ def load_config(path: Path | str) -> RunConfig:
     if not jobs_raw or not isinstance(jobs_raw, list):
         raise ConfigParseError(f"{path}: 'jobs' must be a non-empty list")
     jobs = [_parse_job(job, i) for i, job in enumerate(jobs_raw)]
+    names: set[str] = set()
+    for i, job in enumerate(jobs):
+        if job.name in names:
+            raise ConfigParseError(f"jobs[{i}].name: {job.name!r} names an earlier job too")
+        names.add(job.name)
 
     return RunConfig(
         jobs=jobs,
-        cache_dir=raw.get("cache_dir"),
+        cache_dir=_str(raw.get("cache_dir"), None, "cache_dir"),
         offline=_bool(raw.get("offline"), False, "offline"),
         registry_enabled=_bool(raw.get("registry_enabled"), True, "registry_enabled"),
-        base_url=raw.get("base_url"),
-        out_dir=str(raw.get("out_dir", "out")),
+        base_url=_str(raw.get("base_url"), None, "base_url"),
+        out_dir=_str(raw.get("out_dir"), "out", "out_dir"),
     )

@@ -54,6 +54,7 @@ KIND_LEVELS = "lv"
 KIND_TRANSITIONS = "tr"
 
 _DECAY_KINDCODES = {rad: f"dr-{rad.code}" for rad in RadiationType}
+_KINDCODES = frozenset(_DECAY_KINDCODES.values()) | {KIND_LEVELS, KIND_TRANSITIONS}
 
 
 @dataclass(frozen=True)
@@ -68,8 +69,7 @@ class DatasetKey:
 
     def __post_init__(self):
         object.__setattr__(self, "nuclide", self.nuclide.ground_state)
-        valid = set(_DECAY_KINDCODES.values()) | {KIND_LEVELS, KIND_TRANSITIONS}
-        if self.kindcode not in valid:
+        if self.kindcode not in _KINDCODES:
             raise ValueError(f"unknown dataset kind: {self.kindcode!r}")
 
     @staticmethod

@@ -4,6 +4,10 @@ A daughter nuclide is populated at the levels its parents feed directly; the
 remaining reachable levels are established by simulating electromagnetic
 transitions downward until the lowest energy is observed. Levels outside the
 flattened set are unfeasible and their radiation is excluded downstream.
+
+A cascade looks up each start level once, then follows the integer edges its
+LevelScheme resolved when built. In a hand-built scheme an end that matches no
+level is a node of its own, left by the transitions whose start matches it.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ class FlattenedLevels:
         self._index = EnergyIndex(self.all)
 
     def contains(self, energy: EnergyValue) -> bool:
-        return bool(self._index.matches(energy))
+        return self._index.has_match(energy)
 
 
 def _dedup_desc(values: list[EnergyValue]) -> list[EnergyValue]:
@@ -49,10 +53,10 @@ def cascade_visit(
     (reported through ``warnings``) but cannot seed transitions.
     """
     visited: list[EnergyValue] = []
-    frontier: list[EnergyValue] = []
+    frontier: list[int] = []
     for start in start_levels:
-        record = scheme.find_level(start)
-        if record is None:
+        position = scheme.position(start)
+        if position is None:
             if warnings is not None:
                 warnings.append(
                     f"{scheme.nuclide}: start level {start.kev} keV matches no "
@@ -60,18 +64,16 @@ def cascade_visit(
                 )
             visited.append(start)
             continue
-        visited.append(record.energy)
-        frontier.append(record.energy)
+        visited.append(scheme.nodes[position])
+        frontier.append(position)
 
     seen = {e.kev for e in visited}
     while frontier:
-        current = frontier.pop()
-        for transition in scheme.transitions_from(current):
-            record = scheme.find_level(transition.end_level)
-            end = record.energy if record is not None else transition.end_level
-            if end.kev not in seen:
-                seen.add(end.kev)
-                visited.append(end)
+        for end in scheme.edges[frontier.pop()]:
+            energy = scheme.nodes[end]
+            if energy.kev not in seen:
+                seen.add(energy.kev)
+                visited.append(energy)
                 frontier.append(end)
     return _dedup_desc(visited)
 

@@ -89,10 +89,11 @@ def _member_entries(
     warnings: list[str],
 ) -> list[LibraryEntry]:
     entries = []
+    level = EnergyValue(member.level_kev)
     for rec in node.records:
         if rec.radiation is not radiation:
             continue
-        if not energies_match(rec.parent_level, EnergyValue(member.level_kev)):
+        if not energies_match(rec.parent_level, level):
             continue
         flags = set(rec.flags)
         if member.unvalidated:

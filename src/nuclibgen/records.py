@@ -35,6 +35,9 @@ are ignored, and an optional cell that is absent, short or blank reads as
 empty. In a level row an unknown decay code drops only that mode. A
 transition row of another nuclide raises NuclideMismatch; an upward or
 unresolvable transition is excluded with a warning.
+
+A LevelScheme is resolved into a cascade graph once, when it is built; the
+parser looks up each distinct transition start or end once, in one level index.
 """
 
 from __future__ import annotations
@@ -54,6 +57,7 @@ from .nuclide import (
     HalfLife,
     Nuclide,
     RadiationType,
+    energies_match,
 )
 
 FLAG_NO_INTENSITY = "no-intensity"
@@ -125,8 +129,14 @@ class TransitionRecord:
 
 @dataclass
 class LevelScheme:
-    """A nuclide's energy levels plus its electromagnetic transition table. The
-    constructor indexes both lists: pass final lists, later appends are unseen."""
+    """A nuclide's energy levels plus its electromagnetic transition table,
+    resolved into a cascade graph when built: pass final lists.
+
+    Node i is ``levels[i]``, with energy ``nodes[i]``, and ``edges[i]`` lists in
+    table order the end nodes of the transitions whose start matches node i. A
+    transition ends at the node of find_level(end). An end that matches no
+    level (only in a hand-built scheme: the parser excludes such rows) is a node
+    of its own past the levels, left by the transitions whose start matches it."""
 
     nuclide: Nuclide
     levels: list[LevelRecord] = field(default_factory=list)
@@ -134,28 +144,49 @@ class LevelScheme:
 
     def __post_init__(self):
         self._level_index = EnergyIndex([l.energy for l in self.levels])
-        self._start_index = EnergyIndex([t.start_level for t in self.transitions])
+        self._hits: dict[EnergyValue, list[int]] = {}
+        # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
+        self.isomers = sorted(
+            (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
+        )
+        self._link()
+
+    def _matches(self, energy: EnergyValue) -> list[int]:
+        """Positions of the levels matching ``energy``, looked up once per energy."""
+        found = self._hits.get(energy)
+        if found is None:
+            found = self._hits[energy] = self._level_index.matches(energy)
+        return found
+
+    def _link(self) -> None:
+        self.nodes = [record.energy for record in self.levels]
+        self.edges = [[] for _ in self.levels]
+        ends: dict[EnergyValue, int] = {}
+        for t in self.transitions:
+            end = ends.get(t.end_level)
+            if end is None:
+                end = self.position(t.end_level)
+                if end is None:
+                    end = len(self.nodes)
+                    self.nodes.append(t.end_level)
+                ends[t.end_level] = end
+            for i in self._matches(t.start_level):
+                self.edges[i].append(end)
+        self.edges += [
+            [ends[t.end_level] for t in self.transitions if energies_match(t.start_level, node)]
+            for node in self.nodes[len(self.levels):]
+        ]
+
+    def position(self, energy: EnergyValue) -> int | None:
+        """The position in ``levels`` of find_level(energy), or None."""
+        return min(self._matches(energy), default=None,
+                   key=lambda i: abs(self.levels[i].energy.kev - energy.kev))
 
     def find_level(self, energy: EnergyValue) -> LevelRecord | None:
         """The closest level matching ``energy`` within tolerance, or None;
         of equally close levels the earliest in ``levels`` wins."""
-        matches = (self.levels[i] for i in self._level_index.matches(energy))
-        return min(matches, key=lambda l: abs(l.energy.kev - energy.kev), default=None)
-
-    def has_level(self, energy: EnergyValue) -> bool:
-        """Whether some level matches ``energy``: find_level(energy) is not None."""
-        return self._level_index.has_match(energy)
-
-    def transitions_from(self, energy: EnergyValue) -> list[TransitionRecord]:
-        """Transitions whose start level matches ``energy``, in table order."""
-        return [self.transitions[i] for i in self._start_index.matches(energy)]
-
-    def isomer_levels(self) -> list[LevelRecord]:
-        """Isomer levels ascending in energy; the ordinal index (1-based) is
-        the 'm' numbering."""
-        return sorted(
-            (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
-        )
+        i = self.position(energy)
+        return None if i is None else self.levels[i]
 
 
 def _require_columns(header: list[str], required: tuple[str, ...], key: str) -> None:
@@ -235,6 +266,20 @@ def _energy(memo: dict, kev: str | None, unc: str | None) -> EnergyValue:
     return energy
 
 
+def _levels(memo: dict, *cells: str | None) -> list[EnergyValue | None]:
+    """The zero-uncertainty energies of optional level cells, built once per
+    distinct text in ``memo``. As in one pass over the floats and then one
+    over the energies, a bad number is reported before a negative one."""
+    try:
+        return [memo[text] for text in cells]
+    except KeyError:
+        values = [_opt_float(text) for text in cells]
+        for text, value in zip(cells, values):
+            if text not in memo:
+                memo[text] = None if value is None else EnergyValue(value)
+        return [memo[text] for text in cells]
+
+
 _NO_FLAGS = frozenset()
 _FLAGS_NO_INTENSITY = frozenset({FLAG_NO_INTENSITY})
 _FLAGS_NO_UNCERTAINTY = frozenset({FLAG_NO_UNCERTAINTY})
@@ -261,6 +306,7 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
     warnings: list[str] = []
     nuclides: dict = {}
     energies: dict = {}
+    levels: dict = {}
     modes: dict = {}
     half_lives: dict = {}
     for lineno, row in rows:
@@ -296,27 +342,11 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
                     half_life = HalfLife(seconds, _opt_float(unc_hls) or 0.0)
                 half_lives[hl_s, unc_hls] = half_life
 
-            fed = _opt_float(fed)
-            start = _opt_float(start)
-            end = _opt_float(end)
-            records.append(
-                DecayRecord(
-                    parent=parent,
-                    parent_level=parent_level,
-                    radiation=rad,
-                    energy=energy,
-                    intensity_percent=intensity,
-                    intensity_unc=intensity_unc or 0.0,
-                    daughter=daughter,
-                    daughter_feeding_level=None if fed is None else EnergyValue(fed),
-                    decay_mode=mode,
-                    branching_percent=branching,
-                    half_life=half_life,
-                    start_level=None if start is None else EnergyValue(start),
-                    end_level=None if end is None else EnergyValue(end),
-                    flags=flags,
-                )
-            )
+            fed, start, end = _levels(levels, fed, start, end)
+            records.append(DecayRecord(
+                parent, parent_level, rad, energy, intensity, intensity_unc or 0.0,
+                daughter, fed, mode, branching, half_life, start, end, flags,
+            ))
         except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{raw.key.serialize()} line {lineno}: {exc}")
     return records, warnings
@@ -361,13 +391,7 @@ def _parse_level_row(
             continue
         modes.append((mode, pct if pct is not None else 0.0))
 
-    return LevelRecord(
-        nuclide=nuclide,
-        energy=energy,
-        jpi=(jp or "").strip() or None,
-        half_life=half_life,
-        decay_modes=tuple(modes),
-    )
+    return LevelRecord(nuclide, energy, (jp or "").strip() or None, half_life, tuple(modes))
 
 
 _TRANSITION_CELLS = (
@@ -466,22 +490,16 @@ def parse_level_scheme(
                 f"non-downward transition {start.kev} -> {end.kev}; excluded"
             )
             continue
-        if not (scheme.has_level(start) and scheme.has_level(end)):
+        if not (scheme._matches(start) and scheme._matches(end)):
             warnings.append(
                 f"{t_key} line {lineno}: transition "
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue
-        transitions.append(
-            TransitionRecord(
-                nuclide=nuclide,
-                start_level=start,
-                end_level=end,
-                gamma_energy=gamma,
-                intensity_percent=intensity,
-            )
-        )
-    return LevelScheme(nuclide=nuclide, levels=levels, transitions=transitions), warnings
+        transitions.append(TransitionRecord(nuclide, start, end, gamma, intensity))
+    scheme.transitions = transitions
+    scheme._link()
+    return scheme, warnings
 
 
 @dataclass(frozen=True)

@@ -305,6 +305,32 @@ jobs:
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("top, job", [
+    ("cache_dir: 5", "name: a"),
+    ("out_dir: 5", "name: a"),
+    ("base_url: 5", "name: a"),
+    ("", "name: a\n    plot: {marker_registry: 5}"),
+    ("", "name: 5"),
+    ("", "name: a/b"),
+    ("", "name: a\n  - name: a\n    recursive_progenitors: [226Ra]"),
+    ("", "name: a\n    plot: {windows: [{energy_kev: [2000, 0]}]}"),
+    ("", "name: a\n    plot: {windows: [{annotation_min_intensity: .nan}]}"),
+], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name-type",
+        "name-separator", "name-repeated", "window-inverted", "window-nan-min"])
+def test_bad_config_value_is_one_error_line(tmp_path, corpus_dir, capsys, top, job):
+    cfg = write_config(tmp_path, f"""
+offline: true
+{top}
+jobs:
+  - recursive_progenitors: [226Ra]
+    {job}
+""")
+    assert main(["generate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ConfigParseError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
     offline and qualifies peaks without loading the HTTP stack."""

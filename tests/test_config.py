@@ -200,7 +200,17 @@ jobs:
      "jobs[0].plot.windows[0].intensity_percent"),
     ("plot: {windows: [{annotation_min_intensity: abc}]}",
      "jobs[0].plot.windows[0].annotation_min_intensity"),
-], ids=["energy", "half-life", "nan-bound", "window-intensity", "annotation-min"])
+    ("plot: {windows: [{energy_kev: [2000, 0]}]}", "jobs[0].plot.windows[0].energy_kev"),
+    ("plot: {windows: [{intensity_percent: [50, 1]}]}",
+     "jobs[0].plot.windows[0].intensity_percent"),
+    ("plot: {windows: [{energy_kev: [.nan, 10]}]}", "jobs[0].plot.windows[0].energy_kev"),
+    ("plot: {windows: [{annotation_min_intensity: .nan}]}",
+     "jobs[0].plot.windows[0].annotation_min_intensity"),
+    ("plot: {windows: [{annotation_min_intensity: -.inf}]}",
+     "jobs[0].plot.windows[0].annotation_min_intensity"),
+], ids=["energy", "half-life", "nan-bound", "window-intensity", "annotation-min",
+        "window-inverted-energy", "window-inverted-intensity", "window-nan-bound",
+        "window-nan-min", "window-inf-min"])
 def test_bad_number_names_its_key(tmp_path, section, key):
     with pytest.raises(ConfigParseError, match=re.escape(key)):
         load_config(write(tmp_path, f"""
@@ -208,6 +218,36 @@ jobs:
   - recursive_progenitors: [238U]
     {section}
 """))
+
+
+@pytest.mark.parametrize("top, job, key", [
+    ("cache_dir: 5", "", "cache_dir"),
+    ("out_dir: [a]", "", "out_dir"),
+    ("base_url: 1", "", "base_url"),
+    ("", "plot: {marker_registry: 3}", "jobs[0].plot.marker_registry"),
+    ("", "name: 7", "jobs[0].name"),
+], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name"])
+def test_value_that_is_not_a_string_is_rejected(tmp_path, top, job, key):
+    with pytest.raises(ConfigParseError, match=re.escape(key) + ": expected a string"):
+        load_config(write(tmp_path, f"""
+{top}
+jobs:
+  - recursive_progenitors: [238U]
+    {job}
+"""))
+
+
+@pytest.mark.parametrize("jobs, key", [
+    ("[{name: x, recursive_progenitors: [238U]},"
+     " {name: x, recursive_progenitors: [232Th]}]", "jobs[1].name"),
+    ("[{name: job2, recursive_progenitors: [238U]}, {recursive_progenitors: [232Th]}]",
+     "jobs[1].name"),
+    ("[{name: a/b, recursive_progenitors: [238U]}]", "jobs[0].name"),
+    ("[{name: 'a\\b', recursive_progenitors: [238U]}]", "jobs[0].name"),
+], ids=["repeated", "repeats-a-default", "slash", "backslash"])
+def test_job_name_must_be_unique_and_a_file_name(tmp_path, jobs, key):
+    with pytest.raises(ConfigParseError, match=re.escape(key) + ": "):
+        load_config(write(tmp_path, f"jobs: {jobs}\n"))
 
 
 @pytest.mark.parametrize("top, job, key", [

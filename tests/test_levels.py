@@ -1,10 +1,15 @@
 import pytest
 
-from nuclibgen.dataaccess import DatasetKey
+from nuclibgen.dataaccess import DatasetKey, RawDataset
 from nuclibgen.levels import cascade_visit, flatten_levels
-from nuclibgen.nuclide import DecayMode, EnergyValue, LevelSpec, Nuclide
+from nuclibgen.nuclide import (
+    DecayMode, EnergyIndex, EnergyValue, LevelSpec, Nuclide, parse_nuclide_id,
+)
 from nuclibgen.records import LevelRecord, LevelScheme, TransitionRecord, parse_level_scheme
 from nuclibgen.chains import resolve_level_spec
+
+from conftest import CORPUS
+import test_properties
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +136,80 @@ def test_outcomes_ground_only_nuclide():
     flat = flatten_levels(n, [EnergyValue(0.0)], scheme)
     [ground] = scheme.levels
     assert flat.contains(ground.energy) and not ground.is_isomer
+
+
+# --- the cascade graph against the linear scan, on every fixture scheme ----------
+
+def fixture_schemes():
+    """(name, parsed scheme) of every fixture level dataset with a transition table."""
+    schemes = []
+    for levels_path in sorted(CORPUS.glob("*_lv.csv")):
+        transitions_path = levels_path.with_name(levels_path.name.replace("_lv", "_tr"))
+        if not transitions_path.exists():
+            continue
+        nuclide = parse_nuclide_id(levels_path.name.split("_")[0])
+        raws = [RawDataset(key, path.read_text(encoding="utf-8"), "cache")
+                for key, path in ((DatasetKey.levels(nuclide), levels_path),
+                                  (DatasetKey.transitions(nuclide), transitions_path))]
+        schemes.append((levels_path.name, parse_level_scheme(*raws)[0]))
+    return schemes
+
+
+FIXTURE_SCHEMES = fixture_schemes()
+
+
+@pytest.mark.parametrize("scheme", [s for _, s in FIXTURE_SCHEMES],
+                         ids=[name for name, _ in FIXTURE_SCHEMES])
+def test_cascade_graph_matches_linear_scan_on_fixtures(scheme, monkeypatch):
+    """From each level, and from each level's energy shifted by 0.4 keV, the
+    graph walk reaches what the scan over the transition table reaches; a
+    start above every level warns the same way.
+
+    The scan's result depends on a start only through the level it resolves
+    to, so it is computed once per level, and its level lookups are memoised:
+    the largest fixture scheme would take half a minute otherwise."""
+    finds, scan = {}, test_properties.scan_find_level
+
+    def scan_find_level(scheme, energy):
+        if energy not in finds:
+            finds[energy] = scan(scheme, energy)
+        return finds[energy]
+
+    monkeypatch.setattr(test_properties, "scan_find_level", scan_find_level)
+    top = max(record.energy.kev for record in scheme.levels)
+    starts = [EnergyValue(top + 100.0)]
+    for record in scheme.levels:
+        starts += [record.energy,
+                   EnergyValue(record.energy.kev + 0.4, record.energy.uncertainty_kev)]
+    scans = {}
+    for start in starts:
+        warnings, expected_warnings = [], []
+        level = scan_find_level(scheme, start)
+        if level is None or id(level) not in scans:
+            expected = test_properties.scan_cascade_visit([start], scheme, expected_warnings)
+            if level is not None:
+                scans[id(level)] = expected
+        assert cascade_visit([start], scheme, warnings) == scans.get(id(level), expected)
+        assert warnings == expected_warnings
+
+
+def test_cascade_looks_up_each_start_level_once(monkeypatch):
+    """The walk follows resolved edges: on the fixture scheme with the most
+    transitions, the scheme's level lookup, and the level index behind it, are
+    consulted once per start level only."""
+    _, scheme = max(FIXTURE_SCHEMES, key=lambda item: len(item[1].transitions))
+    starts = [record.energy for record in scheme.levels[-3:]]
+    lookups = {}
+    for owner, name in ((EnergyIndex, "matches"), (EnergyIndex, "has_match"),
+                        (LevelScheme, "_matches")):
+        original = getattr(owner, name)
+
+        def counted(self, energy, original=original, name=name):
+            lookups[name] = lookups.get(name, 0) + 1
+            return original(self, energy)
+
+        monkeypatch.setattr(owner, name, counted)
+    visited = cascade_visit(starts, scheme)
+    assert len(visited) > len(starts)
+    assert all(count <= len(starts) for count in lookups.values())
+    assert lookups["_matches"] == len(starts)
