@@ -4,8 +4,8 @@ beta, and gamma spectrometry.
 From user-designated progenitor radionuclides the package recursively
 computes decay chains, retrieves and caches evaluated nuclear data,
 validates energy-level feasibility, infers isomers, prunes by nuclear
-parameters, and emits tables, lineage trees, cross-platform exports, and
-annotated plots. Works both as a library and through the ``nuclibgen`` CLI.
+parameters, and emits tables (csv, html, xml, tex, json), lineage trees
+and annotated plots. Works both as a library and through the ``nuclibgen`` CLI.
 """
 
 __version__ = "0.1.0"
@@ -26,7 +26,7 @@ from .dataaccess import (
     RawDataset,
 )
 from .errors import NuclibError
-from .export import export_table, export_template, import_library_csv
+from .export import export_table, import_library_csv
 from .identify import Peak, PeakList, qualify_peaks
 from .levels import cascade_visit, flatten_levels
 from .library import (
@@ -89,7 +89,6 @@ __all__ = [
     "build_progeny",
     "cascade_visit",
     "export_table",
-    "export_template",
     "extract_daughters",
     "flatten_levels",
     "format_nuclide_id",

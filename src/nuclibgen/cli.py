@@ -214,6 +214,8 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
+    if args.jobs < 1:
+        raise InvalidInput(f"--jobs {args.jobs}: at least one job must run at a time")
     config = load_config(args.config)
     if args.offline:
         config.offline = True

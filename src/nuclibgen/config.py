@@ -14,6 +14,7 @@ from pathlib import Path
 import yaml
 
 from .errors import ConfigParseError, MalformedId, UnknownKey
+from .export import TABLE_FORMATS
 from .library import INF, PruneBounds
 from .nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 from .plot import PlotWindow
@@ -234,7 +235,8 @@ def _parse_job(value, index: int) -> JobConfig:
             f"{context}: at least one recursive progenitor or static nuclide required"
         )
 
-    radiation_text = str(value.get("radiation", "gamma")).strip().lower()
+    radiation_text = _str(value.get("radiation"), "gamma", f"{context}.radiation")
+    radiation_text = radiation_text.strip().lower()
     if radiation_text not in RADIATION_NAMES:
         raise ConfigParseError(
             f"{context}: unknown radiation {radiation_text!r}; "
@@ -245,7 +247,17 @@ def _parse_job(value, index: int) -> JobConfig:
     if outputs is None:
         outputs = ["csv"]
     if not isinstance(outputs, list) or not all(isinstance(o, str) for o in outputs):
-        raise ConfigParseError(f"{context}: outputs must be a list of format names")
+        raise ConfigParseError(
+            f"{context}.outputs: expected a list of format names, got {outputs!r}")
+    outputs = [o.lower() for o in outputs]
+    for i, fmt in enumerate(outputs):
+        if fmt not in TABLE_FORMATS:
+            raise ConfigParseError(
+                f"{context}.outputs: unsupported format {fmt!r}; "
+                f"one of {', '.join(TABLE_FORMATS)}"
+            )
+        if fmt in outputs[:i]:
+            raise ConfigParseError(f"{context}.outputs: {fmt!r} is listed twice")
 
     return JobConfig(
         name=name,
@@ -254,7 +266,7 @@ def _parse_job(value, index: int) -> JobConfig:
         exclusions=exclusions,
         radiation=RADIATION_NAMES[radiation_text],
         prune=_parse_prune(value.get("prune"), f"{context}.prune"),
-        outputs=[o.lower() for o in outputs],
+        outputs=outputs,
         plot=_parse_plot(value.get("plot"), f"{context}.plot"),
         lineage=_bool(value.get("lineage"), True, f"{context}.lineage"),
     )

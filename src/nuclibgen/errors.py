@@ -73,14 +73,6 @@ class UnsupportedFormat(NuclibError):
     """Requested table format is not one of csv/html/xml/tex/json."""
 
 
-class TemplateSyntaxError(NuclibError):
-    """Template text violates the placeholder grammar."""
-
-
-class UnknownPlaceholder(NuclibError):
-    """Template references a field that does not exist."""
-
-
 class IoError(NuclibError):
     """An output file could not be written."""
 

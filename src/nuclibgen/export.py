@@ -1,5 +1,4 @@
-"""Serialize radionuclide libraries: tabular formats and template-driven
-cross-platform files.
+"""Serialize radionuclide libraries as csv, html, xml, tex and json tables.
 
 All text output is UTF-8 with LF endings and deterministic for a given
 library: no timestamps live in exported content (run provenance goes to the
@@ -13,19 +12,11 @@ import csv
 import io
 import json
 import math
-import re
 from json.encoder import encode_basestring_ascii
 from operator import itemgetter
 from pathlib import Path
 
-from .errors import (
-    InvalidInput,
-    IoError,
-    NuclibError,
-    TemplateSyntaxError,
-    UnknownPlaceholder,
-    UnsupportedFormat,
-)
+from .errors import InvalidInput, IoError, NuclibError, UnsupportedFormat
 from .library import LibraryEntry, PruneBounds, RadionuclideLibrary
 from .nuclide import EnergyValue, HalfLife, RadiationType, parse_nuclide_id
 
@@ -337,111 +328,3 @@ def _entry_parser():
 
     return entry
 
-
-# --- template engine ----------------------------------------------------------
-#
-# A deliberately small mustache-style subset: {{field}} substitution,
-# {{#entries}}...{{/entries}} iteration, and two filters
-# ({{field|fixed:N}} fixed-decimal, {{field|upper}} uppercase).
-
-_TAG_RE = re.compile(r"\{\{\s*([^{}]+?)\s*\}\}")
-
-
-def _entry_fields(entry: LibraryEntry) -> dict[str, object]:
-    row = entry_row(entry)
-    fields: dict[str, object] = dict(row)
-    # Expose numerics as numbers so fixed-decimal formatting works.
-    fields["energy_kev"] = entry.energy.kev
-    fields["energy_unc_kev"] = entry.energy.uncertainty_kev
-    fields["intensity_pct"] = entry.intensity_percent
-    fields["intensity_unc_pct"] = entry.intensity_unc
-    fields["parent_level_kev"] = entry.parent_level.kev
-    if entry.half_life is not None and not entry.half_life.is_stable:
-        fields["half_life_s"] = entry.half_life.seconds
-    return fields
-
-
-def _apply_filter(value: object, spec: str, tag: str) -> str:
-    if spec == "upper":
-        return _stringify(value).upper()
-    m = re.fullmatch(r"fixed:(\d+)", spec)
-    if m:
-        if value is None:
-            return ""
-        try:
-            return f"{float(value):.{int(m.group(1))}f}"
-        except (TypeError, ValueError):
-            raise TemplateSyntaxError(
-                f"filter fixed applied to non-numeric value in {{{{{tag}}}}}"
-            ) from None
-    raise TemplateSyntaxError(f"unknown filter {spec!r} in {{{{{tag}}}}}")
-
-
-def _stringify(value: object) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return _num(value)
-    return str(value)
-
-
-def _substitute(text: str, scope: dict[str, object]) -> str:
-    def repl(match: re.Match) -> str:
-        tag = match.group(1)
-        name, _, filter_spec = tag.partition("|")
-        name = name.strip()
-        if name.startswith("#") or name.startswith("/"):
-            raise TemplateSyntaxError(f"unexpected block tag {{{{{tag}}}}}")
-        if name not in scope:
-            raise UnknownPlaceholder(f"unknown placeholder {{{{{name}}}}}")
-        value = scope[name]
-        if filter_spec:
-            return _apply_filter(value, filter_spec.strip(), tag)
-        return _stringify(value)
-
-    return _TAG_RE.sub(repl, text)
-
-
-def render_template(lib: RadionuclideLibrary, template: str) -> str:
-    """Render the template against the library; raises before any output."""
-    if template.count("{{") != template.count("}}"):
-        raise TemplateSyntaxError("unbalanced {{ }} braces")
-
-    top_scope: dict[str, object] = {
-        "count": len(lib.entries),
-        "radiation": lib.radiation.code,
-    }
-
-    out: list[str] = []
-    pos = 0
-    while True:
-        open_match = re.search(r"\{\{\s*#\s*(\w+)\s*\}\}", template[pos:])
-        if not open_match:
-            out.append(_substitute(template[pos:], top_scope))
-            break
-        block_name = open_match.group(1)
-        if block_name != "entries":
-            raise UnknownPlaceholder(f"unknown block {{{{#{block_name}}}}}")
-        out.append(_substitute(template[pos : pos + open_match.start()], top_scope))
-        body_start = pos + open_match.end()
-        close = re.search(r"\{\{\s*/\s*" + block_name + r"\s*\}\}", template[body_start:])
-        if not close:
-            raise TemplateSyntaxError(f"unclosed block {{{{#{block_name}}}}}")
-        body = template[body_start : body_start + close.start()]
-        for entry in lib.entries:
-            scope = dict(top_scope)
-            scope.update(_entry_fields(entry))
-            out.append(_substitute(body, scope))
-        pos = body_start + close.end()
-    return "".join(out)
-
-
-def export_template(
-    lib: RadionuclideLibrary, template: str, path: Path | str
-) -> Path:
-    """Render and write a template-driven export.
-
-    The template is rendered fully before the file is opened, so a template
-    error never leaves a partial file behind.
-    """
-    return write_text(path, render_template(lib, template))

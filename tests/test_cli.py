@@ -315,8 +315,11 @@ jobs:
     ("", "name: a\n  - name: a\n    recursive_progenitors: [226Ra]"),
     ("", "name: a\n    plot: {windows: [{energy_kev: [2000, 0]}]}"),
     ("", "name: a\n    plot: {windows: [{annotation_min_intensity: .nan}]}"),
+    ("", "name: a\n    outputs: [csv, pdf]"),
+    ("", "name: a\n    outputs: [csv, CSV]"),
 ], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name-type",
-        "name-separator", "name-repeated", "window-inverted", "window-nan-min"])
+        "name-separator", "name-repeated", "window-inverted", "window-nan-min",
+        "outputs-unsupported", "outputs-repeated"])
 def test_bad_config_value_is_one_error_line(tmp_path, corpus_dir, capsys, top, job):
     cfg = write_config(tmp_path, f"""
 offline: true
@@ -329,6 +332,23 @@ jobs:
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigParseError: ")
     assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_jobs_below_one_is_one_error_line(tmp_path, capsys, jobs):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+offline: true
+cache_dir: {tmp_path / "cache"}
+jobs:
+  - recursive_progenitors: [226Ra]
+""")
+    assert main(["generate", str(cfg), "--out-dir", str(out), "--jobs", jobs]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: InvalidInput: --jobs {jobs}: at least one job must run at a time\n")
+    assert not out.exists()
 
 
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):

@@ -226,7 +226,8 @@ jobs:
     ("base_url: 1", "", "base_url"),
     ("", "plot: {marker_registry: 3}", "jobs[0].plot.marker_registry"),
     ("", "name: 7", "jobs[0].name"),
-], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name"])
+    ("", "radiation: 5", "jobs[0].radiation"),
+], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name", "radiation"])
 def test_value_that_is_not_a_string_is_rejected(tmp_path, top, job, key):
     with pytest.raises(ConfigParseError, match=re.escape(key) + ": expected a string"):
         load_config(write(tmp_path, f"""
@@ -265,6 +266,29 @@ jobs:
   - recursive_progenitors: [238U]
     {job}
 """))
+
+
+@pytest.mark.parametrize("outputs, match", [
+    ("[csv, pdf]", "jobs[0].outputs: unsupported format 'pdf'; one of csv, html,"),
+    ("[csv, CSV]", "jobs[0].outputs: 'csv' is listed twice"),
+    ("csv", "jobs[0].outputs: expected a list of format names, got 'csv'"),
+], ids=["unsupported", "repeated", "not-a-list"])
+def test_outputs_must_be_distinct_table_formats(tmp_path, outputs, match):
+    with pytest.raises(ConfigParseError, match=re.escape(match)):
+        load_config(write(tmp_path, f"""
+jobs:
+  - recursive_progenitors: [238U]
+    outputs: {outputs}
+"""))
+
+
+def test_null_radiation_means_gamma(tmp_path):
+    cfg = load_config(write(tmp_path, """
+jobs:
+  - recursive_progenitors: [238U]
+    radiation: null
+"""))
+    assert cfg.jobs[0].radiation is RadiationType.GAMMA
 
 
 def test_config_not_utf8_is_a_parse_error(tmp_path):

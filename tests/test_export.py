@@ -3,20 +3,10 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+import nuclibgen
 from nuclibgen.chains import assemble_subset
-from nuclibgen.errors import (
-    InvalidInput,
-    TemplateSyntaxError,
-    UnknownPlaceholder,
-    UnsupportedFormat,
-)
-from nuclibgen.export import (
-    export_table,
-    export_template,
-    import_library_csv,
-    render_table,
-    render_template,
-)
+from nuclibgen.errors import InvalidInput, UnsupportedFormat
+from nuclibgen.export import export_table, import_library_csv, render_table
 from nuclibgen.library import PruneBounds, RadionuclideLibrary, assemble_library, prune
 from nuclibgen.nuclide import RadiationType, parse_nuclide_id
 
@@ -122,72 +112,8 @@ def test_unsupported_format(ac225_alpha, tmp_path):
         export_table(ac225_alpha, "xlsx", tmp_path / "lib.xlsx")
 
 
-# --- template engine ---------------------------------------------------------
-
-def test_template_count(ac225_alpha):
-    n = len(ac225_alpha.entries)
-    assert render_template(ac225_alpha, "{{count}}") == str(n)
-
-
-def test_template_entry_iteration(ac225_alpha):
-    out = render_template(
-        ac225_alpha, "{{#entries}}{{energy_kev}},{{intensity_pct}}\n{{/entries}}"
-    )
-    lines = out.splitlines()
-    assert len(lines) == len(ac225_alpha.entries)
-    first = ac225_alpha.entries[0]
-    kev, pct = lines[0].split(",")
-    assert float(kev) == first.energy.kev
-    assert float(pct) == first.intensity_percent
-
-
-def test_template_filters(ac225_alpha):
-    out = render_template(
-        ac225_alpha, "{{#entries}}{{nuclide|upper}} {{energy_kev|fixed:1}};{{/entries}}"
-    )
-    first = out.split(";")[0]
-    name, kev = first.split(" ")
-    assert name == str(ac225_alpha.entries[0].nuclide).upper()
-    assert re.fullmatch(r"\d+\.\d", kev)
-
-
-def test_template_unknown_placeholder_leaves_no_file(ac225_alpha, tmp_path):
-    target = tmp_path / "out.txt"
-    with pytest.raises(UnknownPlaceholder):
-        export_template(ac225_alpha, "{{foo}}", target)
-    assert not target.exists()
-
-
-def test_template_unclosed_block(ac225_alpha):
-    with pytest.raises(TemplateSyntaxError):
-        render_template(ac225_alpha, "{{#entries}}{{energy_kev}}")
-
-
-def test_template_unknown_block(ac225_alpha):
-    with pytest.raises(UnknownPlaceholder):
-        render_template(ac225_alpha, "{{#rows}}x{{/rows}}")
-
-
-def test_template_unknown_filter(ac225_alpha):
-    with pytest.raises(TemplateSyntaxError):
-        render_template(ac225_alpha, "{{count|wat}}")
-
-
-def test_template_fixed_on_text_field_fails(ac225_alpha):
-    with pytest.raises(TemplateSyntaxError):
-        render_template(ac225_alpha, "{{#entries}}{{nuclide|fixed:2}}{{/entries}}")
-
-
-def test_template_cross_platform_example(ac225_alpha, tmp_path):
-    template = (
-        "LIBRARY {{radiation|upper}} {{count}}\n"
-        "{{#entries}}{{nuclide}} {{energy_kev|fixed:3}} {{intensity_pct|fixed:4}}\n"
-        "{{/entries}}"
-    )
-    path = export_template(ac225_alpha, template, tmp_path / "lib.dat")
-    lines = path.read_text().splitlines()
-    assert lines[0] == f"LIBRARY A {len(ac225_alpha.entries)}"
-    assert len(lines) == len(ac225_alpha.entries) + 1
+def test_every_exported_name_is_defined():
+    assert [name for name in nuclibgen.__all__ if not hasattr(nuclibgen, name)] == []
 
 
 LIBRARY_HEADER = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"
