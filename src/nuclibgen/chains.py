@@ -44,7 +44,7 @@ belongs to, takes the stored results and reports the same warnings.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
 from .dataaccess import DatasetKey, RawDataset
 from .errors import DataUnavailable, DepthExceeded, EmptySubset, NetworkError, OfflineMiss
@@ -83,8 +83,7 @@ class DatasetSource(Protocol):
     def fetch_dataset(self, key: DatasetKey) -> RawDataset | None: ...
 
 
-@dataclass(frozen=True)
-class ChainMember:
+class ChainMember(NamedTuple):
     """One level-resolved subset member backed by a visited nuclide."""
 
     nuclide: Nuclide          # identity including level spec

@@ -115,6 +115,12 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
     raise ConfigParseError(f"{context}: expected a nuclide id or mapping, got {item!r}")
 
 
+def _nuclide_list(job: dict, key: str, context: str) -> list[Nuclide]:
+    """``job[key]`` as a list of nuclides; empty when the key is absent or null."""
+    context = f"{context}.{key}"
+    return [_parse_nuclide_entry(item, context) for item in _list(job.get(key), context)]
+
+
 def _bool(value, default: bool, context: str) -> bool:
     """A YAML boolean; ``default`` when the key is absent or null."""
     if value is None:
@@ -130,6 +136,15 @@ def _str(value, default: str | None, context: str) -> str | None:
         return default
     if not isinstance(value, str):
         raise ConfigParseError(f"{context}: expected a string, got {value!r}")
+    return value
+
+
+def _list(value, context: str) -> list:
+    """A YAML list; empty when the key is absent or null."""
+    if value is None:
+        return []
+    if not isinstance(value, list):
+        raise ConfigParseError(f"{context}: expected a list, got {value!r}")
     return value
 
 
@@ -178,7 +193,7 @@ def _parse_plot(value, context: str) -> PlotConfig:
         raise ConfigParseError(f"{context}: plot must be a mapping or boolean")
     _reject_unknown(value, _PLOT_KEYS, context)
     windows = []
-    for i, win in enumerate(value.get("windows") or []):
+    for i, win in enumerate(_list(value.get("windows"), f"{context}.windows")):
         wctx = f"{context}.windows[{i}]"
         if not isinstance(win, dict):
             raise ConfigParseError(f"{wctx}: expected a mapping")
@@ -216,18 +231,9 @@ def _parse_job(value, index: int) -> JobConfig:
         raise ConfigParseError(f"{context}.name: {name!r} contains a path separator")
 
     try:
-        progenitors = [
-            _parse_nuclide_entry(item, f"{context}.recursive_progenitors")
-            for item in (value.get("recursive_progenitors") or [])
-        ]
-        statics = [
-            _parse_nuclide_entry(item, f"{context}.static_nuclides")
-            for item in (value.get("static_nuclides") or [])
-        ]
-        exclusions = [
-            _parse_nuclide_entry(item, f"{context}.exclusions")
-            for item in (value.get("exclusions") or [])
-        ]
+        progenitors = _nuclide_list(value, "recursive_progenitors", context)
+        statics = _nuclide_list(value, "static_nuclides", context)
+        exclusions = _nuclide_list(value, "exclusions", context)
     except MalformedId as exc:
         raise ConfigParseError(f"{context}: {exc}") from exc
     if not progenitors and not statics:

@@ -28,7 +28,7 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     import requests
@@ -57,20 +57,25 @@ _DECAY_KINDCODES = {rad: f"dr-{rad.code}" for rad in RadiationType}
 _KINDCODES = frozenset(_DECAY_KINDCODES.values()) | {KIND_LEVELS, KIND_TRANSITIONS}
 
 
-@dataclass(frozen=True)
-class DatasetKey:
-    """Identity of one retrievable dataset: a level-erased nuclide plus kind.
-
-    ``kindcode`` is one of dr-a, dr-bm, dr-bp, dr-g, dr-e, dr-x, lv, tr.
-    """
-
+class _DatasetKeyFields(NamedTuple):
     nuclide: Nuclide
     kindcode: str
 
-    def __post_init__(self):
-        object.__setattr__(self, "nuclide", self.nuclide.ground_state)
-        if self.kindcode not in _KINDCODES:
-            raise ValueError(f"unknown dataset kind: {self.kindcode!r}")
+
+class DatasetKey(_DatasetKeyFields):
+    """Identity of one retrievable dataset: a level-erased nuclide plus kind.
+
+    ``kindcode`` is one of dr-a, dr-bm, dr-bp, dr-g, dr-e, dr-x, lv, tr. A key
+    is a tuple with a validating ``__new__``, like the types of ``nuclide``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, nuclide: Nuclide, kindcode: str):
+        nuclide = nuclide.ground_state
+        if kindcode not in _KINDCODES:
+            raise ValueError(f"unknown dataset kind: {kindcode!r}")
+        return tuple.__new__(cls, (nuclide, kindcode))
 
     @staticmethod
     def decay_rads(nuclide: Nuclide, rad: RadiationType) -> "DatasetKey":

@@ -2,6 +2,15 @@
 
 All types here are immutable and hashable; they are shared freely between
 threads and used as dictionary keys throughout the package.
+
+The value types are tuples (``typing.NamedTuple``), so building, comparing and
+hashing them runs in C. A validated type (``Nuclide``, ``EnergyValue``,
+``HalfLife``) is a subclass of its field tuple with ``__slots__ = ()`` whose
+``__new__`` checks and canonicalises the fields; ``_make`` and ``_replace``
+skip those checks, so the package never calls them. Equality is that of
+tuples: ``EnergyValue(5.0) == (5.0, 0.0)``, and so is ``HalfLife(5.0)``. A
+dict whose keys mix types relies on their shapes differing: a three-field
+``Nuclide`` never equals a two-field ``DatasetKey``.
 """
 
 from __future__ import annotations
@@ -9,7 +18,7 @@ from __future__ import annotations
 import enum
 import re
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .elements import canonical_symbol
 from .errors import MalformedId, MassOutOfRange, UnknownElement
@@ -18,8 +27,7 @@ MAX_MASS_NUMBER = 300
 _INF = float("inf")
 
 
-@dataclass(frozen=True)
-class LevelSpec:
+class LevelSpec(NamedTuple):
     """Energy level designation of a nuclide.
 
     Exactly one of three variants:
@@ -64,21 +72,24 @@ class LevelSpec:
         return f"@{self.kev!r}kev"
 
 
-@dataclass(frozen=True)
-class Nuclide:
-    """A nuclear species: element, mass number, and energy level."""
-
+class _NuclideFields(NamedTuple):
     element: str
     mass_number: int
-    level: LevelSpec = field(default_factory=LevelSpec.ground)
+    level: LevelSpec
 
-    def __post_init__(self):
-        sym = canonical_symbol(self.element)
+
+class Nuclide(_NuclideFields):
+    """A nuclear species: element, mass number, and energy level."""
+
+    __slots__ = ()
+
+    def __new__(cls, element: str, mass_number: int, level: LevelSpec = LevelSpec("ground")):
+        sym = canonical_symbol(element)
         if sym is None:
-            raise UnknownElement(f"unknown element symbol: {self.element!r}")
-        object.__setattr__(self, "element", sym)
-        if not 1 <= self.mass_number <= MAX_MASS_NUMBER:
-            raise MassOutOfRange(f"mass number out of range: {self.mass_number}")
+            raise UnknownElement(f"unknown element symbol: {element!r}")
+        if not 1 <= mass_number <= MAX_MASS_NUMBER:
+            raise MassOutOfRange(f"mass number out of range: {mass_number}")
+        return tuple.__new__(cls, (sym, mass_number, level))
 
     @property
     def ground_state(self) -> "Nuclide":
@@ -136,19 +147,23 @@ class DecayMode(enum.Enum):
         raise ValueError(f"unknown decay mode: {code!r}")
 
 
-@dataclass(frozen=True)
-class EnergyValue:
+class _EnergyFields(NamedTuple):
+    kev: float
+    uncertainty_kev: float
+
+
+class EnergyValue(_EnergyFields):
     """An energy in keV with its reported uncertainty (0 when unreported)."""
 
-    kev: float
-    uncertainty_kev: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, kev: float, uncertainty_kev: float = 0.0):
         # Chained comparisons are false for NaN, so NaN is rejected too.
-        if not 0 <= self.kev < _INF:
+        if not 0 <= kev < _INF:
             raise ValueError("energy must be finite and nonnegative")
-        if not 0 <= self.uncertainty_kev < _INF:
+        if not 0 <= uncertainty_kev < _INF:
             raise ValueError("uncertainty must be finite and nonnegative")
+        return tuple.__new__(cls, (kev, uncertainty_kev))
 
 
 def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
@@ -191,18 +206,22 @@ class EnergyIndex:
         return any(energies_match(e, energy) for _, e in self._window(energy.kev, half))
 
 
-@dataclass(frozen=True)
-class HalfLife:
+class _HalfLifeFields(NamedTuple):
+    seconds: float | None
+    uncertainty_seconds: float
+
+
+class HalfLife(_HalfLifeFields):
     """Either stable, or a positive half-life in seconds with uncertainty."""
 
-    seconds: float | None = None
-    uncertainty_seconds: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.seconds is not None and not 0 < self.seconds < _INF:
+    def __new__(cls, seconds: float | None = None, uncertainty_seconds: float = 0.0):
+        if seconds is not None and not 0 < seconds < _INF:
             raise ValueError("half-life must be finite and positive")
-        if not 0 <= self.uncertainty_seconds < _INF:
+        if not 0 <= uncertainty_seconds < _INF:
             raise ValueError("uncertainty must be finite and nonnegative")
+        return tuple.__new__(cls, (seconds, uncertainty_seconds))
 
     @property
     def is_stable(self) -> bool:

@@ -47,6 +47,7 @@ import io
 from dataclasses import dataclass, field
 from math import isfinite
 from operator import itemgetter
+from typing import NamedTuple
 
 from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, RawDataset
 from .errors import HeaderMismatch, MalformedId, NuclideMismatch
@@ -75,8 +76,7 @@ _TRANSITION_COLUMNS = ("symbol", "a", "start_level_energy", "end_level_energy", 
 ISOMER_THRESHOLD_S = 1e-9
 
 
-@dataclass(frozen=True)
-class DecayRecord:
+class DecayRecord(NamedTuple):
     """One decay-radiation data row, ascribed to the decaying parent level."""
 
     parent: Nuclide
@@ -95,8 +95,7 @@ class DecayRecord:
     flags: frozenset[str] = frozenset()
 
 
-@dataclass(frozen=True)
-class LevelRecord:
+class LevelRecord(NamedTuple):
     """One energy level of a nuclide with its decay modes, if any."""
 
     nuclide: Nuclide
@@ -116,8 +115,7 @@ class LevelRecord:
         )
 
 
-@dataclass(frozen=True)
-class TransitionRecord:
+class TransitionRecord(NamedTuple):
     """One downward electromagnetic transition between two levels."""
 
     nuclide: Nuclide
@@ -502,8 +500,7 @@ def parse_level_scheme(
     return scheme, warnings
 
 
-@dataclass(frozen=True)
-class DaughterFeed:
+class DaughterFeed(NamedTuple):
     """One daughter of a parent: who, which levels it is fed at, branching %."""
 
     daughter: Nuclide

@@ -317,9 +317,13 @@ jobs:
     ("", "name: a\n    plot: {windows: [{annotation_min_intensity: .nan}]}"),
     ("", "name: a\n    outputs: [csv, pdf]"),
     ("", "name: a\n    outputs: [csv, CSV]"),
+    ("", "name: a\n  - recursive_progenitors: true"),
+    ("", "name: a\n    static_nuclides: 5"),
+    ("", "name: a\n    plot: {windows: 7}"),
 ], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name-type",
         "name-separator", "name-repeated", "window-inverted", "window-nan-min",
-        "outputs-unsupported", "outputs-repeated"])
+        "outputs-unsupported", "outputs-repeated", "progenitors-not-a-list",
+        "statics-not-a-list", "windows-not-a-list"])
 def test_bad_config_value_is_one_error_line(tmp_path, corpus_dir, capsys, top, job):
     cfg = write_config(tmp_path, f"""
 offline: true

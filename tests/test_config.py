@@ -282,6 +282,24 @@ jobs:
 """))
 
 
+@pytest.mark.parametrize("job, key", [
+    ("recursive_progenitors: true", "jobs[0].recursive_progenitors"),
+    ("recursive_progenitors: 5", "jobs[0].recursive_progenitors"),
+    ("recursive_progenitors: '238u'", "jobs[0].recursive_progenitors"),
+    ("recursive_progenitors: {id: 238U}", "jobs[0].recursive_progenitors"),
+    ("static_nuclides: 5", "jobs[0].static_nuclides"),
+    ("recursive_progenitors: [238U]\n    exclusions: 222Rn", "jobs[0].exclusions"),
+    ("recursive_progenitors: [238U]\n    plot: {windows: 7}", "jobs[0].plot.windows"),
+], ids=["progenitors-bool", "progenitors-int", "progenitors-str", "progenitors-mapping",
+        "statics-int", "exclusions-str", "windows-int"])
+def test_value_that_is_not_a_list_is_rejected(tmp_path, job, key):
+    with pytest.raises(ConfigParseError, match=re.escape(key) + ": expected a list"):
+        load_config(write(tmp_path, f"""
+jobs:
+  - {job}
+"""))
+
+
 def test_null_radiation_means_gamma(tmp_path):
     cfg = load_config(write(tmp_path, """
 jobs:

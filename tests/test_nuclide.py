@@ -1,7 +1,22 @@
-import pytest
+import dataclasses
+import inspect
+import math
+import pickle
+import re
+from pathlib import Path
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import nuclibgen
+from nuclibgen.chains import ChainMember, ParsedNuclide, ParseMemo
+from nuclibgen.dataaccess import DatasetKey
+from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import MalformedId, MassOutOfRange, UnknownElement
 from nuclibgen.nuclide import (
+    MAX_MASS_NUMBER,
+    DecayMode,
     EnergyValue,
     HalfLife,
     LevelSpec,
@@ -12,6 +27,7 @@ from nuclibgen.nuclide import (
     format_nuclide_id,
     parse_nuclide_id,
 )
+from nuclibgen.records import DaughterFeed, DecayRecord, LevelRecord, TransitionRecord
 
 
 def test_parse_canonical_ground_forms():
@@ -110,3 +126,167 @@ def test_energy_value_rejects_non_finite():
     for kev, unc in ((nan, 0.0), (inf, 0.0), (1.0, nan), (1.0, inf)):
         with pytest.raises(ValueError):
             EnergyValue(kev, unc)
+
+
+# --- value-type contract ---------------------------------------------------------
+
+# Each tuple-backed type, with its fields in order and its constructor defaults.
+VALUE_TYPES = {
+    LevelSpec: ("kind", "ordinal", "kev"),
+    Nuclide: ("element", "mass_number", "level"),
+    EnergyValue: ("kev", "uncertainty_kev"),
+    HalfLife: ("seconds", "uncertainty_seconds"),
+    DatasetKey: ("nuclide", "kindcode"),
+    DecayRecord: (
+        "parent", "parent_level", "radiation", "energy", "intensity_percent",
+        "intensity_unc", "daughter", "daughter_feeding_level", "decay_mode",
+        "branching_percent", "half_life", "start_level", "end_level", "flags",
+    ),
+    LevelRecord: ("nuclide", "energy", "jpi", "half_life", "decay_modes"),
+    TransitionRecord: (
+        "nuclide", "start_level", "end_level", "gamma_energy", "intensity_percent"),
+    DaughterFeed: ("daughter", "feeding_levels", "branching_percent"),
+    ChainMember: ("nuclide", "node", "level_kev", "half_life_s", "unvalidated"),
+}
+DEFAULTS = {
+    LevelSpec: {"ordinal": 0, "kev": 0.0},
+    Nuclide: {"level": LevelSpec("ground")},
+    EnergyValue: {"uncertainty_kev": 0.0},
+    HalfLife: {"seconds": None, "uncertainty_seconds": 0.0},
+    DatasetKey: {},
+    DecayRecord: {"half_life": None, "start_level": None, "end_level": None,
+                  "flags": frozenset()},
+    LevelRecord: {"jpi": None, "half_life": None, "decay_modes": ()},
+    TransitionRecord: {"intensity_percent": None},
+    DaughterFeed: {},
+    ChainMember: {"half_life_s": None, "unvalidated": False},
+}
+
+U238 = Nuclide("U", 238)
+SAMPLES = [
+    LevelSpec.meta(2),
+    Nuclide("Pa", 234, LevelSpec.meta(1)),
+    EnergyValue(59.54, 0.01),
+    HalfLife(24.1 * 86400, 0.03 * 86400),
+    DatasetKey.levels(U238),
+    DecayRecord(U238, EnergyValue(0.0), RadiationType.ALPHA, EnergyValue(4198.0), 79.0,
+                0.0, Nuclide("Th", 234), EnergyValue(0.0), DecayMode.ALPHA, 100.0),
+    LevelRecord(U238, EnergyValue(0.0), "0+", HalfLife(1.4e17)),
+    TransitionRecord(Nuclide("Th", 234), EnergyValue(49.55), EnergyValue(0.0),
+                     EnergyValue(49.55)),
+    DaughterFeed(Nuclide("Th", 234), (EnergyValue(49.55), EnergyValue(0.0)), 100.0),
+    ChainMember(U238, U238, 0.0, 1.4e17),
+]
+
+
+@pytest.mark.parametrize("cls", VALUE_TYPES, ids=lambda cls: cls.__name__)
+def test_value_type_is_a_tuple_with_its_fields_and_defaults(cls):
+    assert issubclass(cls, tuple) and not dataclasses.is_dataclass(cls)
+    assert cls._fields == VALUE_TYPES[cls]
+    parameters = inspect.signature(cls).parameters
+    assert tuple(parameters) == VALUE_TYPES[cls]
+    assert {name: p.default for name, p in parameters.items()
+            if p.default is not p.empty} == DEFAULTS[cls]
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=lambda value: type(value).__name__)
+def test_value_is_immutable_without_a_dict(value):
+    field = type(value)._fields[0]
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.note = "x"
+    assert not hasattr(value, "__dict__")
+
+
+@pytest.mark.parametrize("value", SAMPLES, ids=lambda value: type(value).__name__)
+def test_value_pickles_to_an_equal_value_of_its_type(value):
+    copy = pickle.loads(pickle.dumps(value))
+    assert type(copy) is type(value)
+    assert copy == value and hash(copy) == hash(value)
+    assert repr(copy) == repr(value)
+
+
+def test_repr_names_the_type_and_its_fields():
+    assert repr(EnergyValue(1.5)) == "EnergyValue(kev=1.5, uncertainty_kev=0.0)"
+    assert repr(DatasetKey.levels(U238)) == (
+        "DatasetKey(nuclide=Nuclide(element='U', mass_number=238, "
+        "level=LevelSpec(kind='ground', ordinal=0, kev=0.0)), kindcode='lv')")
+
+
+NEGATIVE = st.floats(max_value=-1e-300)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+GOOD = st.floats(min_value=0.0, allow_infinity=False)
+
+
+@given(bad=st.one_of(NEGATIVE, NON_FINITE), good=GOOD)
+def test_energy_value_rejects_nan_infinite_and_negative(bad, good):
+    with pytest.raises(ValueError, match="^energy must be finite and nonnegative$"):
+        EnergyValue(bad, good)
+    with pytest.raises(ValueError, match="^uncertainty must be finite and nonnegative$"):
+        EnergyValue(good, bad)
+    assert EnergyValue(good, good) == (good, good)
+
+
+@given(bad=st.one_of(NEGATIVE, NON_FINITE, st.just(0.0)), good=GOOD)
+def test_half_life_rejects_nan_infinite_and_nonpositive(bad, good):
+    with pytest.raises(ValueError, match="^half-life must be finite and positive$"):
+        HalfLife(bad, good)
+    if bad != 0.0:
+        with pytest.raises(ValueError, match="^uncertainty must be finite and nonnegative$"):
+            HalfLife(None, bad)
+    assert HalfLife(None, good).is_stable
+
+
+@given(symbol=st.sampled_from(SYMBOLS), upper=st.lists(st.booleans(), min_size=3, max_size=3),
+       mass=st.integers(min_value=1, max_value=MAX_MASS_NUMBER))
+def test_nuclide_canonicalises_its_symbol(symbol, upper, mass):
+    spelled = "".join(c.upper() if up else c.lower() for c, up in zip(symbol, upper))
+    nuclide = Nuclide(f" {spelled}\t", mass)
+    assert nuclide.element == symbol
+    assert nuclide == Nuclide(symbol, mass) and hash(nuclide) == hash(Nuclide(symbol, mass))
+
+
+@given(mass=st.one_of(st.integers(max_value=0), st.integers(min_value=MAX_MASS_NUMBER + 1)))
+def test_nuclide_rejects_a_mass_out_of_range(mass):
+    with pytest.raises(MassOutOfRange, match=f"^mass number out of range: {mass}$"):
+        Nuclide("U", mass)
+
+
+def test_nuclide_rejects_an_unknown_symbol():
+    with pytest.raises(UnknownElement, match="^unknown element symbol: 'Xx'$"):
+        Nuclide("Xx", 1)
+
+
+@given(level=st.one_of(st.integers(min_value=1, max_value=9).map(LevelSpec.meta),
+                       st.floats(min_value=0.0, max_value=1e4).map(LevelSpec.energy)),
+       kindcode=st.sampled_from(["dr-a", "dr-bm", "dr-bp", "dr-g", "dr-e", "dr-x", "lv", "tr"]))
+def test_dataset_key_holds_the_ground_state(level, kindcode):
+    key = DatasetKey(Nuclide("Pa", 234, level), kindcode)
+    assert key.nuclide == Nuclide("Pa", 234) and key.nuclide.level.is_ground
+    assert key == DatasetKey(Nuclide("Pa", 234), kindcode)
+    assert hash(key) == hash(DatasetKey(Nuclide("Pa", 234), kindcode))
+
+
+@pytest.mark.parametrize("kindcode", ["dr-q", "LV", "", "dr-"])
+def test_dataset_key_rejects_an_unknown_kind(kindcode):
+    with pytest.raises(ValueError, match=re.escape(f"unknown dataset kind: {kindcode!r}")):
+        DatasetKey(U238, kindcode)
+
+
+def test_nuclide_and_its_levels_key_are_distinct_memo_keys():
+    memo: ParseMemo = {}
+    whole = ParsedNuclide((), None, (), ())
+    levels_only = ParsedNuclide((), None, (), ("levels",))
+    memo[U238] = whole
+    memo[DatasetKey.levels(U238)] = levels_only
+    assert len(memo) == 2
+    assert memo[Nuclide("U", 238)] is whole
+    assert memo[DatasetKey.levels(Nuclide("U", 238))] is levels_only
+
+
+def test_package_never_skips_the_value_checks():
+    """``_make`` and ``_replace`` build a tuple without calling ``__new__``."""
+    sources = Path(nuclibgen.__file__).parent.glob("*.py")
+    assert not [path.name for path in sources
+                if re.search(r"\._(make|replace)\(", path.read_text(encoding="utf-8"))]

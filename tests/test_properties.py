@@ -1,7 +1,10 @@
 """Property suites: set algebra, pruning laws, cascade laws, round-trips,
-and traversal termination on randomized synthetic decay graphs.
+traversal termination on randomized synthetic decay graphs, and outside
+input (configs, peak lists, library CSVs, marker registries) that loads or
+raises a NuclibError.
 """
 
+import copy
 import csv
 import dataclasses
 import io
@@ -9,13 +12,15 @@ import json
 import math
 
 import pytest
+import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nuclibgen.chains import assemble_subset, build_progeny
+from nuclibgen.config import load_config
 from nuclibgen.dataaccess import DatasetKey, RawDataset
 from nuclibgen.elements import SYMBOLS
-from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput
+from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput, NuclibError
 from nuclibgen.export import (
     CSV_COLUMNS,
     entry_row,
@@ -43,6 +48,7 @@ from nuclibgen.nuclide import (
     format_nuclide_id,
     parse_nuclide_id,
 )
+from nuclibgen.plot import MarkerRegistry
 from nuclibgen.records import (
     _DECAY_COLUMNS,
     _TRANSITION_COLUMNS,
@@ -404,6 +410,126 @@ def test_peak_rows_load_or_name_the_bad_line(tmp_path, rows):
             PeakList.load_csv(path)
     else:
         assert PeakList.load_csv(path).peaks == peaks
+
+
+# --- outside input loads or raises a NuclibError -------------------------------
+
+VALID_CONFIG = {
+    "cache_dir": "cache",
+    "offline": True,
+    "registry_enabled": True,
+    "base_url": "http://127.0.0.1:1",
+    "out_dir": "out",
+    "jobs": [
+        {
+            "name": "norm",
+            "recursive_progenitors": ["238U", {"id": "232Th", "level": "gs"}],
+            "static_nuclides": ["40K", {"id": "99Mo", "level": 0}],
+            "exclusions": ["222Rn"],
+            "radiation": "gamma",
+            "prune": {"energy_kev": [20, 3000], "intensity_percent": [0.5, None],
+                      "half_life_seconds": [None, 1e12]},
+            "outputs": ["csv", "json"],
+            "plot": {"enabled": True, "marker_registry": None,
+                     "windows": [{"energy_kev": [0, 700], "intensity_percent": [1, 100],
+                                  "annotate": True, "annotation_min_intensity": 5}]},
+            "lineage": True,
+        },
+        {"name": "ac", "recursive_progenitors": ["225Ac"], "radiation": "alpha"},
+    ],
+}
+ODD_VALUES = [None, True, False, 0, 7, -1.5, math.nan, math.inf, -math.inf, "", "x",
+              "238u", [], [None], [math.nan, 1], ["a", "b"], [[1, 2]], {}, {"k": 1}]
+
+
+def _paths(node, path=()):
+    """The path (dict keys and list positions) of every value inside ``node``."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
+def _with(path, value):
+    """VALID_CONFIG with the value at ``path`` replaced."""
+    config = copy.deepcopy(VALID_CONFIG)
+    _at(config, path[:-1])[path[-1]] = value
+    return config
+
+
+@st.composite
+def mutated_configs(draw):
+    """VALID_CONFIG after one to three mutations: a value swapped for one of
+    another type (NaN, infinities and strings in intervals included), a key or
+    list item dropped, a list item duplicated, or a value copied from
+    elsewhere (a job name onto another job's, say)."""
+    config = copy.deepcopy(VALID_CONFIG)
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        paths = list(_paths(config))
+        if not paths:
+            break
+        path = draw(st.sampled_from(paths))
+        parent, key = _at(config, path[:-1]), path[-1]
+        how = draw(st.sampled_from(["swap", "drop", "duplicate", "copy"]))
+        if how == "drop":
+            del parent[key]
+        elif how == "duplicate" and isinstance(parent, list):
+            parent.insert(key, copy.deepcopy(parent[key]))
+        elif how == "copy":
+            parent[key] = copy.deepcopy(_at(config, draw(st.sampled_from(paths))))
+        else:
+            parent[key] = copy.deepcopy(draw(st.sampled_from(ODD_VALUES)))
+    return config
+
+
+def test_config_before_mutation_loads(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(VALID_CONFIG), encoding="utf-8")
+    assert [job.name for job in load_config(path).jobs] == ["norm", "ac"]
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=mutated_configs())
+@example(config=_with(("jobs", 0, "recursive_progenitors"), True))
+@example(config=_with(("jobs", 0, "static_nuclides"), 5))
+@example(config=_with(("jobs", 1, "exclusions"), 5))
+@example(config=_with(("jobs", 0, "plot", "windows"), 7))
+def test_mutated_config_loads_or_raises_a_nuclib_error(tmp_path, config):
+    path = tmp_path / "run.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    try:
+        load_config(path)
+    except NuclibError:
+        pass
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(body=st.binary(max_size=200))
+@pytest.mark.parametrize("loader, header", [
+    (PeakList.load_csv, b"centroid_kev,net_area\n"),
+    (import_library_csv, ",".join(CSV_COLUMNS).encode() + b"\n"),
+    (MarkerRegistry.load_csv, b"nuclide,shape,color,label\n"),
+], ids=["peaks", "library", "markers"])
+@pytest.mark.parametrize("with_header", [False, True], ids=["raw", "after-header"])
+def test_random_bytes_load_or_raise_a_nuclib_error(tmp_path, loader, header, with_header,
+                                                    body):
+    path = tmp_path / "input.csv"
+    path.write_bytes(header + body if with_header else body)
+    try:
+        loader(path)
+    except NuclibError:
+        pass
 
 
 # --- cascade laws ---------------------------------------------------------------
