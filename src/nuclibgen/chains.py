@@ -15,13 +15,14 @@ scheduled depth-first, and a nuclide whose six queries all come back
 absent/empty is terminal (stable). A daughter's datasets are prefetched as
 soon as it is scheduled, the next one to visit first, so the source can fetch
 the whole frontier while visits stay sequential in discovery order. Nodes are
-settled after traversal, once every parent's feeding is known; a later
-progenitor's build re-settles a shared node only when it feeds it a new level.
-`assemble_subset` prefetches every progenitor and static up front and visits
-statics through the same core but without descendants: a static's daughters
-contribute only their level schemes, for gamma feasibility gating. A static
-resolves to the member at its level, the same member a chain reaching that
-level would produce.
+settled after traversal, once every parent's feeding is known. A static is a
+one-level build through the same walk: its own nuclide in full, only the level
+schemes of its daughters (all that gamma feasibility gating needs), and their
+warnings, as a one-level chain reports them. `assemble_subset` prefetches every
+progenitor and static up front and merges one build after another; a later
+build re-settles a shared node only when it feeds it a new level or brings the
+full parse of a static's scheme-only daughter. A static resolves to the member
+at its level, the same member a chain reaching that level would produce.
 
 What a visit parses depends only on the nuclide, never on who reached it, so
 a run keeps one `ParseMemo`: each ground-state nuclide's decay records, level
@@ -195,23 +196,21 @@ class ChainBuild:
     nodes: dict[Nuclide, NodeData]
     order: list[Nuclide]
     warnings: list[str]
-    nuclides_parsed: int = 0  # visits in ``order`` not served by the memo
+    nuclides_parsed: int = 0  # full visits that fetched and parsed their nuclide
+    nuclides_reused: int = 0  # full visits served from the parse memo
 
 
-def _scheme_keys(nuclide: Nuclide) -> list[DatasetKey]:
-    return [DatasetKey.levels(nuclide), DatasetKey.transitions(nuclide)]
-
-
-def _unread_keys(nuclide: Nuclide, memo: ParseMemo) -> list[DatasetKey]:
+def _unread_keys(nuclide: Nuclide, memo: ParseMemo, full: bool) -> list[DatasetKey]:
     """The datasets a visit of ``nuclide`` would read, in reading order: its
-    six decay kinds and, unless its scheme is in the memo, levels and
-    transitions; none once the nuclide itself is."""
+    six decay kinds when the visit is ``full`` (not scheme-only) and, unless
+    its scheme is in the memo, levels and transitions; none once the nuclide
+    itself is."""
     if nuclide in memo:
         return []
-    decay = [DatasetKey.decay_rads(nuclide, rad) for rad in KIND_ORDER]
-    if DatasetKey.levels(nuclide) in memo:
-        return decay
-    return decay + _scheme_keys(nuclide)
+    keys = [DatasetKey.decay_rads(nuclide, rad) for rad in KIND_ORDER] if full else []
+    if DatasetKey.levels(nuclide) not in memo:
+        keys += [DatasetKey.levels(nuclide), DatasetKey.transitions(nuclide)]
+    return keys
 
 
 def _prefetch(source: DatasetSource, keys: list[DatasetKey]) -> None:
@@ -241,20 +240,6 @@ def _fetch_records(
     return records
 
 
-def _fetch_scheme(
-    source: DatasetSource, nuclide: Nuclide, warnings: list[str]
-) -> LevelScheme | None:
-    """The level scheme; transitions are read only when the levels exist, so
-    whatever became of a prefetched transitions dataset is otherwise ignored."""
-    levels_raw = _fetch(source, DatasetKey.levels(nuclide))
-    if levels_raw is None:
-        return None
-    transitions_raw = _fetch(source, DatasetKey.transitions(nuclide))
-    scheme, parse_warnings = parse_level_scheme(levels_raw, transitions_raw)
-    warnings.extend(parse_warnings)
-    return scheme
-
-
 def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
     """Give a node its nuclide's decay records, level scheme, daughters and
     parse warnings (the decay warnings, then the scheme's): from the memo,
@@ -262,7 +247,7 @@ def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
     entry = memo.get(node.nuclide)
     missed = entry is None
     if missed:
-        _prefetch(source, _unread_keys(node.nuclide, memo))
+        _prefetch(source, _unread_keys(node.nuclide, memo, full=True))
         warnings: list[str] = []
         records = _fetch_records(source, node.nuclide, warnings)
         levels = _visit_scheme(node.nuclide, source, memo)
@@ -278,12 +263,17 @@ def _visit_scheme(
     nuclide: Nuclide, source: DatasetSource, memo: ParseMemo
 ) -> ParsedNuclide:
     """A nuclide's level scheme and that parse's warnings, with no records:
-    from the memo under the levels key, else fetched, parsed and stored."""
+    from the memo under the levels key, else fetched, parsed and stored. The
+    transitions are read only when the levels exist, so whatever became of a
+    prefetched transitions dataset is otherwise ignored."""
     key = DatasetKey.levels(nuclide)
     entry = memo.get(key)
     if entry is None:
-        warnings: list[str] = []
-        scheme = _fetch_scheme(source, nuclide, warnings)
+        scheme, warnings = None, []
+        levels_raw = _fetch(source, key)
+        if levels_raw is not None:
+            transitions_raw = _fetch(source, DatasetKey.transitions(nuclide))
+            scheme, warnings = parse_level_scheme(levels_raw, transitions_raw)
         entry = memo.setdefault(key, ParsedNuclide((), scheme, (), tuple(warnings)))
     return entry
 
@@ -407,9 +397,17 @@ def build_progeny(
     visited count passes ``visited_cap``. Nuclides already in ``memo`` are
     not fetched or parsed again.
     """
+    return _walk(progenitor, source, simulate_cascade, visited_cap, memo, static=False)
+
+
+def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
+          visited_cap: int, memo: ParseMemo | None, static: bool) -> ChainBuild:
+    """The walk behind `build_progeny`. A static walk visits the root alone
+    in full and reads only its daughters' level schemes: a scheme-only node
+    has no daughters, so the walk stops one level down."""
     memo = {} if memo is None else memo
     warnings: list[str] = []
-    parsed = 0
+    parsed = reused = 0
     root = progenitor.ground_state
     nodes: dict[Nuclide, NodeData] = {}
     order: list[Nuclide] = []
@@ -420,13 +418,19 @@ def build_progeny(
     scheduled = {root}
     while stack:
         current = stack.pop()
-        if len(order) >= visited_cap:
-            raise DepthExceeded(
-                f"visited {len(order)} nuclides; cap is {visited_cap}"
-            )
-        order.append(current)
         node = nodes.setdefault(current, NodeData(nuclide=current))
-        parsed += _visit(node, source, memo)
+        if static and current != root:
+            node.parsed = _visit_scheme(current, source, memo)
+            node.warnings.extend(node.parsed.warnings)
+        elif parsed + reused >= visited_cap:
+            raise DepthExceeded(
+                f"visited {parsed + reused} nuclides; cap is {visited_cap}"
+            )
+        elif _visit(node, source, memo):
+            parsed += 1
+        else:
+            reused += 1
+        order.append(current)
 
         fresh = []
         for feed in node.daughters:
@@ -439,7 +443,7 @@ def build_progeny(
                 fresh.append(feed.daughter)
         # fresh[0] is visited next, so its datasets are queued first.
         _prefetch(source, [key for daughter in fresh
-                           for key in _unread_keys(daughter, memo)])
+                           for key in _unread_keys(daughter, memo, full=not static)])
         stack.extend(reversed(fresh))
 
     # Progenitor levels are designated by the user; omission means ground.
@@ -468,7 +472,7 @@ def build_progeny(
         progenitor_terminal=progenitor_terminal,
     )
     return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order,
-                      warnings=warnings, nuclides_parsed=parsed)
+                      warnings=warnings, nuclides_parsed=parsed, nuclides_reused=reused)
 
 
 def _same_node(a: Nuclide, b: Nuclide) -> bool:
@@ -533,8 +537,8 @@ class RadionuclideSubset:
     trees: list[LineageTree] = field(default_factory=list)
     nodes: dict[Nuclide, NodeData] = field(default_factory=dict)
     warnings: list[str] = field(default_factory=list)
-    nuclides_parsed: int = 0  # visits that fetched and parsed their nuclide
-    nuclides_reused: int = 0  # visits served from the parse memo
+    nuclides_parsed: int = 0  # builds' full visits that fetched and parsed
+    nuclides_reused: int = 0  # builds' full visits served from the parse memo
 
 
 def _merge_nodes(
@@ -548,8 +552,13 @@ def _merge_nodes(
             target[key] = node
             continue
         # Same datasets underneath; union the feeding context and widen the
-        # feasible set when that added a level.
-        if existing.add_inherited(tuple(node.inherited)):
+        # feasible set when that added a level. A full parse takes over from
+        # an earlier static's scheme-only node of the same nuclide.
+        changed = existing.add_inherited(tuple(node.inherited))
+        if node.records and not existing.records:
+            existing.parsed = node.parsed
+            changed = True
+        if changed:
             _settle(existing, simulate_cascade)
 
 
@@ -573,6 +582,8 @@ def assemble_subset(
 ) -> RadionuclideSubset:
     """Assemble the complete radionuclide subset (R | Y | S) \\ E.
 
+    Each progenitor, then each static, is one build merged into the subset's
+    nodes, with its warnings and counts; a static resolves on its merged node.
     Member ordering is deterministic: chains in input order with discovery
     order within each, then statics in input order; exclusions are removed
     by exact (element, mass number, level) identity. ``memo`` is the run's
@@ -582,56 +593,30 @@ def assemble_subset(
     chains: list[DecayChain] = []
     trees: list[LineageTree] = []
     nodes: dict[Nuclide, NodeData] = {}
-    visited: set[Nuclide] = set()
     warnings: list[str] = []
-    visits = parsed = 0
+    resolved_statics: list[Nuclide] = []
+    parsed = reused = 0
 
     _prefetch(source, [key for n in [*recursive, *statics]
-                       for key in _unread_keys(n.ground_state, memo)])
-    for progenitor in recursive:
-        build = build_progeny(
-            progenitor,
-            source,
-            simulate_cascade=simulate_cascade,
-            visited_cap=visited_cap,
-            memo=memo,
-        )
-        chains.append(build.chain)
-        trees.append(build.tree)
-        visited.update(build.order)
-        visits += len(build.order)
-        parsed += build.nuclides_parsed
+                       for key in _unread_keys(n.ground_state, memo, full=True)])
+    for index, root in enumerate([*recursive, *statics]):
+        static = index >= len(recursive)
+        if static:
+            build = _walk(root, source, simulate_cascade, visited_cap, memo, static=True)
+        else:
+            build = build_progeny(root, source, simulate_cascade=simulate_cascade,
+                                  visited_cap=visited_cap, memo=memo)
         _merge_nodes(nodes, build.nodes, simulate_cascade)
         warnings.extend(build.warnings)
-
-    resolved_statics: list[Nuclide] = []
-    for static in statics:
-        ground = static.ground_state
-        node = nodes.setdefault(ground, NodeData(nuclide=ground))
-        if ground not in visited:
-            # No descendants: the daughters are settled from their level
-            # schemes alone, which is all that gamma gating needs of them.
-            visited.add(ground)
-            visits += 1
-            parsed += _visit(node, source, memo)
-            warnings.extend(node.warnings)
-            _prefetch(source, [key for feed in node.daughters if feed.daughter not in nodes
-                               and DatasetKey.levels(feed.daughter) not in memo
-                               for key in _scheme_keys(feed.daughter)])
-            for feed in node.daughters:
-                child = nodes.get(feed.daughter)
-                if child is None:
-                    child = nodes[feed.daughter] = NodeData(
-                        nuclide=feed.daughter,
-                        parsed=_visit_scheme(feed.daughter, source, memo))
-                    child.warnings.extend(child.parsed.warnings)
-                    warnings.extend(child.warnings)
-                child.add_inherited(feed.feeding_levels)
-                _settle(child, simulate_cascade)
-        level = resolve_level_spec(static.level, node.scheme)
-        node.add_inherited((level,))
-        _settle(node, simulate_cascade)
-        resolved_statics.append(_static_member(node, level))
+        parsed += build.nuclides_parsed
+        reused += build.nuclides_reused
+        if static:
+            node = nodes[root.ground_state]
+            level = resolve_level_spec(root.level, node.scheme)
+            resolved_statics.append(_static_member(node, level))
+        else:
+            chains.append(build.chain)
+            trees.append(build.tree)
 
     excluded = set(exclusions)
     members: list[Nuclide] = []
@@ -654,5 +639,5 @@ def assemble_subset(
         nodes=nodes,
         warnings=warnings,
         nuclides_parsed=parsed,
-        nuclides_reused=visits - parsed,
+        nuclides_reused=reused,
     )

@@ -100,6 +100,9 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
         level = item.get("level")
         if level is None:
             return nuclide
+        if isinstance(level, bool):  # a bool is an int: true would read as 1 keV
+            raise ConfigParseError(f"{context}: bad level {level!r}: expected an "
+                                   "energy in keV, 'ground' or 'm<n>'")
         try:
             if isinstance(level, (int, float)):
                 return nuclide.at_level(LevelSpec.energy(float(level)))

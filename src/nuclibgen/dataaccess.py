@@ -138,7 +138,7 @@ class AbsenceRegistry:
             return cls(path)  # absent file: empty registry, nothing created yet
         try:
             lines = path.read_text(encoding="utf-8").splitlines()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise RegistryIoError(f"cannot read registry {path}: {exc}") from exc
         reg = cls(path, {ln.strip() for ln in lines if ln.strip()})
         normalized = "".join(f"{entry}\n" for entry in sorted(reg.entries))
@@ -172,7 +172,7 @@ class AbsenceRegistry:
                     newline="\n",
                 )
                 os.replace(tmp, self.backing_path)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             tmp.unlink(missing_ok=True)
             raise RegistryIoError(
                 f"cannot write registry {self.backing_path}: {exc}"

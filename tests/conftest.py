@@ -153,6 +153,18 @@ def primed_store(corpus_dir, tmp_path_factory) -> DataStore:
 
 
 @pytest.fixture()
+def warning_cache(tmp_path, corpus_dir):
+    """A primed cache whose 225Ac levels and 213Bi alpha rows each carry one
+    bad row, so every job reaching them reports parse warnings."""
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    with (cache / "225ac_lv.csv").open("a", encoding="utf-8") as fh:
+        fh.write("Ac,225,nan,0,,,,,,,,,\n")
+    with (cache / "213bi_dr-a.csv").open("a", encoding="utf-8") as fh:
+        fh.write("abc,1.5,1.94,0.0582,Bi,213,0,0.1,2735.4,3.6,A,2.2,,Tl,209,0,,\n")
+    return cache
+
+
+@pytest.fixture()
 def fresh_primed_store(corpus_dir, tmp_path) -> DataStore:
     cache = prime_cache(corpus_dir, tmp_path / "cache")
     return DataStore(AccessConfig(cache_dir=cache, offline=True))

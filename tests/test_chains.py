@@ -219,6 +219,46 @@ def test_static_daughter_of_an_earlier_static_keeps_its_lines(primed_store):
         assert lines_of(both, "228th", rad) == lines_of(alone, "228th", rad), rad
 
 
+def entries_by_radiation(subset):
+    return {rad: sorted(map(repr, assemble_library(subset, rad).entries))
+            for rad in RadiationType}
+
+
+def test_static_warnings_do_not_depend_on_static_order(warning_cache):
+    """225Ra reads its daughter 225Ac's level scheme alone; 225Ac, a static of
+    its own, parses it in full. In either order each of the two statics
+    reports the bad 225Ac level row once, as two one-level chains would."""
+    store = DataStore(AccessConfig(cache_dir=warning_cache, offline=True))
+    ra, ac = parse_nuclide_id("225ra"), parse_nuclide_id("225ac")
+    forward = assemble_subset([], [ra, ac], [], store)
+    backward = assemble_subset([], [ac, ra], [], store)
+    assert entries_by_radiation(forward) == entries_by_radiation(backward)
+    assert sorted(forward.warnings) == sorted(backward.warnings)
+    for subset in (forward, backward):
+        assert sum("non-finite value 'nan'" in w for w in subset.warnings) == 2
+        assert (subset.nuclides_parsed, subset.nuclides_reused) == (2, 0)
+
+
+def test_static_reports_its_settle_warnings(primed_store):
+    subset = assemble_subset([], [parse_nuclide_id("99tc@150kev")], [], primed_store)
+    assert "99tc: start level 150.0 keV matches no level record" in subset.warnings
+
+
+@pytest.mark.parametrize("recursive, statics, counts", [
+    (["229th"], ["225ac", "213bi"], (11, 2)),
+    ([], ["213bi", "213bi"], (1, 1)),
+    ([], ["213bi", "213po"], (2, 0)),
+])
+def test_static_visits_served_from_the_memo_count_as_reused(primed_store, recursive,
+                                                            statics, counts):
+    """A static whose nuclide an earlier chain or static visited in full is
+    reused; a static's daughters, read for their level schemes, count as
+    neither parsed nor reused."""
+    subset = assemble_subset([parse_nuclide_id(n) for n in recursive],
+                             [parse_nuclide_id(n) for n in statics], [], primed_store)
+    assert (subset.nuclides_parsed, subset.nuclides_reused) == counts
+
+
 def test_unknown_isomer_ordinal_raises(primed_store):
     with pytest.raises(DataUnavailable):
         build_progeny(Nuclide("Lu", 177, LevelSpec.meta(9)), primed_store)

@@ -305,6 +305,25 @@ jobs:
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_registry_that_is_not_utf8_is_one_error_line(tmp_path, corpus_dir, capsys):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    registry = cache / "absent_registry.txt"
+    registry.write_bytes(b"\xff\xfe2\x000\x008\x00p\x00b\x00")
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {tmp_path / "out"}
+jobs:
+  - name: ra
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: RegistryIoError: cannot read registry {registry}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 @pytest.mark.parametrize("top, job", [
     ("cache_dir: 5", "name: a"),
     ("out_dir: 5", "name: a"),
@@ -525,18 +544,6 @@ SHARED_JOBS = {
     radiation: alpha
 """,
 }
-
-
-@pytest.fixture()
-def warning_cache(tmp_path, corpus_dir):
-    """A primed cache whose 225Ac levels and 213Bi alpha rows each carry one
-    bad row, so every job reaching them reports parse warnings."""
-    cache = prime_cache(corpus_dir, tmp_path / "cache")
-    with (cache / "225ac_lv.csv").open("a", encoding="utf-8") as fh:
-        fh.write("Ac,225,nan,0,,,,,,,,,\n")
-    with (cache / "213bi_dr-a.csv").open("a", encoding="utf-8") as fh:
-        fh.write("abc,1.5,1.94,0.0582,Bi,213,0,0.1,2735.4,3.6,A,2.2,,Tl,209,0,,\n")
-    return cache
 
 
 def run_jobs(tmp_path, cache, names, out_name, jobs_parallel=1):

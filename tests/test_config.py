@@ -48,9 +48,10 @@ jobs:
     assert third.level.kind == "energy"
 
 
-@pytest.mark.parametrize("level", ["-5", "mx", "m0"])
+@pytest.mark.parametrize("level", ["-5", "mx", "m0", "true", "false", "yes"])
 def test_bad_level_spec_rejected(tmp_path, level):
-    with pytest.raises(ConfigParseError, match="bad level"):
+    with pytest.raises(ConfigParseError,
+                       match=r"^jobs\[0\]\.recursive_progenitors: bad level "):
         load_config(write(tmp_path, f"""
 jobs:
   - recursive_progenitors:

@@ -17,8 +17,9 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from nuclibgen.chains import assemble_subset, build_progeny
+from nuclibgen.cli import main
 from nuclibgen.config import load_config
-from nuclibgen.dataaccess import DatasetKey, RawDataset
+from nuclibgen.dataaccess import AbsenceRegistry, DatasetKey, RawDataset
 from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput, NuclibError
 from nuclibgen.export import (
@@ -68,6 +69,7 @@ from conftest import (
     dr_body,
     dr_row,
     lv_body,
+    prime_cache,
     simple_chain_source,
     tr_body,
 )
@@ -505,6 +507,7 @@ def test_config_before_mutation_loads(tmp_path):
 @example(config=_with(("jobs", 0, "static_nuclides"), 5))
 @example(config=_with(("jobs", 1, "exclusions"), 5))
 @example(config=_with(("jobs", 0, "plot", "windows"), 7))
+@example(config=_with(("jobs", 0, "static_nuclides", 1, "level"), True))
 def test_mutated_config_loads_or_raises_a_nuclib_error(tmp_path, config):
     path = tmp_path / "run.yaml"
     path.write_text(yaml.safe_dump(config), encoding="utf-8")
@@ -514,13 +517,34 @@ def test_mutated_config_loads_or_raises_a_nuclib_error(tmp_path, config):
         pass
 
 
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=mutated_configs())
+def test_mutated_config_that_loads_generates_or_fails_cleanly(tmp_path_factory, monkeypatch,
+                                                             corpus_dir, config):
+    """A mutated config that loads runs ``generate --offline`` from a primed
+    cache in a directory of its own: it exits 0, 1 or 2, never with a
+    traceback (an exception out of ``main``)."""
+    work = tmp_path_factory.mktemp("generate")
+    path = work / "run.yaml"
+    path.write_text(yaml.safe_dump(config), encoding="utf-8")
+    try:
+        load_config(path)
+    except NuclibError:
+        return
+    prime_cache(corpus_dir, work / VALID_CONFIG["cache_dir"])
+    monkeypatch.chdir(work)
+    assert main(["generate", str(path), "--offline"]) in (0, 1, 2)
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(body=st.binary(max_size=200))
 @pytest.mark.parametrize("loader, header", [
     (PeakList.load_csv, b"centroid_kev,net_area\n"),
     (import_library_csv, ",".join(CSV_COLUMNS).encode() + b"\n"),
     (MarkerRegistry.load_csv, b"nuclide,shape,color,label\n"),
-], ids=["peaks", "library", "markers"])
+    (AbsenceRegistry.load, b"208pb:dr-a\n"),
+], ids=["peaks", "library", "markers", "absences"])
 @pytest.mark.parametrize("with_header", [False, True], ids=["raw", "after-header"])
 def test_random_bytes_load_or_raise_a_nuclib_error(tmp_path, loader, header, with_header,
                                                     body):
