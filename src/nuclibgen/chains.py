@@ -32,7 +32,9 @@ another job (threads of `--jobs N` included), takes the stored entry. The
 level scheme is also stored alone, under the nuclide's levels key: a static's
 daughters read only that, so a nuclide that one job visits in a chain and
 another reads as a static's daughter is parsed once. A visit that fails is not
-stored.
+stored. An entry groups its decay records by (radiation, parent level) when it
+is made, so that member resolution and library assembly compare a level with
+each distinct parent level rather than with every record.
 
 What a settle derives depends only on the parse and the feeding context, so
 each memo entry also keeps a settle table keyed by the node's inherited levels
@@ -104,8 +106,10 @@ Settled = tuple[FlattenedLevels | None, tuple[ChainMember, ...], tuple[str, ...]
 @dataclass(frozen=True)
 class ParsedNuclide:
     """One visit's parse of a ground-state nuclide (of its level scheme alone,
-    under its levels key); shared, never replaced. ``settled`` fills with
-    the results of each feeding context settled on this parse."""
+    under its levels key); shared, never replaced. ``groups`` holds the
+    positions of the records by (radiation, parent level), in file order, built
+    with the entry; ``settled`` fills with the results of each feeding context
+    settled on this parse."""
 
     records: tuple[DecayRecord, ...]
     scheme: LevelScheme | None
@@ -113,6 +117,23 @@ class ParsedNuclide:
     warnings: tuple[str, ...]
     settled: dict[SettleKey, Settled] = field(
         default_factory=dict, compare=False, repr=False)
+    groups: dict[tuple[RadiationType, EnergyValue], list[int]] = field(
+        init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        groups: dict[tuple[RadiationType, EnergyValue], list[int]] = {}
+        for i, rec in enumerate(self.records):
+            groups.setdefault((rec.radiation, rec.parent_level), []).append(i)
+        object.__setattr__(self, "groups", groups)
+
+    def at_level(
+        self, level: EnergyValue, radiation: RadiationType | None = None
+    ) -> list[DecayRecord]:
+        """The records, in file order, at parent levels matching ``level``: of
+        ``radiation``, or of every radiation type when it is None."""
+        hits = [group for (rad, parent), group in self.groups.items()
+                if (radiation is None or rad is radiation) and energies_match(parent, level)]
+        return [self.records[i] for i in sorted(i for group in hits for i in group)]
 
 
 # Run-scoped memo of successful visits, keyed by ground-state nuclide, and of
@@ -344,9 +365,9 @@ def _resolve_members(
     descending level energy (isomers before the ground state).
     """
     decaying: list[EnergyValue] = []
-    for rec in node.records:
-        if not any(energies_match(rec.parent_level, seen) for seen in decaying):
-            decaying.append(rec.parent_level)
+    for parent in dict.fromkeys(parent for _, parent in node.parsed.groups):
+        if not any(energies_match(parent, seen) for seen in decaying):
+            decaying.append(parent)
     decaying.sort(key=lambda e: e.kev, reverse=True)
 
     members: list[ChainMember] = []
@@ -365,10 +386,8 @@ def _resolve_members(
                 None if matched.half_life.is_stable else matched.half_life.seconds
             )
         if half_life is None:
-            for rec in node.records:
-                if rec.half_life is not None and energies_match(rec.parent_level, level):
-                    half_life = rec.half_life.seconds
-                    break
+            half_life = next((rec.half_life.seconds for rec in node.parsed.at_level(level)
+                              if rec.half_life is not None), None)
         members.append(
             ChainMember(
                 nuclide=identity,
@@ -532,7 +551,6 @@ class RadionuclideSubset:
 
     recursive_chains: list[DecayChain]
     statics: list[Nuclide]
-    exclusions: list[Nuclide]
     members: list[Nuclide]
     trees: list[LineageTree] = field(default_factory=list)
     nodes: dict[Nuclide, NodeData] = field(default_factory=dict)
@@ -633,7 +651,6 @@ def assemble_subset(
     return RadionuclideSubset(
         recursive_chains=chains,
         statics=resolved_statics,
-        exclusions=list(exclusions),
         members=members,
         trees=trees,
         nodes=nodes,

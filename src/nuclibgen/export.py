@@ -17,7 +17,7 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvalidInput, IoError, NuclibError, UnsupportedFormat
-from .library import LibraryEntry, PruneBounds, RadionuclideLibrary
+from .library import LibraryEntry, PerValue, PruneBounds, RadionuclideLibrary
 from .nuclide import EnergyValue, HalfLife, RadiationType, parse_nuclide_id
 
 CSV_COLUMNS = (
@@ -64,19 +64,27 @@ def _half_life_cell(hl: HalfLife | None) -> str:
     return _num(hl.seconds)
 
 
+def _cell_renderer():
+    """A function from an entry to its table cells, in CSV_COLUMNS order. It
+    renders the nuclide, half-life, parent-level and flags cells once per
+    distinct value."""
+    nuclides = PerValue(str)
+    half_lives = PerValue(_half_life_cell)
+    parents = PerValue(lambda level: _num(level.kev))
+    flag_sets = PerValue(lambda flags: ";".join(sorted(flags)))
+
+    def cells(e: LibraryEntry) -> tuple[str, ...]:
+        return (nuclides[e.nuclide], e.radiation.code, _num(e.energy.kev),
+                _num(e.energy.uncertainty_kev), _num(e.intensity_percent),
+                _num(e.intensity_unc), half_lives[e.half_life], parents[e.parent_level],
+                flag_sets[e.flags])
+
+    return cells
+
+
 def entry_cells(entry: LibraryEntry) -> tuple[str, ...]:
     """The entry's table cells, in CSV_COLUMNS order."""
-    return (
-        str(entry.nuclide),
-        entry.radiation.code,
-        _num(entry.energy.kev),
-        _num(entry.energy.uncertainty_kev),
-        _num(entry.intensity_percent),
-        _num(entry.intensity_unc),
-        _half_life_cell(entry.half_life),
-        _num(entry.parent_level.kev),
-        ";".join(sorted(entry.flags)),
-    )
+    return _cell_renderer()(entry)
 
 
 def entry_row(entry: LibraryEntry) -> dict[str, str]:
@@ -84,8 +92,10 @@ def entry_row(entry: LibraryEntry) -> dict[str, str]:
 
 
 def table_rows(lib: RadionuclideLibrary) -> list[tuple[str, ...]]:
-    """Every entry's cells; compute them once and pass them to each format."""
-    return [entry_cells(entry) for entry in lib.entries]
+    """Every entry's cells, as entry_cells gives them; compute them once and
+    pass them to each format."""
+    cells = _cell_renderer()
+    return [cells(entry) for entry in lib.entries]
 
 
 def _render_csv(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:

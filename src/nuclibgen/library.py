@@ -1,21 +1,25 @@
 """Couple a radionuclide subset to validated nuclear data and prune the
 result by energy, emission probability, and half-life.
+
+A member's entries come from its node's records grouped by (radiation, parent
+level). What entries share (half-lives, parent levels, flag sets marked
+unvalidated, gamma-gate verdicts) is built once per distinct value.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .chains import ChainMember, NodeData, RadionuclideSubset
 from .errors import EmptySubset, InvertedBounds
-from .nuclide import EnergyValue, HalfLife, Nuclide, RadiationType, energies_match
-from .records import FLAG_UNVALIDATED, DecayRecord
+from .nuclide import EnergyValue, HalfLife, Nuclide, RadiationType
+from .records import FLAG_UNVALIDATED
 
 INF = float("inf")
 
 
-@dataclass(frozen=True)
-class LibraryEntry:
+class LibraryEntry(NamedTuple):
     """One radiation line of the library, ascribed to its emitting member."""
 
     nuclide: Nuclide
@@ -58,76 +62,28 @@ class RadionuclideLibrary:
         return len(self.entries)
 
 
-def _entry_sort_key(order: dict[Nuclide, int]):
-    def key(entry: LibraryEntry):
-        intensity = entry.intensity_percent
-        return (
-            order.get(entry.nuclide, len(order)),
-            -(intensity if intensity is not None else -INF),
-            entry.energy.kev,
-        )
+class PerValue(dict):
+    """A dict that builds the value of a missing key as ``build(key)`` and
+    keeps it, so that each distinct key is built once."""
 
-    return key
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
 
 
-def _gate_gamma(rec: DecayRecord, nodes: dict[Nuclide, NodeData]) -> bool | None:
-    """True/False keep/drop verdict for a gamma record's emitting level;
-    None when the daughter's levels could not be validated."""
-    if rec.start_level is None:
-        return True
-    daughter_node = nodes.get(rec.daughter.ground_state)
-    if daughter_node is None or daughter_node.flattened is None:
+def _gate_gamma(
+    nodes: dict[Nuclide, NodeData], daughter: Nuclide, start_level: EnergyValue
+) -> bool | None:
+    """True/False keep/drop verdict for a gamma emitted from ``start_level``
+    of ``daughter``; None when the daughter's levels could not be validated."""
+    node = nodes.get(daughter.ground_state)
+    if node is None or node.flattened is None:
         return None
-    return daughter_node.flattened.contains(rec.start_level)
-
-
-def _member_entries(
-    member: ChainMember,
-    node: NodeData,
-    radiation: RadiationType,
-    nodes: dict[Nuclide, NodeData],
-    warnings: list[str],
-) -> list[LibraryEntry]:
-    entries = []
-    level = EnergyValue(member.level_kev)
-    for rec in node.records:
-        if rec.radiation is not radiation:
-            continue
-        if not energies_match(rec.parent_level, level):
-            continue
-        flags = set(rec.flags)
-        if member.unvalidated:
-            flags.add(FLAG_UNVALIDATED)
-        if radiation is RadiationType.GAMMA:
-            verdict = _gate_gamma(rec, nodes)
-            if verdict is False:
-                continue  # emitting level unreachable: unviable radiation
-            if verdict is None:
-                flags.add(FLAG_UNVALIDATED)
-                warnings.append(
-                    f"{member.nuclide}: gamma at {rec.energy.kev} keV kept "
-                    f"unvalidated (no level data for {rec.daughter})"
-                )
-        # Entries carry exactly what the CSV schema can represent, so that
-        # export/import round-trips are the identity.
-        half_life = None
-        if rec.half_life is not None:
-            half_life = HalfLife(rec.half_life.seconds)
-        elif member.half_life_s is not None:
-            half_life = HalfLife(member.half_life_s)
-        entries.append(
-            LibraryEntry(
-                nuclide=member.nuclide,
-                radiation=radiation,
-                energy=rec.energy,
-                intensity_percent=rec.intensity_percent,
-                intensity_unc=rec.intensity_unc,
-                half_life=half_life,
-                parent_level=EnergyValue(rec.parent_level.kev),
-                flags=frozenset(flags),
-            )
-        )
-    return entries
+    return node.flattened.contains(start_level)
 
 
 def assemble_library(
@@ -150,6 +106,14 @@ def assemble_library(
         for member in node.members:
             member_index[member.nuclide] = member
 
+    # Built once per distinct value: gamma-gate verdicts per (daughter, start
+    # level), flag sets marked unvalidated, and the half-lives and parent levels
+    # without uncertainty that entries carry: exactly what the CSV schema can
+    # represent, so that export/import round-trips are the identity.
+    verdicts = PerValue(lambda key: _gate_gamma(subset.nodes, *key))
+    marked = PerValue(lambda flags: flags | {FLAG_UNVALIDATED})
+    half_lives = PerValue(lambda half_life: HalfLife(half_life.seconds))
+    parents = PerValue(lambda level: EnergyValue(level.kev))
     entries: list[LibraryEntry] = []
     order: dict[Nuclide, int] = {}
     for position, identity in enumerate(subset.members):
@@ -157,10 +121,28 @@ def assemble_library(
         member = member_index.get(identity)
         if member is None:
             continue  # stable progenitor or static: nothing to couple
-        node = subset.nodes[member.node]
-        entries.extend(_member_entries(member, node, radiation, subset.nodes, sink))
+        fallback = None if member.half_life_s is None else HalfLife(member.half_life_s)
+        level = EnergyValue(member.level_kev)
+        for rec in subset.nodes[member.node].parsed.at_level(level, radiation):
+            flags = marked[rec.flags] if member.unvalidated else rec.flags
+            if radiation is RadiationType.GAMMA and rec.start_level is not None:
+                verdict = verdicts[rec.daughter, rec.start_level]
+                if verdict is False:
+                    continue  # emitting level unreachable: unviable radiation
+                if verdict is None:
+                    flags = marked[rec.flags]
+                    sink.append(
+                        f"{member.nuclide}: gamma at {rec.energy.kev} keV kept "
+                        f"unvalidated (no level data for {rec.daughter})"
+                    )
+            half_life = fallback if rec.half_life is None else half_lives[rec.half_life]
+            entries.append(LibraryEntry(
+                member.nuclide, radiation, rec.energy, rec.intensity_percent,
+                rec.intensity_unc, half_life, parents[rec.parent_level], flags,
+            ))
 
-    entries.sort(key=_entry_sort_key(order))
+    entries.sort(key=lambda e: (order[e.nuclide], -(
+        e.intensity_percent if e.intensity_percent is not None else -INF), e.energy.kev))
     return RadionuclideLibrary(radiation=radiation, entries=entries)
 
 

@@ -200,6 +200,14 @@ class EnergyIndex:
         window = self._window(energy.kev, half)
         return sorted(i for i, e in window if energies_match(e, energy))
 
+    def crowded(self) -> set[int]:
+        """Positions of the indexed energies whose own lookup window holds a
+        neighbour; no other indexed energy can match the rest."""
+        gaps = [b - a for a, b in zip(self._kevs, self._kevs[1:])]
+        return {i for (i, e), below, above in zip(self._entries, [_INF] + gaps, gaps + [_INF])
+                if min(below, above)
+                <= max(3.0 * (self._u_max**2 + e.uncertainty_kev**2) ** 0.5, 1.0)}
+
     def has_match(self, energy: EnergyValue) -> bool:
         """Whether any indexed energy matches: ``bool(matches(energy))``."""
         half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)

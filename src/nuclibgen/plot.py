@@ -10,6 +10,7 @@ across alpha and gamma libraries. Output is byte-deterministic.
 from __future__ import annotations
 
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -165,15 +166,19 @@ def _marker_svg(shape: str, x: float, y: float, size: float, color: str) -> str:
             f'stroke="{color}" stroke-width="1.6" fill="none"/>'
         )
     # star (fallback for unknown shape names as well)
-    pts = []
+    pts = " ".join(f"{round(x + dx, 2)},{round(y - dy, 2)}" for dx, dy in _star_offsets(s))
+    return f'<polygon points="{pts}" fill="{color}"/>'
+
+
+@functools.lru_cache(maxsize=8)
+def _star_offsets(size: float) -> tuple[tuple[float, float], ...]:
+    """The (dx, dy) of a star's ten points: a point is at (x + dx, y - dy)."""
+    offsets = []
     for i in range(10):
-        radius = 1.6 * s if i % 2 == 0 else 0.7 * s
+        radius = 1.6 * size if i % 2 == 0 else 0.7 * size
         angle = math.pi / 2 + i * math.pi / 5
-        pts.append(
-            f"{round(x + radius * math.cos(angle), 2)},"
-            f"{round(y - radius * math.sin(angle), 2)}"
-        )
-    return f'<polygon points="{" ".join(pts)}" fill="{color}"/>'
+        offsets.append((radius * math.cos(angle), radius * math.sin(angle)))
+    return tuple(offsets)
 
 
 def plot_library(

@@ -24,8 +24,8 @@ for gamma rows the start/end level energies are levels of the daughter
 nuclide (of the nuclide itself for isomeric transitions).
 
 Row errors. A dataset whose header lacks a required column raises
-HeaderMismatch. A row is skipped with a warning that names its dataset
-("levels" for level rows) and line when one of its cells is bad: a number
+HeaderMismatch. A row is skipped with a warning that names its dataset key
+(``225ac:lv line 16: ...``) and line when one of its cells is bad: a number
 that does not parse, is non-finite or is out of range; an unknown element
 symbol or a mass number outside 1..300; an unknown decay code in a decay row;
 or a required cell the row is too short to have. Lines are numbered from the
@@ -36,8 +36,10 @@ empty. In a level row an unknown decay code drops only that mode. A
 transition row of another nuclide raises NuclideMismatch; an upward or
 unresolvable transition is excluded with a warning.
 
-A LevelScheme is resolved into a cascade graph once, when it is built; the
-parser looks up each distinct transition start or end once, in one level index.
+A LevelScheme is resolved into a cascade graph as its table fills: the parser
+links each transition it keeps as it reads it, and each distinct start or end
+energy is looked up once in the scheme's level index. Only a level whose lookup
+window holds another level is checked for a duplicate.
 """
 
 from __future__ import annotations
@@ -128,7 +130,8 @@ class TransitionRecord(NamedTuple):
 @dataclass
 class LevelScheme:
     """A nuclide's energy levels plus its electromagnetic transition table,
-    resolved into a cascade graph when built: pass final lists.
+    resolved into a cascade graph: pass the final levels. The transitions
+    passed are linked when built; the parser links each one it adds.
 
     Node i is ``levels[i]``, with energy ``nodes[i]``, and ``edges[i]`` lists in
     table order the end nodes of the transitions whose start matches node i. A
@@ -147,7 +150,16 @@ class LevelScheme:
         self.isomers = sorted(
             (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
         )
-        self._link()
+        self.nodes = [record.energy for record in self.levels]
+        self.edges = [[] for _ in self.levels]
+        self._ends: dict[EnergyValue, int] = {}
+        for t in self.transitions:
+            self._link(t)
+        self.edges += [
+            [self._ends[t.end_level] for t in self.transitions
+             if energies_match(t.start_level, node)]
+            for node in self.nodes[len(self.levels):]
+        ]
 
     def _matches(self, energy: EnergyValue) -> list[int]:
         """Positions of the levels matching ``energy``, looked up once per energy."""
@@ -156,24 +168,18 @@ class LevelScheme:
             found = self._hits[energy] = self._level_index.matches(energy)
         return found
 
-    def _link(self) -> None:
-        self.nodes = [record.energy for record in self.levels]
-        self.edges = [[] for _ in self.levels]
-        ends: dict[EnergyValue, int] = {}
-        for t in self.transitions:
-            end = ends.get(t.end_level)
+    def _link(self, t: TransitionRecord) -> None:
+        """Add the edges of one transition, resolving its end once per energy;
+        an end that matches no level becomes a node past the levels."""
+        end = self._ends.get(t.end_level)
+        if end is None:
+            end = self.position(t.end_level)
             if end is None:
-                end = self.position(t.end_level)
-                if end is None:
-                    end = len(self.nodes)
-                    self.nodes.append(t.end_level)
-                ends[t.end_level] = end
-            for i in self._matches(t.start_level):
-                self.edges[i].append(end)
-        self.edges += [
-            [ends[t.end_level] for t in self.transitions if energies_match(t.start_level, node)]
-            for node in self.nodes[len(self.levels):]
-        ]
+                end = len(self.nodes)
+                self.nodes.append(t.end_level)
+            self._ends[t.end_level] = end
+        for i in self._matches(t.start_level):
+            self.edges[i].append(end)
 
     def position(self, energy: EnergyValue) -> int | None:
         """The position in ``levels`` of find_level(energy), or None."""
@@ -357,7 +363,7 @@ _LEVEL_CELLS = (
 
 
 def _parse_level_row(
-    cells: tuple, lineno: int, warnings: list[str], nuclides: dict
+    cells: tuple, key: str, lineno: int, warnings: list[str], nuclides: dict
 ) -> LevelRecord | None:
     (symbol, a, energy, unc_e, hl_text, unc_hls,
      pct_1, pct_2, pct_3, code_1, code_2, code_3, jp) = cells
@@ -373,7 +379,7 @@ def _parse_level_row(
             half_life = None
         percents = (_opt_float(pct_1), _opt_float(pct_2), _opt_float(pct_3))
     except (ValueError, TypeError, MalformedId) as exc:
-        warnings.append(f"levels line {lineno}: {exc}")
+        warnings.append(f"{key} line {lineno}: {exc}")
         return None
 
     # An unknown decay code drops that mode only; the level itself is sound.
@@ -385,7 +391,7 @@ def _parse_level_row(
         try:
             mode = DecayMode.from_code(code)
         except ValueError as exc:
-            warnings.append(f"levels line {lineno}: {exc}")
+            warnings.append(f"{key} line {lineno}: {exc}")
             continue
         modes.append((mode, pct if pct is not None else 0.0))
 
@@ -406,8 +412,9 @@ def parse_level_scheme(
     ``transitions_raw`` may be None when the nuclide has no transition dataset
     (single-level schemes); the scheme then has an empty transition table.
     """
+    key = levels_raw.key.serialize()
     if levels_raw.key.kindcode != KIND_LEVELS:
-        raise HeaderMismatch(f"{levels_raw.key.serialize()} is not a levels dataset")
+        raise HeaderMismatch(f"{key} is not a levels dataset")
     rows, pick = _table(levels_raw, _LEVEL_COLUMNS, _LEVEL_CELLS)
 
     nuclides: dict = {}
@@ -415,13 +422,15 @@ def parse_level_scheme(
     for lineno, row in rows:
         row_warnings: list[str] = []
         parsed.append(
-            (_parse_level_row(pick(row), lineno, row_warnings, nuclides), row_warnings)
+            (_parse_level_row(pick(row), key, lineno, row_warnings, nuclides), row_warnings)
         )
 
     # A level matching an earlier kept level is dropped, with a warning naming
     # the first such level; one index over all parsed levels finds them.
+    # Only a level whose lookup window holds another level can clash.
     records = [record for record, _ in parsed if record is not None]
     index = EnergyIndex([record.energy for record in records])
+    crowded = index.crowded()
     warnings: list[str] = []
     kept: set[int] = set()
     position = 0  # of ``record`` in ``records``
@@ -429,24 +438,26 @@ def parse_level_scheme(
         warnings += row_warnings
         if record is None:
             continue
-        clash = next((j for j in index.matches(record.energy) if j in kept), None)
+        clash = None
+        if position in crowded:
+            clash = next((j for j in index.matches(record.energy) if j in kept), None)
         if clash is None:
             kept.add(position)
         else:
             warnings.append(
-                f"{levels_raw.key.serialize()}: level {record.energy.kev} keV "
-                f"duplicates {records[clash].energy.kev} keV within tolerance; kept first"
+                f"{key}: level {record.energy.kev} keV duplicates "
+                f"{records[clash].energy.kev} keV within tolerance; kept first"
             )
         position += 1
     levels = [record for i, record in enumerate(records) if i in kept]
 
     if not levels:
-        raise HeaderMismatch(f"{levels_raw.key.serialize()}: no level rows")
+        raise HeaderMismatch(f"{key}: no level rows")
     nuclide = levels[0].nuclide
     if any(l.nuclide != nuclide for l in levels):
-        raise NuclideMismatch(f"{levels_raw.key.serialize()}: mixed nuclides")
+        raise NuclideMismatch(f"{key}: mixed nuclides")
     if not any(l.energy.kev == 0 for l in levels):
-        warnings.append(f"{levels_raw.key.serialize()}: ground state missing; injected")
+        warnings.append(f"{key}: ground state missing; injected")
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))
     levels.sort(key=lambda l: l.energy.kev)
 
@@ -460,13 +471,11 @@ def parse_level_scheme(
         )
     if transitions_raw.key.nuclide != levels_raw.key.nuclide:
         raise NuclideMismatch(
-            f"levels are {levels_raw.key.serialize()} but transitions are "
-            f"{transitions_raw.key.serialize()}"
+            f"levels are {key} but transitions are {transitions_raw.key.serialize()}"
         )
     t_rows, t_pick = _table(transitions_raw, _TRANSITION_COLUMNS, _TRANSITION_CELLS)
     t_key = transitions_raw.key.serialize()
     energies: dict = {}
-    transitions: list[TransitionRecord] = []
     for lineno, row in t_rows:
         (symbol, a, start, unc_sl, end, unc_el, gamma, unc_en, intensity) = t_pick(row)
         try:
@@ -494,9 +503,9 @@ def parse_level_scheme(
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue
-        transitions.append(TransitionRecord(nuclide, start, end, gamma, intensity))
-    scheme.transitions = transitions
-    scheme._link()
+        transition = TransitionRecord(nuclide, start, end, gamma, intensity)
+        scheme.transitions.append(transition)
+        scheme._link(transition)
     return scheme, warnings
 
 

@@ -369,7 +369,7 @@ def test_static_reports_its_daughters_parse_warnings():
     chain = assemble_subset([te131], [], [], source)
     static = assemble_subset([], [te131], [], source)
     nan_warnings = [w for w in chain.warnings if "nan" in w]
-    assert nan_warnings == ["levels line 3: non-finite value 'nan'"]
+    assert nan_warnings == ["131i:lv line 3: non-finite value 'nan'"]
     assert [w for w in static.warnings if "nan" in w] == nan_warnings
 
 

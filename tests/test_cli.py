@@ -61,13 +61,18 @@ def test_each_entry_is_rendered_once_for_all_table_formats(tmp_path, corpus_dir,
     """One job exporting all five table formats computes each library entry's
     cells once, not once per format."""
     calls = Counter()
-    cells = export_mod.entry_cells
+    renderer = export_mod._cell_renderer
 
-    def counted(entry):
-        calls[entry] += 1
-        return cells(entry)
+    def counted_renderer():
+        cells = renderer()
 
-    monkeypatch.setattr(export_mod, "entry_cells", counted)
+        def counted(entry):
+            calls[entry] += 1
+            return cells(entry)
+
+        return counted
+
+    monkeypatch.setattr(export_mod, "_cell_renderer", counted_renderer)
     cache = prime_cache(corpus_dir, tmp_path / "cache")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""

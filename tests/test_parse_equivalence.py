@@ -4,7 +4,10 @@ parsers they replaced, kept below verbatim: on random headers and rows
 and decay codes) both give equal records, schemes, warnings and dataset
 errors. Rows the old parsers crashed on (a missing symbol or decay cell,
 a bad element symbol or mass number) are compared with those rows left out,
-and must each become one warning of the new parsers.
+and must each become one warning of the new parsers. The old level-row
+warnings ("levels line 3: ...") are compared under the dataset key that the
+new parser names them by ("99tc:lv line 3: ..."), and every scheme the new
+parser builds must carry the cascade graph a linear scan links.
 """
 
 import csv
@@ -24,6 +27,7 @@ from nuclibgen.nuclide import (
     HalfLife,
     Nuclide,
     RadiationType,
+    energies_match,
 )
 from nuclibgen.records import (
     _DECAY_COLUMNS,
@@ -361,16 +365,46 @@ def crashes(parse, *raws) -> bool:
     return False
 
 
+def reference_link(scheme: LevelScheme):
+    """The nodes, edges and isomers of a parsed scheme, linked by linear scans
+    over its kept transitions: each transition goes from every level that
+    matches its start (matches) to the level find_level gives for its end
+    (position), the closest matching level, the earliest of equally close."""
+    energies = [record.energy for record in scheme.levels]
+
+    def position(energy):
+        near = [i for i, e in enumerate(energies) if energies_match(e, energy)]
+        return min(near, key=lambda i: abs(energies[i].kev - energy.kev))
+
+    edges = [[position(t.end_level) for t in scheme.transitions
+              if energies_match(t.start_level, energy)] for energy in energies]
+    isomers = sorted((record for record in scheme.levels if record.is_isomer),
+                     key=lambda record: record.energy.kev)
+    return energies, edges, isomers
+
+
+def assert_linked(result) -> None:
+    """A parsed scheme's cascade graph is its reference link; LevelScheme
+    equality does not compare the graph."""
+    if isinstance(result[0], LevelScheme):
+        scheme = result[0]
+        assert (scheme.nodes, scheme.edges, scheme.isomers) == reference_link(scheme)
+
+
 def check_equivalent(make_raws, old_parse, new_parse, header, rows, key_text):
     """Equal outcomes without the rows the old parser crashed on; with them,
-    the new parser warns once per such row and crashes on none."""
+    the new parser warns once per such row and crashes on none. Every scheme
+    the new parser builds is linked as reference_link links it."""
     crashed = {i for i, row in enumerate(rows)
                if row and crashes(old_parse, *make_raws(body(header, [row])))}
     kept = [row for i, row in enumerate(rows) if i not in crashed]
     raws = make_raws(body(header, kept))
-    assert outcome(new_parse, *raws) == outcome(old_parse, *raws)
+    result = outcome(new_parse, *raws)
+    assert result == outcome(old_parse, *raws)
+    assert_linked(result)
 
     result = outcome(new_parse, *make_raws(body(header, rows)))
+    assert_linked(result)
     numbers = line_numbers(rows)
     for i in sorted(crashed):
         if isinstance(result, tuple) and isinstance(result[0], str):
@@ -395,16 +429,53 @@ def test_decay_parser_matches_dictreader_parser(table):
                      DR_KEY.serialize())
 
 
+def keyed_level_scheme(levels_raw, transitions_raw):
+    """The DictReader level parser, its level-row warnings named by the levels
+    dataset key ("99tc:lv line 3: ...") as the new parser names them."""
+    scheme, warnings = parse_level_scheme(levels_raw, transitions_raw)
+    key = levels_raw.key.serialize()
+    return scheme, [key + w[len("levels"):] if w.startswith("levels line ") else w
+                    for w in warnings]
+
+
 @settings(max_examples=300, deadline=None)
 @given(tables(LV_COLUMNS, _LEVEL_COLUMNS))
 def test_level_parser_matches_dictreader_parser(table):
     check_equivalent(lambda text: (RawDataset(LV_KEY, text, "cache"), None),
-                     parse_level_scheme, new.parse_level_scheme, *table, "levels")
+                     keyed_level_scheme, new.parse_level_scheme, *table,
+                     LV_KEY.serialize())
 
 
 @settings(max_examples=300, deadline=None)
 @given(tables(TR_COLUMNS, _TRANSITION_COLUMNS))
 def test_transition_parser_matches_dictreader_parser(table):
     check_equivalent(lambda text: (GOOD_LEVELS, RawDataset(TR_KEY, text, "cache")),
-                     parse_level_scheme, new.parse_level_scheme, *table,
+                     keyed_level_scheme, new.parse_level_scheme, *table,
                      TR_KEY.serialize())
+
+
+# Level energies 0.4-0.8 keV apart: some levels are dropped as duplicates, and
+# a transition start with a wide uncertainty matches several kept levels.
+CROWDED_KEV = ["0", "139.9", "140.5", "140.9", "141.7", "142.5", "143.3", "150"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(CROWDED_KEV), st.sampled_from(["", "0", "0.3"]),
+                          st.sampled_from(["", "1e-12", "2.5", "1000"])),
+                min_size=3, max_size=8),
+       st.lists(st.tuples(st.sampled_from(CROWDED_KEV), st.sampled_from(["", "0.1", "1.2"]),
+                          st.sampled_from(CROWDED_KEV), st.sampled_from(["", "0.1"])),
+                min_size=4, max_size=14))
+def test_parsed_cascade_graph_matches_reference_link(levels, transitions):
+    """Near-duplicate levels, transitions whose start matches several levels
+    and start and end cells repeated across rows: the scheme the parser links
+    as it reads is the reference link of the transitions it kept."""
+    lv = RawDataset(LV_KEY, body(
+        ["symbol", "a", "energy", "unc_e", "half_life_sec", "decay_1"],
+        [["Tc", "99", kev, unc, hl, ""] for kev, unc, hl in levels]), "cache")
+    tr = RawDataset(TR_KEY, body(
+        ["symbol", "a", "start_level_energy", "unc_sl", "end_level_energy", "unc_el",
+         "energy"],
+        [["Tc", "99", start, unc_s, end, unc_e, "1"]
+         for start, unc_s, end, unc_e in transitions]), "cache")
+    assert_linked(new.parse_level_scheme(lv, tr))

@@ -6,7 +6,6 @@ raises a NuclibError.
 
 import copy
 import csv
-import dataclasses
 import io
 import json
 import math
@@ -16,7 +15,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from nuclibgen.chains import assemble_subset, build_progeny
+from nuclibgen.chains import ChainMember, _member_identity, assemble_subset, build_progeny
 from nuclibgen.cli import main
 from nuclibgen.config import load_config
 from nuclibgen.dataaccess import AbsenceRegistry, DatasetKey, RawDataset
@@ -24,6 +23,7 @@ from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import DepthExceeded, EmptySubset, InvalidInput, NuclibError
 from nuclibgen.export import (
     CSV_COLUMNS,
+    entry_cells,
     entry_row,
     export_table,
     import_library_csv,
@@ -64,6 +64,7 @@ from conftest import (
     DR_COLUMNS,
     LV_COLUMNS,
     TR_COLUMNS,
+    FakeSource,
     brute_radioactive,
     brute_reachable,
     dr_body,
@@ -178,6 +179,139 @@ def test_shared_memo_settles_like_a_fresh_one(primed_store, calls):
         shared = assemble_subset(*args, simulate_cascade=simulate_cascade, memo=memo)
         fresh = assemble_subset(*args, simulate_cascade=simulate_cascade)
         assert _settled(shared) == _settled(fresh)
+
+
+# --- grouped library assembly equals the per-record scan --------------------------
+
+def scan_members(node):
+    """Per-record reference for the members a settle resolves: each record's
+    parent level is compared with every decaying level found before it."""
+    decaying = []
+    for rec in node.records:
+        if not any(energies_match(rec.parent_level, seen) for seen in decaying):
+            decaying.append(rec.parent_level)
+    members = []
+    for level in sorted(decaying, key=lambda e: e.kev, reverse=True):
+        if node.flattened is not None and not node.flattened.contains(level):
+            continue
+        matched = node.scheme.find_level(level) if node.scheme else None
+        canonical = matched.energy if matched is not None else level
+        identity = _member_identity(node, canonical)
+        if any(m.nuclide == identity for m in members):
+            continue
+        half_life = None
+        if matched is not None and matched.half_life is not None:
+            half_life = matched.half_life.seconds
+        if half_life is None:
+            half_life = next((rec.half_life.seconds for rec in node.records
+                              if rec.half_life is not None
+                              and energies_match(rec.parent_level, level)), None)
+        members.append(ChainMember(identity, node.nuclide, canonical.kev, half_life,
+                                   node.flattened is None))
+    return members
+
+
+def scan_library(subset, radiation, warnings):
+    """Per-record reference for assemble_library: every record of a member's
+    node is tested against the member's level, and each entry built anew."""
+    members = {m.nuclide: m for node in subset.nodes.values() for m in node.members}
+    order = {identity: i for i, identity in enumerate(subset.members)}
+    entries = []
+    for identity in subset.members:
+        member = members.get(identity)
+        if member is None:
+            continue
+        for rec in subset.nodes[member.node].records:
+            if rec.radiation is not radiation or not energies_match(
+                    rec.parent_level, EnergyValue(member.level_kev)):
+                continue
+            flags = set(rec.flags) | ({"unvalidated"} if member.unvalidated else set())
+            if radiation is RadiationType.GAMMA and rec.start_level is not None:
+                daughter = subset.nodes.get(rec.daughter.ground_state)
+                if daughter is None or daughter.flattened is None:
+                    flags.add("unvalidated")
+                    warnings.append(f"{member.nuclide}: gamma at {rec.energy.kev} keV kept "
+                                    f"unvalidated (no level data for {rec.daughter})")
+                elif not daughter.flattened.contains(rec.start_level):
+                    continue
+            if rec.half_life is not None:
+                half_life = HalfLife(rec.half_life.seconds)
+            elif member.half_life_s is not None:
+                half_life = HalfLife(member.half_life_s)
+            else:
+                half_life = None
+            entries.append(LibraryEntry(
+                member.nuclide, radiation, rec.energy, rec.intensity_percent,
+                rec.intensity_unc, half_life, EnergyValue(rec.parent_level.kev),
+                frozenset(flags)))
+    entries.sort(key=lambda e: (order[e.nuclide], -(
+        e.intensity_percent if e.intensity_percent is not None else -math.inf), e.energy.kev))
+    return entries
+
+
+# Parent levels within tolerance of one another (0.4 keV apart, uncertainties
+# up to 0.5 keV), so that one member level matches several of them.
+PARENT_KEV = [0.0, 100.0, 100.4, 100.9, 101.3, 250.0]
+
+
+@st.composite
+def interleaved_sources(draw):
+    """A Mo-99 source whose decay rows, of three radiation types, interleave
+    the parent levels in file order. Gamma rows start at levels of Tc-99 or,
+    as isomeric transitions, of Mo-99, reachable or not; either level scheme
+    may be absent. Returns the source and the progenitor id."""
+    bodies = {}
+    for code in ("a", "bm", "g"):
+        rows = []
+        for _ in range(draw(st.integers(min_value=0, max_value=6))):
+            it = code == "g" and draw(st.booleans())
+            starts = [100.2, 180.0, 250.0] if it else ["", 140.5, 142.68]
+            row = dr_row(("Mo", 99), ("Mo", 99) if it else ("Tc", 99),
+                         mode="IT" if it else "B-",
+                         energy=draw(st.sampled_from([50.0, 60.0, 70.0])),
+                         intensity=draw(st.sampled_from(["", 1.0, 5.0])),
+                         p_energy=draw(st.sampled_from(PARENT_KEV)),
+                         hl=draw(st.sampled_from(["", 5.0, 7.0])),
+                         start=draw(st.sampled_from(starts)) if code == "g" else "")
+            row["unc_pe"] = draw(st.sampled_from(["", 0.1, 0.5]))
+            rows.append(row)
+        if rows:
+            bodies[f"99mo:dr-{code}"] = dr_body(rows)
+    schemes = {
+        "99mo": ("Mo", [(0.0, 1000.0), (100.2, 60.0), (101.0, ""), (250.0, "")],
+                 [(250.0, 100.2), (100.2, 0.0)]),
+        "99tc": ("Tc", [(0.0, "STABLE"), (140.5, ""), (142.68, 21600.0)],
+                 [(142.68, 140.5), (140.5, 0.0)]),
+    }
+    for nid, (symbol, levels, transitions) in schemes.items():
+        if draw(st.booleans()):
+            bodies[f"{nid}:lv"] = lv_body([
+                {"symbol": symbol, "a": 99, "energy": kev, "half_life_sec": hl}
+                for kev, hl in levels])
+            bodies[f"{nid}:tr"] = tr_body([
+                {"symbol": symbol, "a": 99, "start_level_energy": start,
+                 "end_level_energy": end, "energy": start - end}
+                for start, end in transitions])
+    return FakeSource(bodies), draw(st.sampled_from(["99mo", "99mo@250kev"]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(interleaved_sources())
+def test_grouped_assembly_equals_per_record_scan(case):
+    """Members and library entries read from the records grouped by
+    (radiation, parent level) equal those of a scan over every record."""
+    source, progenitor = case
+    build = build_progeny(parse_nuclide_id(progenitor), source)
+    for node in build.nodes.values():
+        assert node.members == scan_members(node)
+    if not build.chain.members:
+        return  # no decaying level is feasible: the subset would be empty
+    subset = assemble_subset([parse_nuclide_id(progenitor)], [], [], source)
+    for radiation in (RadiationType.ALPHA, RadiationType.BETA_MINUS, RadiationType.GAMMA):
+        warnings, expected = [], []
+        entries = assemble_library(subset, radiation, warnings).entries
+        assert entries == scan_library(subset, radiation, expected)
+        assert warnings == expected
 
 
 # --- pruning laws ---------------------------------------------------------------
@@ -304,7 +438,7 @@ json_libraries = st.builds(
         st.tuples(entry_strategy, st.frozensets(st.sampled_from(
             ["no-intensity", "unvalidated", 'q"uote', "back\\slash", "tab\t", "\x01",
              "\u00fcn\u00efcode", "\U0001f600", "a;b", "<&>", "%_#$"]))).map(
-            lambda pair: dataclasses.replace(pair[0], flags=pair[1])),
+            lambda pair: pair[0]._replace(flags=pair[1])),
         max_size=8),
     bounds=st.one_of(st.just(PruneBounds()), open_bounds),
 )
@@ -353,6 +487,12 @@ def reference_tables(lib: RadionuclideLibrary) -> dict[str, str]:
     tex.append(r"\end{tabular}")
     return {"csv": out.getvalue(), "html": "\n".join(html) + "\n",
             "xml": "\n".join(xml) + "\n", "tex": "\n".join(tex) + "\n"}
+
+
+@given(json_libraries)
+def test_table_rows_equal_each_entry_rendered_alone(lib):
+    """Cells rendered once per distinct value equal each entry's own cells."""
+    assert table_rows(lib) == [entry_cells(entry) for entry in lib.entries]
 
 
 @example(RadionuclideLibrary(radiation=RadiationType.ALPHA, entries=[]))
@@ -721,7 +861,7 @@ def test_duplicate_level_warnings_match_linear_scan(data, bad_rows):
     kept, expected = [], []
     for lineno, energy in enumerate(rows, start=2):
         if energy is None:
-            expected.append(f"levels line {lineno}: ")
+            expected.append(f"{key.serialize()} line {lineno}: ")
             continue
         clash = next((k for k in kept if energies_match(k, energy)), None)
         if clash is None:
