@@ -550,7 +550,6 @@ class RadionuclideSubset:
     """X = (R | Y | S) \\ E: recursive chains plus statics minus exclusions."""
 
     recursive_chains: list[DecayChain]
-    statics: list[Nuclide]
     members: list[Nuclide]
     trees: list[LineageTree] = field(default_factory=list)
     nodes: dict[Nuclide, NodeData] = field(default_factory=dict)
@@ -650,7 +649,6 @@ def assemble_subset(
         raise EmptySubset("radionuclide subset resolved to no members")
     return RadionuclideSubset(
         recursive_chains=chains,
-        statics=resolved_statics,
         members=members,
         trees=trees,
         nodes=nodes,

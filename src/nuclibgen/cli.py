@@ -3,7 +3,9 @@
 ``generate`` runs every job of a YAML configuration: subset construction,
 level validation, library assembly, pruning, exports, lineage files, and
 plots, then reports per-phase timings and exact retrieval counters. The jobs
-of one run share a parse memo, so each nuclide is parsed once per run.
+of one run share a parse memo, so each nuclide is parsed once per run, and
+each distinct subset (progenitors, statics, exclusions) is assembled once per
+run: a job that reuses one reads no dataset and opens no data store.
 ``qualify`` matches located spectrum peaks against an exported library.
 """
 
@@ -19,7 +21,7 @@ from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 from . import __version__
-from .chains import ParseMemo, assemble_subset, render_lineage
+from .chains import ParseMemo, RadionuclideSubset, assemble_subset, render_lineage
 from .config import JobConfig, RunConfig, load_config
 from .dataaccess import AccessConfig, DataStore
 from .errors import InvalidInput, NuclibError
@@ -109,26 +111,38 @@ def _phase(report: JobReport, name: str):
         report.phase_seconds[name] = round(time.perf_counter() - t0, 6)
 
 
-def run_job(
-    job: JobConfig, access: AccessConfig, out_dir: Path, memo: ParseMemo | None = None
-) -> JobReport:
-    """Execute one job; failures are captured, not propagated. The job reads
-    through its own store; ``memo`` is the run's parse memo, when shared."""
+def run_job(job: JobConfig, access: AccessConfig, out_dir: Path, memo: ParseMemo,
+            subsets: dict[tuple, RadionuclideSubset]) -> JobReport:
+    """Execute one job; failures are captured, not propagated. ``memo`` and
+    ``subsets`` are the run's parse memo and assembled subsets. A job whose
+    progenitors, statics and exclusions an earlier job assembled reuses that
+    subset: it reads no dataset, opens no store, and reports what a walk
+    served from the memo reports. Otherwise it assembles the subset through a
+    store of its own, closed when the subset phase ends."""
     report = JobReport(name=job.name)
-    store = DataStore(access)
+    key = (tuple(job.recursive_progenitors), tuple(job.static_nuclides), tuple(job.exclusions))
+    subset = subsets.get(key)
+    store = DataStore(access) if subset is None else None
     t_start = time.perf_counter()
     try:
         with _phase(report, "subset"):
-            subset = assemble_subset(
-                job.recursive_progenitors,
-                job.static_nuclides,
-                job.exclusions,
-                store,
-                memo=memo,
-            )
+            if store is None:
+                report.nuclides_reused = subset.nuclides_parsed + subset.nuclides_reused
+            else:
+                try:
+                    built = assemble_subset(job.recursive_progenitors, job.static_nuclides,
+                                            job.exclusions, store, memo=memo)
+                finally:
+                    store.close()  # waits for fetches in flight: final counters
+                    counters = store.stats.snapshot()
+                    report.network_calls = counters["network_calls"]
+                    report.cache_hits = counters["cache_hits"]
+                    report.registry_skips = counters["registry_skips"]
+                    report.absences_recorded = counters["absences_recorded"]
+                report.nuclides_parsed = built.nuclides_parsed
+                report.nuclides_reused = built.nuclides_reused
+                subset = subsets.setdefault(key, built)  # racing jobs built equal ones
         report.subset_size = len(subset.members)
-        report.nuclides_parsed = subset.nuclides_parsed
-        report.nuclides_reused = subset.nuclides_reused
         report.warnings.extend(subset.warnings)
 
         with _phase(report, "library"):
@@ -164,14 +178,7 @@ def run_job(
     except NuclibError as exc:
         report.ok = False
         report.error = f"{type(exc).__name__}: {exc}"
-    finally:
-        store.close()  # waits for fetches in flight, so the counters are final
-        counters = store.stats.snapshot()
-        report.network_calls = counters["network_calls"]
-        report.cache_hits = counters["cache_hits"]
-        report.registry_skips = counters["registry_skips"]
-        report.absences_recorded = counters["absences_recorded"]
-        report.total_seconds = round(time.perf_counter() - t_start, 6)
+    report.total_seconds = round(time.perf_counter() - t_start, 6)
     return report
 
 
@@ -198,14 +205,14 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
     report.source_id = access.base_url
 
     memo: ParseMemo = {}
+    subsets: dict[tuple, RadionuclideSubset] = {}
     t0 = time.perf_counter()
     if jobs_parallel > 1:
         with ThreadPoolExecutor(max_workers=jobs_parallel) as pool:
-            report.jobs = list(
-                pool.map(lambda job: run_job(job, access, out_dir, memo), config.jobs)
-            )
+            report.jobs = list(pool.map(
+                lambda job: run_job(job, access, out_dir, memo, subsets), config.jobs))
     else:
-        report.jobs = [run_job(job, access, out_dir, memo) for job in config.jobs]
+        report.jobs = [run_job(job, access, out_dir, memo, subsets) for job in config.jobs]
     report.total_seconds = round(time.perf_counter() - t0, 6)
 
     write_text(out_dir / "report.json", json.dumps(report.as_dict(), indent=2) + "\n")

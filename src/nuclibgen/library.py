@@ -58,9 +58,6 @@ class RadionuclideLibrary:
     entries: list[LibraryEntry]
     bounds: PruneBounds = field(default_factory=PruneBounds)
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
 
 class PerValue(dict):
     """A dict that builds the value of a missing key as ``build(key)`` and

@@ -30,6 +30,9 @@ PALETTE = (
 SHAPES = ("circle", "square", "diamond", "triangle-up",
           "triangle-down", "cross", "plus", "star")
 
+# XML escapes for registry text; the ``html`` module would load its entity table.
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
 WIDTH, HEIGHT = 900, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 60
 
@@ -270,8 +273,12 @@ def plot_library(
     for entry in placed:
         series.setdefault(entry.nuclide, []).append(entry)
 
+    styles: dict[Nuclide, MarkerStyle] = {}
     for nuclide in sorted(series, key=str):
-        style = markers.style_for(nuclide)
+        # Registry text is outside input: escape it for attributes and text.
+        raw = markers.style_for(nuclide)
+        style = styles[nuclide] = MarkerStyle(
+            *(text.translate(_ESCAPES) for text in (raw.shape, raw.color, raw.label)))
         svg.append(f'<g class="series" data-nuclide="{nuclide}" data-shape="{style.shape}">')
         for entry in series[nuclide]:
             svg.append(
@@ -307,8 +314,7 @@ def plot_library(
     svg.append("</g>")
 
     svg.append(f'<g class="legend" font-size="11">')
-    for i, nuclide in enumerate(sorted(series, key=str)):
-        style = markers.style_for(nuclide)
+    for i, style in enumerate(styles.values()):
         y = MARGIN_T + 14 + i * 16
         if y > MARGIN_T + plot_h:
             break

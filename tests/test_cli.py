@@ -9,9 +9,12 @@ from pathlib import Path
 import pytest
 
 import nuclibgen.chains as chains_mod
+import nuclibgen.cli as cli_mod
 import nuclibgen.export as export_mod
 from nuclibgen.cli import main, run
+from nuclibgen.chains import render_lineage
 from nuclibgen.config import load_config
+from nuclibgen.errors import DataUnavailable
 
 from conftest import REPO, prime_cache
 
@@ -548,6 +551,12 @@ SHARED_JOBS = {
     static_nuclides: [213Bi, 209Tl]
     radiation: alpha
 """,
+    "ac_g": """
+  - name: ac_g
+    recursive_progenitors: [233U, 225Ac]
+    static_nuclides: [213Bi]
+    radiation: gamma
+""",
 }
 
 
@@ -618,13 +627,100 @@ def test_shared_run_matches_each_job_alone(tmp_path, warning_cache):
     assert merged == together
 
 
-def test_parallel_jobs_match_serial_jobs(tmp_path, warning_cache):
+@pytest.mark.parametrize("jobs_parallel", [2, 4])
+def test_parallel_jobs_match_serial_jobs(tmp_path, warning_cache, jobs_parallel):
     serial = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "serial")
-    parallel = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "parallel", 2)
+    parallel = run_jobs(tmp_path, warning_cache, list(SHARED_JOBS), "parallel",
+                        jobs_parallel)
     assert parallel[0] == serial[0]
     for name, (warnings, parsed, reused) in serial[1].items():
         assert parallel[1][name][0] == warnings
         assert sum(parallel[1][name][1:]) == parsed + reused
+
+
+
+def counting_assemblies(monkeypatch):
+    """Record each subset ``cli`` assembles: its key, and a snapshot of its
+    members, warnings and rendered trees taken when it was built."""
+    built = []
+
+    def wrapper(recursive, statics, exclusions, *args, **kwargs):
+        key = (tuple(recursive), tuple(statics), tuple(exclusions))
+        try:
+            subset = assemble(recursive, statics, exclusions, *args, **kwargs)
+        except Exception as exc:
+            built.append((key, exc, None))
+            raise
+        snapshot = (list(subset.members), list(subset.warnings),
+                    [render_lineage(tree) for tree in subset.trees])
+        built.append((key, subset, snapshot))
+        return subset
+
+    assemble = cli_mod.assemble_subset
+    monkeypatch.setattr(cli_mod, "assemble_subset", wrapper)
+    return built
+
+
+def test_each_distinct_subset_is_assembled_once_per_run(monkeypatch, tmp_path,
+                                                        warning_cache):
+    built = counting_assemblies(monkeypatch)
+    jobs = {  # progenitors; statics; exclusions
+        "first": ("[233U, 225Ac]", "[213Bi]", "[]"),
+        "repeat": ("[233U, 225Ac]", "[213Bi]", "[]"),
+        "reordered": ("[225Ac, 233U]", "[213Bi]", "[]"),
+        "no_static": ("[233U, 225Ac]", "[]", "[]"),
+        "excluding": ("[233U, 225Ac]", "[213Bi]", "[209Tl]"),
+        "repeat_again": ("[233U, 225Ac]", "[213Bi]", "[]"),
+    }
+    cfg = write_config(tmp_path, f"cache_dir: {warning_cache}\noffline: true\n"
+                       f"out_dir: {tmp_path / 'out'}\njobs:" + "".join(
+                           f"\n  - {{name: {name}, recursive_progenitors: {r}, "
+                           f"static_nuclides: {s}, exclusions: {e}, radiation: alpha}}"
+                           for name, (r, s, e) in jobs.items()))
+    report = run(load_config(cfg))
+    assert report.ok
+    assert len(built) == len(set(jobs.values())) == 4
+    assert len({key for key, _, _ in built}) == 4
+    by_name = {job.name: job for job in report.jobs}
+    first = by_name["first"]
+    assert first.warnings and (first.cache_hits or first.nuclides_parsed)
+    for name in ("repeat", "repeat_again"):
+        job = by_name[name]
+        assert job.warnings == first.warnings
+        assert job.subset_size == first.subset_size
+        assert job.nuclides_parsed == 0
+        assert job.nuclides_reused == first.nuclides_parsed + first.nuclides_reused
+        assert (job.network_calls, job.cache_hits, job.registry_skips,
+                job.absences_recorded) == (0, 0, 0, 0)
+    # Jobs that reused a subset left it as it was built.
+    for _, subset, snapshot in built:
+        assert snapshot == (subset.members, subset.warnings,
+                            [render_lineage(tree) for tree in subset.trees])
+
+
+def test_a_failed_subset_is_assembled_again_by_every_job_that_has_it(
+        monkeypatch, tmp_path, corpus_dir):
+    built = counting_assemblies(monkeypatch)
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    # With the registry off, an offline run misses 40K's absent datasets.
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+registry_enabled: false
+out_dir: {tmp_path / "out"}
+jobs:
+  - name: k_gamma
+    recursive_progenitors: [40K]
+  - name: k_alpha
+    recursive_progenitors: [40K]
+    radiation: alpha
+""")
+    report = run(load_config(cfg))
+    k_gamma, k_alpha = report.jobs
+    assert not k_gamma.ok and k_gamma.error.startswith("DataUnavailable: ")
+    assert k_alpha.error == k_gamma.error
+    assert len(built) == 2 and all(isinstance(result, DataUnavailable)
+                                   for _, result, _ in built)
 
 
 QUALIFY_LIBRARY = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"

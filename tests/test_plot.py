@@ -1,3 +1,4 @@
+import csv
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -109,6 +110,23 @@ def test_registry_file_overrides_style(tmp_path, bom):
     path = plot_library(one_entry_library(), registry, None, tmp_path / "p.svg")
     series = svg_series(path)
     assert series["137cs"].attrib["data-shape"] == "star"
+
+
+def test_registry_text_is_escaped_in_the_svg(tmp_path):
+    shape, color, label = 'star "<&>"', '#123456" & <x>', 'K-40 & "friends" <K<40>>'
+    reg_path = tmp_path / "markers.csv"
+    with reg_path.open("w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh).writerows([("nuclide", "shape", "color", "label"),
+                                  ("137cs", shape, color, label)])
+    registry = MarkerRegistry.load_csv(reg_path)
+    path = plot_library(one_entry_library(), registry, None, tmp_path / "p.svg")
+    root = ET.parse(path).getroot()
+    series = svg_series(path)["137cs"]
+    assert series.attrib["data-shape"] == shape
+    assert [marker.attrib["fill"] for marker in series] == [color]
+    legend = next(g for g in root.iter(f"{SVG_NS}g") if g.attrib.get("class") == "legend")
+    assert [text.text for text in legend.iter(f"{SVG_NS}text")] == [label]
+    assert [marker.attrib["fill"] for marker in legend.iter(f"{SVG_NS}polygon")] == [color]
 
 
 def test_fallback_style_is_stable_function_of_identity():
