@@ -477,11 +477,9 @@ def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
     for visited in order:
         members.extend(m.nuclide for m in nodes[visited].members)
 
+    # The progenitor heads its chain; a stable one heads an otherwise empty chain.
     progenitor_terminal = not root_node.records
-    if progenitor_terminal:
-        # Degenerate case: a stable progenitor still heads its (empty) chain.
-        members.insert(0, progenitor)
-    elif members and not _same_node(members[0], progenitor):
+    if progenitor_terminal or (members and members[0].ground_state != root):
         members.insert(0, progenitor)
 
     tree = _build_tree(root, edges, discoverer)
@@ -492,10 +490,6 @@ def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
     )
     return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order,
                       warnings=warnings, nuclides_parsed=parsed, nuclides_reused=reused)
-
-
-def _same_node(a: Nuclide, b: Nuclide) -> bool:
-    return a.ground_state == b.ground_state
 
 
 def _build_tree(

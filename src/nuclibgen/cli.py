@@ -134,11 +134,7 @@ def run_job(job: JobConfig, access: AccessConfig, out_dir: Path, memo: ParseMemo
                                             job.exclusions, store, memo=memo)
                 finally:
                     store.close()  # waits for fetches in flight: final counters
-                    counters = store.stats.snapshot()
-                    report.network_calls = counters["network_calls"]
-                    report.cache_hits = counters["cache_hits"]
-                    report.registry_skips = counters["registry_skips"]
-                    report.absences_recorded = counters["absences_recorded"]
+                    vars(report).update(store.stats.snapshot())
                 report.nuclides_parsed = built.nuclides_parsed
                 report.nuclides_reused = built.nuclides_reused
                 subset = subsets.setdefault(key, built)  # racing jobs built equal ones

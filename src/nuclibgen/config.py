@@ -19,21 +19,11 @@ from .library import INF, PruneBounds
 from .nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 from .plot import PlotWindow
 
+# Each radiation type by its lowercase name and by its code, plus "beta-" and "beta+".
 RADIATION_NAMES = {
-    "alpha": RadiationType.ALPHA,
-    "a": RadiationType.ALPHA,
-    "beta_minus": RadiationType.BETA_MINUS,
+    **{spelling: r for r in RadiationType for spelling in (r.name.lower(), r.code)},
     "beta-": RadiationType.BETA_MINUS,
-    "bm": RadiationType.BETA_MINUS,
-    "beta_plus_ec": RadiationType.BETA_PLUS_EC,
     "beta+": RadiationType.BETA_PLUS_EC,
-    "bp": RadiationType.BETA_PLUS_EC,
-    "gamma": RadiationType.GAMMA,
-    "g": RadiationType.GAMMA,
-    "electron": RadiationType.ELECTRON,
-    "e": RadiationType.ELECTRON,
-    "xray": RadiationType.XRAY,
-    "x": RadiationType.XRAY,
 }
 
 _JOB_KEYS = {
@@ -121,41 +111,31 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
 def _nuclide_list(job: dict, key: str, context: str) -> list[Nuclide]:
     """``job[key]`` as a list of nuclides; empty when the key is absent or null."""
     context = f"{context}.{key}"
-    return [_parse_nuclide_entry(item, context) for item in _list(job.get(key), context)]
+    items = _typed(job.get(key), list, [], context)
+    return [_parse_nuclide_entry(item, context) for item in items]
 
 
-def _bool(value, default: bool, context: str) -> bool:
-    """A YAML boolean; ``default`` when the key is absent or null."""
+_KIND_NAMES = {bool: "true or false", str: "a string", list: "a list"}
+
+
+def _typed(value, kind: type, default, context: str):
+    """A YAML value of type ``kind`` (bool, str or list); ``default`` when the
+    key is absent or null."""
     if value is None:
         return default
-    if not isinstance(value, bool):
-        raise ConfigParseError(f"{context}: expected true or false, got {value!r}")
-    return value
-
-
-def _str(value, default: str | None, context: str) -> str | None:
-    """A YAML string; ``default`` when the key is absent or null."""
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        raise ConfigParseError(f"{context}: expected a string, got {value!r}")
-    return value
-
-
-def _list(value, context: str) -> list:
-    """A YAML list; empty when the key is absent or null."""
-    if value is None:
-        return []
-    if not isinstance(value, list):
-        raise ConfigParseError(f"{context}: expected a list, got {value!r}")
+    if not isinstance(value, kind):
+        raise ConfigParseError(f"{context}: expected {_KIND_NAMES[kind]}, got {value!r}")
     return value
 
 
 def _number(value, context: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ConfigParseError(f"{context}: expected a number, got {value!r}") from None
+    """A YAML number or numeric string; a boolean is not a number."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ConfigParseError(f"{context}: expected a number, got {value!r}")
 
 
 def _parse_interval(mapping: dict, key: str, context: str, default):
@@ -196,7 +176,7 @@ def _parse_plot(value, context: str) -> PlotConfig:
         raise ConfigParseError(f"{context}: plot must be a mapping or boolean")
     _reject_unknown(value, _PLOT_KEYS, context)
     windows = []
-    for i, win in enumerate(_list(value.get("windows"), f"{context}.windows")):
+    for i, win in enumerate(_typed(value.get("windows"), list, [], f"{context}.windows")):
         wctx = f"{context}.windows[{i}]"
         if not isinstance(win, dict):
             raise ConfigParseError(f"{wctx}: expected a mapping")
@@ -212,15 +192,15 @@ def _parse_plot(value, context: str) -> PlotConfig:
                 intensity_percent=_parse_interval(
                     win, "intensity_percent", wctx, (0.0, 100.0)
                 ),
-                annotate=_bool(win.get("annotate"), True, f"{wctx}.annotate"),
+                annotate=_typed(win.get("annotate"), bool, True, f"{wctx}.annotate"),
                 annotation_min_intensity=minimum,
             )
         )
     return PlotConfig(
-        enabled=_bool(value.get("enabled"), True, f"{context}.enabled"),
+        enabled=_typed(value.get("enabled"), bool, True, f"{context}.enabled"),
         windows=windows,
-        marker_registry=_str(value.get("marker_registry"), None,
-                             f"{context}.marker_registry"),
+        marker_registry=_typed(value.get("marker_registry"), str, None,
+                               f"{context}.marker_registry"),
     )
 
 
@@ -229,9 +209,11 @@ def _parse_job(value, index: int) -> JobConfig:
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: expected a mapping")
     _reject_unknown(value, _JOB_KEYS, context)
-    name = _str(value.get("name"), "", f"{context}.name") or f"job{index + 1}"
+    name = _typed(value.get("name"), str, "", f"{context}.name") or f"job{index + 1}"
     if "/" in name or "\\" in name:
         raise ConfigParseError(f"{context}.name: {name!r} contains a path separator")
+    if "\0" in name:
+        raise ConfigParseError(f"{context}.name: {name!r} contains a NUL byte")
 
     try:
         progenitors = _nuclide_list(value, "recursive_progenitors", context)
@@ -244,7 +226,7 @@ def _parse_job(value, index: int) -> JobConfig:
             f"{context}: at least one recursive progenitor or static nuclide required"
         )
 
-    radiation_text = _str(value.get("radiation"), "gamma", f"{context}.radiation")
+    radiation_text = _typed(value.get("radiation"), str, "gamma", f"{context}.radiation")
     radiation_text = radiation_text.strip().lower()
     if radiation_text not in RADIATION_NAMES:
         raise ConfigParseError(
@@ -277,7 +259,7 @@ def _parse_job(value, index: int) -> JobConfig:
         prune=_parse_prune(value.get("prune"), f"{context}.prune"),
         outputs=outputs,
         plot=_parse_plot(value.get("plot"), f"{context}.plot"),
-        lineage=_bool(value.get("lineage"), True, f"{context}.lineage"),
+        lineage=_typed(value.get("lineage"), bool, True, f"{context}.lineage"),
     )
 
 
@@ -324,9 +306,9 @@ def load_config(path: Path | str) -> RunConfig:
 
     return RunConfig(
         jobs=jobs,
-        cache_dir=_str(raw.get("cache_dir"), None, "cache_dir"),
-        offline=_bool(raw.get("offline"), False, "offline"),
-        registry_enabled=_bool(raw.get("registry_enabled"), True, "registry_enabled"),
-        base_url=_str(raw.get("base_url"), None, "base_url"),
-        out_dir=_str(raw.get("out_dir"), "out", "out_dir"),
+        cache_dir=_typed(raw.get("cache_dir"), str, None, "cache_dir"),
+        offline=_typed(raw.get("offline"), bool, False, "offline"),
+        registry_enabled=_typed(raw.get("registry_enabled"), bool, True, "registry_enabled"),
+        base_url=_typed(raw.get("base_url"), str, None, "base_url"),
+        out_dir=_typed(raw.get("out_dir"), str, "out", "out_dir"),
     )

@@ -290,7 +290,10 @@ class DataStore:
     def __init__(self, cfg: AccessConfig):
         self.cfg = cfg
         self.cache_dir = Path(cfg.cache_dir)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            self.cache_dir.mkdir(parents=True, exist_ok=True)
+        except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
+            raise CacheWriteError(f"cannot create {self.cache_dir}: {exc}") from exc
         self.registry = AbsenceRegistry.load(self.cache_dir / REGISTRY_FILENAME)
         self.stats = AccessStats()
         self._session: requests.Session | None = None

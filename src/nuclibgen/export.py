@@ -17,8 +17,8 @@ from operator import itemgetter
 from pathlib import Path
 
 from .errors import InvalidInput, IoError, NuclibError, UnsupportedFormat
-from .library import LibraryEntry, PerValue, PruneBounds, RadionuclideLibrary
-from .nuclide import EnergyValue, HalfLife, RadiationType, parse_nuclide_id
+from .library import LibraryEntry, PruneBounds, RadionuclideLibrary
+from .nuclide import EnergyValue, HalfLife, PerValue, RadiationType, parse_nuclide_id
 
 CSV_COLUMNS = (
     "nuclide",
@@ -43,7 +43,7 @@ def write_text(path: Path | str, content: str) -> Path:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(content, encoding="utf-8", newline="\n")
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a NUL byte in the path
         raise IoError(f"cannot write {path}: {exc}") from exc
     return path
 
@@ -152,6 +152,14 @@ def _html_escape(text: str) -> str:
     )
 
 
+# XML escapes for attribute values; the ``html`` module would load its entity table.
+XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+
+
+def _xml_escape(text: str) -> str:
+    return text.translate(XML_ESCAPES)
+
+
 def _escape_cells(
     rows: list[tuple[str, ...]], escape, specials: str
 ) -> list[tuple[str, ...]]:
@@ -191,7 +199,7 @@ def _render_xml(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<library radiation="{lib.radiation.code}">',
     ]
-    lines += [_XML_ENTRY % cells for cells in _escape_cells(rows, _html_escape, "&<>")]
+    lines += [_XML_ENTRY % cells for cells in _escape_cells(rows, _xml_escape, '&<>"')]
     lines.append("</library>")
     return "\n".join(lines) + "\n"
 
@@ -304,36 +312,24 @@ def _entry_parser():
     """A function from one row's cells, in CSV_COLUMNS order, to its
     LibraryEntry. It builds the nuclide, radiation type, half-life, parent
     level and flags once per distinct cell; a bad cell raises each time."""
-    nuclides, radiations, half_lives, parents, flag_sets = {}, {}, {}, {}, {}
+    nuclides = PerValue(parse_nuclide_id)
+    radiations = PerValue(RadiationType.from_code)
+    half_lives = PerValue(_half_life)
+    parents = PerValue(lambda kev: EnergyValue(float(kev)))
+    flag_sets = PerValue(lambda flags: frozenset(f for f in flags.split(";") if f))
 
     def entry(cells: tuple[str, ...]) -> LibraryEntry:
         nid, code, kev, unc, intensity, intensity_unc, hl, parent_kev, flags = cells
-        try:
-            half_life = half_lives[hl]
-        except KeyError:
-            half_life = half_lives[hl] = _half_life(hl)
+        half_life = half_lives[hl]
         intensity = float(intensity) if intensity else None
         intensity_unc = float(intensity_unc) if intensity_unc else 0.0
         if not math.isfinite(intensity_unc) or (
             intensity is not None and not math.isfinite(intensity)
         ):
             raise InvalidInput("non-finite intensity")
-        nuclide = nuclides.get(nid)
-        if nuclide is None:
-            nuclide = nuclides[nid] = parse_nuclide_id(nid)
-        radiation = radiations.get(code)
-        if radiation is None:
-            radiation = radiations[code] = RadiationType.from_code(code)
-        energy = EnergyValue(float(kev), float(unc) if unc else 0.0)
-        parent = parents.get(parent_kev)
-        if parent is None:
-            parent = parents[parent_kev] = EnergyValue(float(parent_kev))
-        flag_set = flag_sets.get(flags)
-        if flag_set is None:
-            flag_set = flag_sets[flags] = frozenset(f for f in flags.split(";") if f)
         return LibraryEntry(
-            nuclide, radiation, energy, intensity, intensity_unc, half_life, parent,
-            flag_set,
+            nuclides[nid], radiations[code], EnergyValue(float(kev), float(unc) if unc else 0.0),
+            intensity, intensity_unc, half_life, parents[parent_kev], flag_sets[flags],
         )
 
     return entry

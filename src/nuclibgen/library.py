@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 from .chains import ChainMember, NodeData, RadionuclideSubset
 from .errors import EmptySubset, InvertedBounds
-from .nuclide import EnergyValue, HalfLife, Nuclide, RadiationType
+from .nuclide import EnergyValue, HalfLife, Nuclide, PerValue, RadiationType
 from .records import FLAG_UNVALIDATED
 
 INF = float("inf")
@@ -34,18 +34,16 @@ class LibraryEntry(NamedTuple):
 
 @dataclass(frozen=True)
 class PruneBounds:
-    """Closed intervals on the three prunable nuclear parameters."""
+    """Closed intervals on the three prunable nuclear parameters; an interval
+    with lo > hi raises InvertedBounds."""
 
     energy_kev: tuple[float, float] = (0.0, INF)
     intensity_percent: tuple[float, float] = (0.0, 100.0)
     half_life_seconds: tuple[float, float] | None = None
 
-    def validate(self) -> None:
-        for name, interval in (
-            ("energy_kev", self.energy_kev),
-            ("intensity_percent", self.intensity_percent),
-            ("half_life_seconds", self.half_life_seconds),
-        ):
+    def __post_init__(self):
+        for name in ("energy_kev", "intensity_percent", "half_life_seconds"):
+            interval = getattr(self, name)
             if interval is not None and not interval[0] <= interval[1]:
                 raise InvertedBounds(f"{name}: lo {interval[0]} > hi {interval[1]}")
 
@@ -57,19 +55,6 @@ class RadionuclideLibrary:
     radiation: RadiationType
     entries: list[LibraryEntry]
     bounds: PruneBounds = field(default_factory=PruneBounds)
-
-
-class PerValue(dict):
-    """A dict that builds the value of a missing key as ``build(key)`` and
-    keeps it, so that each distinct key is built once."""
-
-    def __init__(self, build):
-        super().__init__()
-        self._build = build
-
-    def __missing__(self, key):
-        value = self[key] = self._build(key)
-        return value
 
 
 def _gate_gamma(
@@ -155,7 +140,6 @@ def prune(lib: RadionuclideLibrary, bounds: PruneBounds) -> RadionuclideLibrary:
     lower bound is 0 (flagged pass-through); entries lacking a half-life
     survive half-life pruning only when that axis is unbounded.
     """
-    bounds.validate()
     kept = []
     for entry in lib.entries:
         if not _within(entry.energy.kev, bounds.energy_kev):

@@ -27,6 +27,20 @@ MAX_MASS_NUMBER = 300
 _INF = float("inf")
 
 
+class PerValue(dict):
+    """A dict that builds the value of a missing key as ``build(key)`` and
+    keeps it, so that each distinct key is built once. A build that raises
+    stores nothing, so the next lookup of that key raises again."""
+
+    def __init__(self, build):
+        super().__init__()
+        self._build = build
+
+    def __missing__(self, key):
+        value = self[key] = self._build(key)
+        return value
+
+
 class LevelSpec(NamedTuple):
     """Energy level designation of a nuclide.
 

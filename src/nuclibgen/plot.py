@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidInput, MalformedId
-from .export import write_text
+from .export import XML_ESCAPES, write_text
 from .library import RadionuclideLibrary
 from .nuclide import Nuclide, display_name, parse_nuclide_id
 
@@ -29,9 +29,6 @@ PALETTE = (
 
 SHAPES = ("circle", "square", "diamond", "triangle-up",
           "triangle-down", "cross", "plus", "star")
-
-# XML escapes for registry text; the ``html`` module would load its entity table.
-_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
 
 WIDTH, HEIGHT = 900, 560
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 70, 170, 40, 60
@@ -278,7 +275,7 @@ def plot_library(
         # Registry text is outside input: escape it for attributes and text.
         raw = markers.style_for(nuclide)
         style = styles[nuclide] = MarkerStyle(
-            *(text.translate(_ESCAPES) for text in (raw.shape, raw.color, raw.label)))
+            *(text.translate(XML_ESCAPES) for text in (raw.shape, raw.color, raw.label)))
         svg.append(f'<g class="series" data-nuclide="{nuclide}" data-shape="{style.shape}">')
         for entry in series[nuclide]:
             svg.append(

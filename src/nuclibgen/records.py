@@ -47,6 +47,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 from operator import itemgetter
 from typing import NamedTuple
@@ -59,6 +60,7 @@ from .nuclide import (
     EnergyValue,
     HalfLife,
     Nuclide,
+    PerValue,
     RadiationType,
     energies_match,
 )
@@ -144,8 +146,7 @@ class LevelScheme:
     transitions: list[TransitionRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        self._level_index = EnergyIndex([l.energy for l in self.levels])
-        self._hits: dict[EnergyValue, list[int]] = {}
+        self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
         # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
         self.isomers = sorted(
             (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
@@ -163,10 +164,7 @@ class LevelScheme:
 
     def _matches(self, energy: EnergyValue) -> list[int]:
         """Positions of the levels matching ``energy``, looked up once per energy."""
-        found = self._hits.get(energy)
-        if found is None:
-            found = self._hits[energy] = self._level_index.matches(energy)
-        return found
+        return self._hits[energy]
 
     def _link(self, t: TransitionRecord) -> None:
         """Add the edges of one transition, resolving its end once per energy;
@@ -251,37 +249,30 @@ def _opt_float(text: str | None) -> float | None:
     return _float(text)
 
 
-def _nuclide(memo: dict, symbol: str | None, mass: str | None, column: str) -> Nuclide:
-    """The nuclide of a (symbol, A) cell pair, built once per pair in ``memo``."""
-    nuclide = memo.get((symbol, mass))
-    if nuclide is None:
-        if symbol is None:
-            raise ValueError(f"short row: no {column!r} cell")
-        nuclide = memo[symbol, mass] = Nuclide(symbol.strip(), int(mass))
-    return nuclide
+def _nuclide(column: str, cells: tuple[str | None, str | None]) -> Nuclide:
+    """The nuclide of a (symbol, A) cell pair; ``column`` names the symbol cell."""
+    symbol, mass = cells
+    if symbol is None:
+        raise ValueError(f"short row: no {column!r} cell")
+    return Nuclide(symbol.strip(), int(mass))
 
 
-def _energy(memo: dict, kev: str | None, unc: str | None) -> EnergyValue:
-    """The energy of a mandatory (value, uncertainty) cell pair, built once per
-    pair in ``memo``."""
-    energy = memo.get((kev, unc))
-    if energy is None:
-        energy = memo[kev, unc] = EnergyValue(_float(kev), _opt_float(unc) or 0.0)
-    return energy
+def _energy(cells: tuple[str | None, str | None]) -> EnergyValue:
+    """The energy of a mandatory (value, uncertainty) cell pair."""
+    kev, unc = cells
+    return EnergyValue(_float(kev), _opt_float(unc) or 0.0)
 
 
-def _levels(memo: dict, *cells: str | None) -> list[EnergyValue | None]:
-    """The zero-uncertainty energies of optional level cells, built once per
-    distinct text in ``memo``. As in one pass over the floats and then one
-    over the energies, a bad number is reported before a negative one."""
-    try:
-        return [memo[text] for text in cells]
-    except KeyError:
-        values = [_opt_float(text) for text in cells]
-        for text, value in zip(cells, values):
-            if text not in memo:
-                memo[text] = None if value is None else EnergyValue(value)
-        return [memo[text] for text in cells]
+def _decay_mode(code: str | None) -> DecayMode:
+    if code is None:
+        raise ValueError("short row: no 'decay' cell")
+    return DecayMode.from_code(code)
+
+
+def _half_life(cells: tuple[str | None, str | None]) -> HalfLife | None:
+    """The half-life of an optional (seconds, uncertainty) cell pair."""
+    seconds = _opt_float(cells[0])
+    return None if seconds is None else HalfLife(seconds, _opt_float(cells[1]) or 0.0)
 
 
 _NO_FLAGS = frozenset()
@@ -308,24 +299,22 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
 
     records: list[DecayRecord] = []
     warnings: list[str] = []
-    nuclides: dict = {}
-    energies: dict = {}
-    levels: dict = {}
-    modes: dict = {}
-    half_lives: dict = {}
+    parents = PerValue(partial(_nuclide, "p_symbol"))
+    daughters = PerValue(partial(_nuclide, "d_symbol"))
+    parent_levels = PerValue(_energy)
+    modes = PerValue(_decay_mode)
+    half_lives = PerValue(_half_life)
+    floats = PerValue(_opt_float)
+    levels = PerValue(lambda text: None if floats[text] is None else EnergyValue(floats[text]))
     for lineno, row in rows:
         (p_symbol, p_a, d_symbol, d_a, energy, unc_en, p_energy, unc_pe, decay,
          decay_pct, intensity, unc_i, hl_s, unc_hls, fed, start, end) = pick(row)
         try:
-            parent = _nuclide(nuclides, p_symbol, p_a, "p_symbol")
-            daughter = _nuclide(nuclides, d_symbol, d_a, "d_symbol")
+            parent = parents[p_symbol, p_a]
+            daughter = daughters[d_symbol, d_a]
             energy = EnergyValue(_float(energy), _opt_float(unc_en) or 0.0)
-            parent_level = _energy(energies, p_energy, unc_pe)
-            mode = modes.get(decay)
-            if mode is None:
-                if decay is None:
-                    raise ValueError("short row: no 'decay' cell")
-                mode = modes[decay] = DecayMode.from_code(decay)
+            parent_level = parent_levels[p_energy, unc_pe]
+            mode = modes[decay]
             branching = _float(decay_pct)
 
             intensity = _opt_float(intensity)
@@ -337,16 +326,9 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             else:
                 flags = _NO_FLAGS
 
-            if (hl_s, unc_hls) in half_lives:
-                half_life = half_lives[hl_s, unc_hls]
-            else:
-                seconds = _opt_float(hl_s)
-                half_life = None
-                if seconds is not None:
-                    half_life = HalfLife(seconds, _opt_float(unc_hls) or 0.0)
-                half_lives[hl_s, unc_hls] = half_life
-
-            fed, start, end = _levels(levels, fed, start, end)
+            half_life = half_lives[hl_s, unc_hls]
+            floats[fed], floats[start], floats[end]  # a bad number before a negative one
+            fed, start, end = levels[fed], levels[start], levels[end]
             records.append(DecayRecord(
                 parent, parent_level, rad, energy, intensity, intensity_unc or 0.0,
                 daughter, fed, mode, branching, half_life, start, end, flags,
@@ -363,12 +345,12 @@ _LEVEL_CELLS = (
 
 
 def _parse_level_row(
-    cells: tuple, key: str, lineno: int, warnings: list[str], nuclides: dict
+    cells: tuple, key: str, lineno: int, warnings: list[str], nuclides: PerValue
 ) -> LevelRecord | None:
     (symbol, a, energy, unc_e, hl_text, unc_hls,
      pct_1, pct_2, pct_3, code_1, code_2, code_3, jp) = cells
     try:
-        nuclide = _nuclide(nuclides, symbol, a, "symbol")
+        nuclide = nuclides[symbol, a]
         energy = EnergyValue(_float(energy), _opt_float(unc_e) or 0.0)
         hl_text = (hl_text or "").strip()
         if hl_text.upper() == "STABLE":
@@ -417,7 +399,7 @@ def parse_level_scheme(
         raise HeaderMismatch(f"{key} is not a levels dataset")
     rows, pick = _table(levels_raw, _LEVEL_COLUMNS, _LEVEL_CELLS)
 
-    nuclides: dict = {}
+    nuclides = PerValue(partial(_nuclide, "symbol"))
     parsed: list[tuple[LevelRecord | None, list[str]]] = []
     for lineno, row in rows:
         row_warnings: list[str] = []
@@ -475,13 +457,13 @@ def parse_level_scheme(
         )
     t_rows, t_pick = _table(transitions_raw, _TRANSITION_COLUMNS, _TRANSITION_CELLS)
     t_key = transitions_raw.key.serialize()
-    energies: dict = {}
+    energies = PerValue(_energy)
     for lineno, row in t_rows:
         (symbol, a, start, unc_sl, end, unc_el, gamma, unc_en, intensity) = t_pick(row)
         try:
-            t_nuclide = _nuclide(nuclides, symbol, a, "symbol")
-            start = _energy(energies, start, unc_sl)
-            end = _energy(energies, end, unc_el)
+            t_nuclide = nuclides[symbol, a]
+            start = energies[start, unc_sl]
+            end = energies[end, unc_el]
             gamma = EnergyValue(_float(gamma), _opt_float(unc_en) or 0.0)
             intensity = _opt_float(intensity)
         except (ValueError, TypeError, MalformedId) as exc:

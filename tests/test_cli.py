@@ -339,6 +339,7 @@ jobs:
     ("", "name: a\n    plot: {marker_registry: 5}"),
     ("", "name: 5"),
     ("", "name: a/b"),
+    ("", 'name: "a\\0b"'),
     ("", "name: a\n  - name: a\n    recursive_progenitors: [226Ra]"),
     ("", "name: a\n    plot: {windows: [{energy_kev: [2000, 0]}]}"),
     ("", "name: a\n    plot: {windows: [{annotation_min_intensity: .nan}]}"),
@@ -348,7 +349,7 @@ jobs:
     ("", "name: a\n    static_nuclides: 5"),
     ("", "name: a\n    plot: {windows: 7}"),
 ], ids=["cache_dir", "out_dir", "base_url", "marker_registry", "name-type",
-        "name-separator", "name-repeated", "window-inverted", "window-nan-min",
+        "name-separator", "name-nul", "name-repeated", "window-inverted", "window-nan-min",
         "outputs-unsupported", "outputs-repeated", "progenitors-not-a-list",
         "statics-not-a-list", "windows-not-a-list"])
 def test_bad_config_value_is_one_error_line(tmp_path, corpus_dir, capsys, top, job):
@@ -362,6 +363,29 @@ jobs:
     assert main(["generate", str(cfg), "--out-dir", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ConfigParseError: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("top, flags, error", [
+    ("cache_dir: {file}", [], "CacheWriteError: cannot create {file}: "),
+    ("cache_dir: {cache}", ["--cache-dir", "{file}"],
+     "CacheWriteError: cannot create {file}: "),
+    ('cache_dir: "{tmp}/a\\0b"', [], "CacheWriteError: cannot create {tmp}/a\0b: "),
+    ('cache_dir: {cache}\nout_dir: "{tmp}/a\\0b"', [], "IoError: cannot write {tmp}/a\0b/"),
+], ids=["cache_dir-a-file", "cache-dir-flag-a-file", "cache_dir-nul", "out_dir-nul"])
+def test_bad_path_is_one_error_line(tmp_path, corpus_dir, capsys, top, flags, error):
+    paths = {"cache": prime_cache(corpus_dir, tmp_path / "cache"),
+             "file": tmp_path / "file", "tmp": tmp_path}
+    paths["file"].write_text("not a directory\n", encoding="utf-8")
+    cfg = write_config(tmp_path, f"""
+offline: true
+{top.format(**paths)}
+jobs:
+  - recursive_progenitors: [226Ra]
+""")
+    assert main(["generate", str(cfg), *(flag.format(**paths) for flag in flags)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + error.format(**paths))
     assert err.count("\n") == 1 and "Traceback" not in err
 
 

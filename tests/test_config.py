@@ -104,6 +104,19 @@ jobs:
 """))
 
 
+def test_radiation_names_are_each_type_by_name_and_code():
+    assert config_mod.RADIATION_NAMES == {
+        "alpha": RadiationType.ALPHA, "a": RadiationType.ALPHA,
+        "beta_minus": RadiationType.BETA_MINUS, "beta-": RadiationType.BETA_MINUS,
+        "bm": RadiationType.BETA_MINUS,
+        "beta_plus_ec": RadiationType.BETA_PLUS_EC, "beta+": RadiationType.BETA_PLUS_EC,
+        "bp": RadiationType.BETA_PLUS_EC,
+        "gamma": RadiationType.GAMMA, "g": RadiationType.GAMMA,
+        "electron": RadiationType.ELECTRON, "e": RadiationType.ELECTRON,
+        "xray": RadiationType.XRAY, "x": RadiationType.XRAY,
+    }
+
+
 def test_yaml_syntax_error_reports_line(tmp_path):
     with pytest.raises(ConfigParseError) as err:
         load_config(write(tmp_path, "jobs:\n  - recursive_progenitors: [238U\n"))
@@ -209,9 +222,12 @@ jobs:
      "jobs[0].plot.windows[0].annotation_min_intensity"),
     ("plot: {windows: [{annotation_min_intensity: -.inf}]}",
      "jobs[0].plot.windows[0].annotation_min_intensity"),
+    ("prune: {energy_kev: [true, 2000]}", "jobs[0].prune.energy_kev"),
+    ("plot: {windows: [{annotation_min_intensity: true}]}",
+     "jobs[0].plot.windows[0].annotation_min_intensity"),
 ], ids=["energy", "half-life", "nan-bound", "window-intensity", "annotation-min",
         "window-inverted-energy", "window-inverted-intensity", "window-nan-bound",
-        "window-nan-min", "window-inf-min"])
+        "window-nan-min", "window-inf-min", "boolean-bound", "boolean-min"])
 def test_bad_number_names_its_key(tmp_path, section, key):
     with pytest.raises(ConfigParseError, match=re.escape(key)):
         load_config(write(tmp_path, f"""
@@ -246,7 +262,8 @@ jobs:
      "jobs[1].name"),
     ("[{name: a/b, recursive_progenitors: [238U]}]", "jobs[0].name"),
     ("[{name: 'a\\b', recursive_progenitors: [238U]}]", "jobs[0].name"),
-], ids=["repeated", "repeats-a-default", "slash", "backslash"])
+    ('[{name: "a\\0b", recursive_progenitors: [238U]}]', "jobs[0].name"),
+], ids=["repeated", "repeats-a-default", "slash", "backslash", "nul"])
 def test_job_name_must_be_unique_and_a_file_name(tmp_path, jobs, key):
     with pytest.raises(ConfigParseError, match=re.escape(key) + ": "):
         load_config(write(tmp_path, f"jobs: {jobs}\n"))

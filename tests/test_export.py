@@ -77,6 +77,14 @@ def test_xml_export_parses(ac225_alpha, tmp_path):
     assert len(root.findall("entry")) == len(ac225_alpha.entries)
 
 
+def test_xml_attributes_escape_a_double_quote(ac225_alpha):
+    flag = 'a"b&<c>'
+    entries = [ac225_alpha.entries[0]._replace(flags=frozenset({flag}))]
+    lib = RadionuclideLibrary(radiation=RadiationType.ALPHA, entries=entries)
+    entry = ET.fromstring(render_table(lib, "xml")).find("entry")
+    assert entry.attrib["flags"] == flag
+
+
 def test_html_export_row_count(ac225_alpha, tmp_path):
     text = export_table(ac225_alpha, "html", tmp_path / "lib.html").read_text()
     assert text.count("<tr>") == len(ac225_alpha.entries) + 1  # + header

@@ -21,6 +21,7 @@ from nuclibgen.nuclide import (
     HalfLife,
     LevelSpec,
     Nuclide,
+    PerValue,
     RadiationType,
     display_name,
     energies_match,
@@ -110,6 +111,25 @@ def test_radiation_type_has_exactly_six_members():
     assert RadiationType.from_code("bm") is RadiationType.BETA_MINUS
     with pytest.raises(ValueError):
         RadiationType.from_code("q")
+
+
+def test_per_value_builds_each_key_once_and_keeps_no_failed_build():
+    built = []
+
+    def build(key):
+        built.append(key)
+        if key < 0:
+            raise ValueError(f"negative {key}")
+        return key * 2
+
+    cache = PerValue(build)
+    assert [cache[k] for k in (1, 2, 1, 2, 1)] == [2, 4, 2, 4, 2]
+    assert built == [1, 2]
+    for _ in range(2):
+        with pytest.raises(ValueError, match="negative -1"):
+            cache[-1]
+    assert built == [1, 2, -1, -1]
+    assert dict(cache) == {1: 2, 2: 4}
 
 
 def test_energies_match_tolerance_rule():

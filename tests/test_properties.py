@@ -457,6 +457,11 @@ def html_escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
+def xml_escape(text: str) -> str:
+    """XML cells are attribute values, so a double quote is escaped too."""
+    return html_escape(text).replace('"', "&quot;")
+
+
 def tex_escape(text: str) -> str:
     return "".join(TEX_SPECIALS.get(ch, ch) for ch in text)
 
@@ -478,7 +483,7 @@ def reference_tables(lib: RadionuclideLibrary) -> dict[str, str]:
     html += ["</tbody>", "</table>", "</body></html>"]
     xml = ['<?xml version="1.0" encoding="UTF-8"?>',
            f'<library radiation="{lib.radiation.code}">']
-    xml += ["  <entry " + " ".join(f'{c}="{html_escape(r[c])}"' for c in CSV_COLUMNS)
+    xml += ["  <entry " + " ".join(f'{c}="{xml_escape(r[c])}"' for c in CSV_COLUMNS)
             + "/>" for r in rows]
     xml.append("</library>")
     tex = ["\\begin{tabular}{" + "l" * len(CSV_COLUMNS) + "}",
