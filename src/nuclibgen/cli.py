@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from . import __version__
@@ -189,15 +190,15 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
     )
     out_dir = Path(config.out_dir)
 
-    overrides = {
-        "offline": config.offline,
-        "registry_enabled": config.registry_enabled,
-    }
-    if config.cache_dir:
-        overrides["cache_dir"] = Path(config.cache_dir)
-    access = AccessConfig.from_env(**overrides)
-    if config.base_url:
-        access = replace(access, base_url=config.base_url)
+    # The config (where the CLI flags are written), else the environment, else the default.
+    access = AccessConfig(
+        base_url=config.base_url or os.environ.get("NUCLIBGEN_BASE_URL")
+        or AccessConfig.base_url,
+        cache_dir=Path(config.cache_dir or os.environ.get("NUCLIBGEN_CACHE_DIR")
+                       or AccessConfig.cache_dir),
+        offline=config.offline,
+        registry_enabled=config.registry_enabled,
+    )
     report.source_id = access.base_url
 
     memo: ParseMemo = {}

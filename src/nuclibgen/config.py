@@ -1,20 +1,21 @@
 """YAML run configuration with a strict schema.
 
-Unknown keys are errors: a typo in a progenitor list silently producing the
-wrong library is exactly the class of human error batch generation is meant
-to remove.
+The config dataclasses are the schema: a YAML mapping's keys are the field
+names of the type it fills. Unknown keys are errors: a typo in a progenitor
+list silently producing the wrong library is exactly the class of human error
+batch generation is meant to remove.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from math import isfinite
 from pathlib import Path
 
 import yaml
 
 from .errors import ConfigParseError, MalformedId, UnknownKey
-from .export import TABLE_FORMATS
+from .export import TABLE_FORMATS, read_text
 from .library import INF, PruneBounds
 from .nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 from .plot import PlotWindow
@@ -25,23 +26,6 @@ RADIATION_NAMES = {
     "beta-": RadiationType.BETA_MINUS,
     "beta+": RadiationType.BETA_PLUS_EC,
 }
-
-_JOB_KEYS = {
-    "name",
-    "recursive_progenitors",
-    "static_nuclides",
-    "exclusions",
-    "radiation",
-    "prune",
-    "outputs",
-    "plot",
-    "lineage",
-}
-_PRUNE_KEYS = {"energy_kev", "intensity_percent", "half_life_seconds"}
-_PLOT_KEYS = {"enabled", "windows", "marker_registry"}
-_WINDOW_KEYS = {"energy_kev", "intensity_percent", "annotate", "annotation_min_intensity"}
-_TOP_KEYS = {"jobs", "cache_dir", "offline", "registry_enabled", "base_url", "out_dir"}
-
 
 @dataclass
 class PlotConfig:
@@ -71,6 +55,11 @@ class RunConfig:
     registry_enabled: bool = True
     base_url: str | None = None
     out_dir: str = "out"
+
+
+def _field_names(kind: type) -> set[str]:
+    """The keys of a YAML mapping that fills the config type ``kind``."""
+    return {f.name for f in fields(kind)}
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
@@ -159,7 +148,7 @@ def _parse_prune(value, context: str) -> PruneBounds:
         return PruneBounds()
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: prune must be a mapping")
-    _reject_unknown(value, _PRUNE_KEYS, context)
+    _reject_unknown(value, _field_names(PruneBounds), context)
     return PruneBounds(
         energy_kev=_parse_interval(value, "energy_kev", context, (0.0, INF)),
         intensity_percent=_parse_interval(value, "intensity_percent", context, (0.0, 100.0)),
@@ -174,13 +163,13 @@ def _parse_plot(value, context: str) -> PlotConfig:
         return PlotConfig(enabled=value)
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: plot must be a mapping or boolean")
-    _reject_unknown(value, _PLOT_KEYS, context)
+    _reject_unknown(value, _field_names(PlotConfig), context)
     windows = []
     for i, win in enumerate(_typed(value.get("windows"), list, [], f"{context}.windows")):
         wctx = f"{context}.windows[{i}]"
         if not isinstance(win, dict):
             raise ConfigParseError(f"{wctx}: expected a mapping")
-        _reject_unknown(win, _WINDOW_KEYS, wctx)
+        _reject_unknown(win, _field_names(PlotWindow), wctx)
         minimum = _number(win.get("annotation_min_intensity", 10.0),
                           f"{wctx}.annotation_min_intensity")
         if not isfinite(minimum):
@@ -208,7 +197,7 @@ def _parse_job(value, index: int) -> JobConfig:
     context = f"jobs[{index}]"
     if not isinstance(value, dict):
         raise ConfigParseError(f"{context}: expected a mapping")
-    _reject_unknown(value, _JOB_KEYS, context)
+    _reject_unknown(value, _field_names(JobConfig), context)
     name = _typed(value.get("name"), str, "", f"{context}.name") or f"job{index + 1}"
     if "/" in name or "\\" in name:
         raise ConfigParseError(f"{context}.name: {name!r} contains a path separator")
@@ -275,16 +264,15 @@ def load_config(path: Path | str) -> RunConfig:
     UnknownKey for any key outside the documented schema.
     """
     path = Path(path)
+    text = read_text(path, ConfigParseError, "", "utf-8")
     try:
-        raw = yaml.load(path.read_text(encoding="utf-8"), Loader=_YAML_LOADER)
+        raw = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.MarkedYAMLError as exc:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigParseError(f"{path}: {exc.problem}{where}") from exc
     except yaml.YAMLError as exc:
         raise ConfigParseError(f"{path}: {exc}") from exc
-    except (OSError, UnicodeDecodeError) as exc:
-        raise ConfigParseError(f"cannot read {path}: {exc}") from exc
 
     if raw is None:
         raise ConfigParseError(f"{path}: empty configuration")
@@ -292,7 +280,7 @@ def load_config(path: Path | str) -> RunConfig:
         raw = {"jobs": raw}
     if not isinstance(raw, dict):
         raise ConfigParseError(f"{path}: top level must be a mapping or job list")
-    _reject_unknown(raw, _TOP_KEYS, str(path))
+    _reject_unknown(raw, _field_names(RunConfig), str(path))
 
     jobs_raw = raw.get("jobs")
     if not jobs_raw or not isinstance(jobs_raw, list):

@@ -26,7 +26,7 @@ import threading
 from collections.abc import Iterable
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -45,6 +45,8 @@ REGISTRY_FILENAME = "absent_registry.txt"
 # Worker threads of one store's fetch pool; at most 10, the size of the
 # session's per-host connection pool.
 MAX_PARALLEL = 8
+# Seconds an HTTP request may wait to connect, and then between bytes.
+TIMEOUT_S = 30.0
 
 # Serializes every registry file's read-merge-rewrite within this process;
 # a flock on the registry's directory serializes it across processes.
@@ -207,22 +209,8 @@ class AccessConfig:
 
     base_url: str = "https://nds.iaea.org/relnsd/v1/data"
     cache_dir: Path = Path("nucdata_cache")
-    timeout_s: float = 30.0
     offline: bool = False
     registry_enabled: bool = True
-
-    @staticmethod
-    def from_env(**overrides) -> "AccessConfig":
-        cfg = AccessConfig()
-        env_url = os.environ.get("NUCLIBGEN_BASE_URL")
-        env_cache = os.environ.get("NUCLIBGEN_CACHE_DIR")
-        if env_url:
-            cfg = replace(cfg, base_url=env_url)
-        if env_cache:
-            cfg = replace(cfg, cache_dir=Path(env_cache))
-        if overrides:
-            cfg = replace(cfg, **overrides)
-        return cfg
 
 
 def query_params(key: DatasetKey) -> dict[str, str]:
@@ -419,7 +407,7 @@ class DataStore:
             resp = self._session.get(
                 self.cfg.base_url,
                 params=query_params(key),
-                timeout=self.cfg.timeout_s,
+                timeout=TIMEOUT_S,
             )
         except requests.RequestException as exc:
             raise NetworkError(f"{failed}: {exc}") from exc

@@ -48,6 +48,15 @@ def write_text(path: Path | str, content: str) -> Path:
     return path
 
 
+def read_text(path: Path | str, error: type[NuclibError], what: str, encoding: str) -> str:
+    """The text of the input file at ``path``. Raises ``error`` ("cannot read
+    <what> <path>: ...") when it cannot be read or decoded, or names no file."""
+    try:
+        return Path(path).read_text(encoding=encoding)
+    except (OSError, ValueError) as exc:  # a NUL byte, or bytes that do not decode
+        raise error(f"cannot read {what + ' ' if what else ''}{path}: {exc}") from exc
+
+
 def _num(value: float | None) -> str:
     if value is None:
         return ""
@@ -146,29 +155,20 @@ def _render_json(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     )
 
 
-def _html_escape(text: str) -> str:
-    return (
-        text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
-    )
-
-
-# XML escapes for attribute values; the ``html`` module would load its entity table.
+# Each markup format's escapes, as str.translate tables; XML_ESCAPES covers
+# attribute values. The ``html`` module would load its entity table.
+_HTML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 XML_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;", '"': "&quot;"})
+_TEX_ESCAPES = str.maketrans({"&": r"\&", "%": r"\%", "_": r"\_", "#": r"\#", "$": r"\$"})
 
 
-def _xml_escape(text: str) -> str:
-    return text.translate(XML_ESCAPES)
-
-
-def _escape_cells(
-    rows: list[tuple[str, ...]], escape, specials: str
-) -> list[tuple[str, ...]]:
-    """``rows`` with ``escape`` applied to every cell. When no cell holds one
-    of ``specials``, the usual case, that is ``rows`` itself."""
+def _escape_cells(rows: list[tuple[str, ...]], table: dict) -> list[tuple[str, ...]]:
+    """``rows`` with every cell translated by the escape ``table``. When no
+    cell holds one of its characters, the usual case, that is ``rows`` itself."""
     text = "".join(map("".join, rows))
-    if not any(ch in text for ch in specials):
+    if not any(chr(code) in text for code in table):
         return rows
-    return [tuple(map(escape, cells)) for cells in rows]
+    return [tuple(cell.translate(table) for cell in cells) for cells in rows]
 
 
 def _render_html(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
@@ -185,7 +185,7 @@ def _render_html(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     ]
     lines += [
         f"<tr><td>{'</td><td>'.join(cells)}</td></tr>"
-        for cells in _escape_cells(rows, _html_escape, "&<>")
+        for cells in _escape_cells(rows, _HTML_ESCAPES)
     ]
     lines.extend(["</tbody>", "</table>", "</body></html>"])
     return "\n".join(lines) + "\n"
@@ -199,30 +199,19 @@ def _render_xml(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<library radiation="{lib.radiation.code}">',
     ]
-    lines += [_XML_ENTRY % cells for cells in _escape_cells(rows, _xml_escape, '&<>"')]
+    lines += [_XML_ENTRY % cells for cells in _escape_cells(rows, XML_ESCAPES)]
     lines.append("</library>")
     return "\n".join(lines) + "\n"
-
-
-_TEX_SPECIALS = str.maketrans(
-    {"&": r"\&", "%": r"\%", "_": r"\_", "#": r"\#", "$": r"\$"}
-)
-
-
-def _tex_escape(text: str) -> str:
-    return text.translate(_TEX_SPECIALS)
 
 
 def _render_tex(lib: RadionuclideLibrary, rows: list[tuple[str, ...]]) -> str:
     colspec = "l" * len(CSV_COLUMNS)
     lines = [
         f"\\begin{{tabular}}{{{colspec}}}",
-        " & ".join(map(_tex_escape, CSV_COLUMNS)) + r" \\",
+        " & ".join(col.translate(_TEX_ESCAPES) for col in CSV_COLUMNS) + r" \\",
         r"\hline",
     ]
-    lines += [
-        " & ".join(cells) + r" \\" for cells in _escape_cells(rows, _tex_escape, "&%_#$")
-    ]
+    lines += [" & ".join(cells) + r" \\" for cells in _escape_cells(rows, _TEX_ESCAPES)]
     lines.append(r"\end{tabular}")
     return "\n".join(lines) + "\n"
 
@@ -267,11 +256,7 @@ def import_library_csv(path: Path | str) -> RadionuclideLibrary:
     Raises InvalidInput for an unreadable file, a missing column and, with
     its line number, a row that is short or holds a bad value.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8-sig")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInput(f"cannot read library {path}: {exc}") from exc
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(read_text(path, InvalidInput, "library", "utf-8-sig")))
     entries: list[LibraryEntry] = []
     try:
         header = next(reader, None) or ()

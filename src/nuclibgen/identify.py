@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidInput
+from .export import read_text
 from .library import LibraryEntry, RadionuclideLibrary
 
 
@@ -42,10 +43,7 @@ class PeakList:
         an unreadable file and, with its line number, for any other row whose
         centroid or net area is invalid.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidInput(f"cannot read peak list {path}: {exc}") from exc
+        text = read_text(path, InvalidInput, "peak list", "utf-8-sig")
         peaks = []
         first = True
         reader = csv.reader(io.StringIO(text))

@@ -10,7 +10,6 @@ across alpha and gamma libraries. Output is byte-deterministic.
 from __future__ import annotations
 
 import csv
-import functools
 import hashlib
 import io
 import math
@@ -18,7 +17,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .errors import InvalidInput, MalformedId
-from .export import XML_ESCAPES, write_text
+from .export import XML_ESCAPES, read_text, write_text
 from .library import RadionuclideLibrary
 from .nuclide import Nuclide, display_name, parse_nuclide_id
 
@@ -54,10 +53,7 @@ class MarkerRegistry:
         Raises InvalidInput naming the file when it cannot be read or has no
         nuclide column, and with its line number for a row whose id is bad.
         """
-        try:
-            text = Path(path).read_text(encoding="utf-8-sig")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise InvalidInput(f"cannot read marker registry {path}: {exc}") from exc
+        text = read_text(path, InvalidInput, "marker registry", "utf-8-sig")
         registry = cls()
         reader = csv.DictReader(io.StringIO(text))
         try:
@@ -130,8 +126,28 @@ def _fmt_label(value: float) -> str:
     return f"{value:.10g}"
 
 
-def _marker_svg(shape: str, x: float, y: float, size: float, color: str) -> str:
-    s = size
+MARKER_SIZE = 4.0
+
+# Polygon markers as (dx, dy) offsets: a point is at (x + dx, y + dy), rounded
+# to 2 places. A 0 offset is an int: it keeps the legend's int coordinates ints.
+_POLYGONS = {
+    "diamond": ((0, -1.4 * MARKER_SIZE), (1.4 * MARKER_SIZE, 0),
+                (0, 1.4 * MARKER_SIZE), (-1.4 * MARKER_SIZE, 0)),
+    "triangle-up": ((0, -1.3 * MARKER_SIZE), (1.2 * MARKER_SIZE, MARKER_SIZE),
+                    (-1.2 * MARKER_SIZE, MARKER_SIZE)),
+    "triangle-down": ((0, 1.3 * MARKER_SIZE), (1.2 * MARKER_SIZE, -MARKER_SIZE),
+                      (-1.2 * MARKER_SIZE, -MARKER_SIZE)),
+    # Ten points, alternately on an outer and an inner radius.
+    "star": tuple(
+        (radius * math.cos(angle), -(radius * math.sin(angle)))
+        for radius, angle in zip([1.6 * MARKER_SIZE, 0.7 * MARKER_SIZE] * 5,
+                                 [math.pi / 2 + i * math.pi / 5 for i in range(10)])
+    ),
+}
+
+
+def _marker_svg(shape: str, x: float, y: float, color: str) -> str:
+    s = MARKER_SIZE
     x, y = round(x, 2), round(y, 2)
     if shape == "circle":
         return f'<circle cx="{x}" cy="{y}" r="{s}" fill="{color}"/>'
@@ -140,18 +156,6 @@ def _marker_svg(shape: str, x: float, y: float, size: float, color: str) -> str:
             f'<rect x="{round(x - s, 2)}" y="{round(y - s, 2)}" '
             f'width="{2 * s}" height="{2 * s}" fill="{color}"/>'
         )
-    if shape == "diamond":
-        pts = f"{x},{round(y - 1.4 * s, 2)} {round(x + 1.4 * s, 2)},{y} " \
-              f"{x},{round(y + 1.4 * s, 2)} {round(x - 1.4 * s, 2)},{y}"
-        return f'<polygon points="{pts}" fill="{color}"/>'
-    if shape == "triangle-up":
-        pts = f"{x},{round(y - 1.3 * s, 2)} {round(x + 1.2 * s, 2)},{round(y + s, 2)} " \
-              f"{round(x - 1.2 * s, 2)},{round(y + s, 2)}"
-        return f'<polygon points="{pts}" fill="{color}"/>'
-    if shape == "triangle-down":
-        pts = f"{x},{round(y + 1.3 * s, 2)} {round(x + 1.2 * s, 2)},{round(y - s, 2)} " \
-              f"{round(x - 1.2 * s, 2)},{round(y - s, 2)}"
-        return f'<polygon points="{pts}" fill="{color}"/>'
     if shape == "cross":
         return (
             f'<path d="M {round(x - s, 2)} {round(y - s, 2)} L {round(x + s, 2)} '
@@ -165,20 +169,10 @@ def _marker_svg(shape: str, x: float, y: float, size: float, color: str) -> str:
             f'M {round(x - 1.3 * s, 2)} {y} H {round(x + 1.3 * s, 2)}" '
             f'stroke="{color}" stroke-width="1.6" fill="none"/>'
         )
-    # star (fallback for unknown shape names as well)
-    pts = " ".join(f"{round(x + dx, 2)},{round(y - dy, 2)}" for dx, dy in _star_offsets(s))
+    # The star is the fallback for unknown shape names as well.
+    points = _POLYGONS.get(shape, _POLYGONS["star"])
+    pts = " ".join(f"{round(x + dx, 2)},{round(y + dy, 2)}" for dx, dy in points)
     return f'<polygon points="{pts}" fill="{color}"/>'
-
-
-@functools.lru_cache(maxsize=8)
-def _star_offsets(size: float) -> tuple[tuple[float, float], ...]:
-    """The (dx, dy) of a star's ten points: a point is at (x + dx, y - dy)."""
-    offsets = []
-    for i in range(10):
-        radius = 1.6 * size if i % 2 == 0 else 0.7 * size
-        angle = math.pi / 2 + i * math.pi / 5
-        offsets.append((radius * math.cos(angle), radius * math.sin(angle)))
-    return tuple(offsets)
 
 
 def plot_library(
@@ -284,7 +278,6 @@ def plot_library(
                     style.shape,
                     px(entry.energy.kev),
                     py(entry.intensity_percent),
-                    4.0,
                     style.color,
                 )
             )
@@ -316,7 +309,7 @@ def plot_library(
         if y > MARGIN_T + plot_h:
             break
         x = WIDTH - MARGIN_R + 18
-        svg.append("  " + _marker_svg(style.shape, x, y - 4, 4.0, style.color))
+        svg.append("  " + _marker_svg(style.shape, x, y - 4, style.color))
         svg.append(f'  <text x="{x + 12}" y="{y}">{style.label}</text>')
     svg.append("</g>")
     svg.append("</svg>")

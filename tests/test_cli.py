@@ -14,6 +14,7 @@ import nuclibgen.export as export_mod
 from nuclibgen.cli import main, run
 from nuclibgen.chains import render_lineage
 from nuclibgen.config import load_config
+from nuclibgen.dataaccess import AccessConfig
 from nuclibgen.errors import DataUnavailable
 
 from conftest import REPO, prime_cache
@@ -57,6 +58,47 @@ jobs:
     text = capsys.readouterr().out
     assert "norm" in text and "ok" in text
 
+
+
+CACHE_DIRS = ("env_cache", "yaml_cache", "flag_cache", "nucdata_cache")
+
+
+@pytest.mark.parametrize("env, top, flags, source, cache", [
+    ({"NUCLIBGEN_BASE_URL": "http://env.test", "NUCLIBGEN_CACHE_DIR": "env_cache"},
+     "", [], "http://env.test", "env_cache"),
+    ({"NUCLIBGEN_BASE_URL": "http://env.test", "NUCLIBGEN_CACHE_DIR": "env_cache"},
+     "base_url: http://yaml.test\ncache_dir: yaml_cache\n", [], "http://yaml.test",
+     "yaml_cache"),
+    ({"NUCLIBGEN_CACHE_DIR": "env_cache"}, "cache_dir: yaml_cache\n",
+     ["--cache-dir", "flag_cache"], None, "flag_cache"),
+    ({"NUCLIBGEN_BASE_URL": "", "NUCLIBGEN_CACHE_DIR": ""}, "", [], None, "nucdata_cache"),
+], ids=["environment-alone", "yaml-beats-environment", "flag-beats-yaml",
+        "empty-environment-is-unset"])
+def test_retrieval_settings_precedence(tmp_path, corpus_dir, monkeypatch, env, top, flags,
+                                       source, cache):
+    """Each retrieval setting comes from the CLI flag, else the YAML value,
+    else the environment, else the default (``source`` None); an empty value
+    counts as unset. Only ``cache`` is primed: the offline job reads it, and
+    no other candidate cache directory is created."""
+    monkeypatch.chdir(tmp_path)
+    for name in ("NUCLIBGEN_BASE_URL", "NUCLIBGEN_CACHE_DIR"):
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    prime_cache(corpus_dir, tmp_path / cache)
+    cfg = write_config(tmp_path, top + """offline: true
+out_dir: out
+jobs:
+  - name: mo
+    recursive_progenitors: [99Mo]
+    plot: false
+""")
+    assert main(["generate", str(cfg), *flags]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["source"] == (source or AccessConfig().base_url)
+    job = report["jobs"][0]
+    assert job["cache_hits"] > 0 and job["network_calls"] == 0
+    assert [d for d in CACHE_DIRS if (tmp_path / d).exists()] == [cache]
 
 
 def test_each_entry_is_rendered_once_for_all_table_formats(tmp_path, corpus_dir,
@@ -239,11 +281,13 @@ jobs:
     (None, "cannot read marker registry {path}: "),
     ("shape,color\nstar,#112233\n", "marker registry {path}: missing column nuclide"),
     ("nuclide,shape\n99mo,star\n99xx,circle\n", "marker registry {path} line 3: "),
-], ids=["missing-file", "missing-column", "bad-id"])
+    (Path("a\0b"), "cannot read marker registry {path}: "),
+], ids=["missing-file", "missing-column", "bad-id", "nul-byte"])
 def test_bad_marker_registry_fails_only_its_job(tmp_path, corpus_dir, registry, error):
+    """``registry`` is the file's text, None for no file, or a path to name as is."""
     cache = prime_cache(corpus_dir, tmp_path / "cache")
-    markers = tmp_path / "markers.csv"
-    if registry is not None:
+    markers = registry if isinstance(registry, Path) else tmp_path / "markers.csv"
+    if isinstance(registry, str):
         markers.write_text(registry, encoding="utf-8")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -255,7 +299,7 @@ jobs:
     recursive_progenitors: [99Mo]
     radiation: gamma
     plot:
-      marker_registry: {markers}
+      marker_registry: {json.dumps(str(markers))}
   - name: lu
     recursive_progenitors: [177Lu@m4]
     radiation: gamma
@@ -763,13 +807,16 @@ QUALIFY_LIBRARY = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"
     ("1460.8\n", None, ["--tol-kev", "1"]),
     ("1460.8\n", "nuclide,energy_kev\n40k,1460.82\n", ["--tol-kev", "1"]),
     ("1460.8\n", QUALIFY_LIBRARY.replace("1460.82", "x"), ["--tol-kev", "1"]),
+    (Path("a\0b.csv"), QUALIFY_LIBRARY, ["--tol-kev", "1"]),
 ])
 def test_qualify_rejects_bad_input_with_an_error_line(tmp_path, capsys, peaks, library,
                                                       flags):
+    """``peaks`` and ``library`` are each a file's text, None for no file, or
+    a path to name as is."""
     paths = []
     for name, text in (("peaks.csv", peaks), ("library.csv", library)):
-        paths.append(tmp_path / name)
-        if text is not None:
+        paths.append(text if isinstance(text, Path) else tmp_path / name)
+        if isinstance(text, str):
             paths[-1].write_text(text)
     assert main(["qualify", *map(str, paths), *flags]) == 2
     captured = capsys.readouterr()

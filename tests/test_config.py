@@ -87,6 +87,28 @@ jobs:
 """))
 
 
+@pytest.mark.parametrize("text, allowed", [
+    ("jobs: [{recursive_progenitors: [238U]}]\nbogus: 1\n",
+     ["base_url", "cache_dir", "jobs", "offline", "out_dir", "registry_enabled"]),
+    ("jobs: [{recursive_progenitors: [238U], bogus: 1}]\n",
+     ["exclusions", "lineage", "name", "outputs", "plot", "prune", "radiation",
+      "recursive_progenitors", "static_nuclides"]),
+    ("jobs: [{recursive_progenitors: [238U], prune: {bogus: 1}}]\n",
+     ["energy_kev", "half_life_seconds", "intensity_percent"]),
+    ("jobs: [{recursive_progenitors: [238U], plot: {bogus: 1}}]\n",
+     ["enabled", "marker_registry", "windows"]),
+    ("jobs: [{recursive_progenitors: [238U], plot: {windows: [{bogus: 1}]}}]\n",
+     ["annotate", "annotation_min_intensity", "energy_kev", "intensity_percent"]),
+    ("jobs: [{recursive_progenitors: [{id: 238U, bogus: 1}]}]\n", ["id", "level"]),
+], ids=["top", "job", "prune", "plot", "window", "nuclide"])
+def test_each_mapping_allows_exactly_its_schema_keys(tmp_path, text, allowed):
+    """The YAML schema, pinned: a field added to a config type would otherwise
+    become a YAML key without notice."""
+    with pytest.raises(UnknownKey) as err:
+        load_config(write(tmp_path, text))
+    assert str(err.value).endswith(f"unknown key(s) ['bogus']; allowed: {allowed}")
+
+
 def test_job_requires_some_nuclide(tmp_path):
     with pytest.raises(ConfigParseError):
         load_config(write(tmp_path, """
@@ -333,6 +355,11 @@ def test_config_not_utf8_is_a_parse_error(tmp_path):
                      .encode("latin-1"))
     with pytest.raises(ConfigParseError, match="cannot read"):
         load_config(path)
+
+
+def test_config_path_with_a_nul_byte_is_a_parse_error(tmp_path):
+    with pytest.raises(ConfigParseError, match="cannot read"):
+        load_config(tmp_path / "a\0b.yaml")
 
 
 def test_bare_job_list_accepted(tmp_path):
