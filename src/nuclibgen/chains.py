@@ -4,21 +4,23 @@ Every nuclide goes through one node-visit core. `_visit` prefetches its eight
 datasets (six decay-radiation kinds, levels, transitions), then reads them in
 that order: it parses the decay records, tallies the daughters, and reads the
 transitions only when the levels exist. `_settle` flattens the levels fed to
-it (ground when none) and resolves its level-resolved chain members, isomers
-included (for example Pa-234m and Pa-234 from one visited nuclide). It reads
-the cascade graph and isomer list the level scheme built when it was parsed,
-so its cascade makes one level lookup per fed level.
+it (ground when none), always with their cascade closure, and resolves its
+level-resolved chain members, isomers included (for example Pa-234m and
+Pa-234 from one visited nuclide). It reads the cascade graph and isomer list
+the level scheme built when it was parsed, so its cascade makes one level
+lookup per fed level.
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
 scheduled depth-first, and a nuclide whose six queries all come back
-absent/empty is terminal (stable). A daughter's datasets are prefetched as
-soon as it is scheduled, the next one to visit first, so the source can fetch
-the whole frontier while visits stay sequential in discovery order. Nodes are
-settled after traversal, once every parent's feeding is known. A static is a
-one-level build through the same walk: its own nuclide in full, only the level
-schemes of its daughters (all that gamma feasibility gating needs), and their
-warnings, as a one-level chain reports them. `assemble_subset` prefetches every
+absent/empty is terminal (stable); a build that would visit more than
+VISITED_CAP nuclides raises DepthExceeded. A daughter's datasets are
+prefetched as soon as it is scheduled, the next one to visit first, so the
+source can fetch the whole frontier while visits stay sequential in discovery
+order. Nodes are settled after traversal, once every parent's feeding is
+known. A static is a one-level build through the same walk: its own nuclide in
+full, only the level schemes of its daughters (all that gamma feasibility
+gating needs), and their warnings, as a one-level chain reports them. `assemble_subset` prefetches every
 progenitor and static up front and merges one build after another; a later
 build re-settles a shared node only when it feeds it a new level or brings the
 full parse of a static's scheme-only daughter. A static resolves to the member
@@ -37,11 +39,11 @@ is made, so that member resolution and library assembly compare a level with
 each distinct parent level rather than with every record.
 
 What a settle derives depends only on the parse and the feeding context, so
-each memo entry also keeps a settle table keyed by the node's inherited levels
-and ``simulate_cascade``: the flattened levels, the members and the warnings
-that settling added. Each (nuclide, feeding context) is settled once per run;
-every other node in that context, whatever build, merge, static or job it
-belongs to, takes the stored results and reports the same warnings.
+each memo entry also keeps a settle table keyed by the node's inherited levels:
+the flattened levels, the members and the warnings that settling added. Each
+(nuclide, feeding context) is settled once per run; every other node in that
+context, whatever build, merge, static or job it belongs to, takes the stored
+results and reports the same warnings.
 """
 
 from __future__ import annotations
@@ -62,7 +64,8 @@ from .records import (
     parse_level_scheme,
 )
 
-DEFAULT_VISITED_CAP = 500
+# Nuclides one build may visit in full before it raises DepthExceeded.
+VISITED_CAP = 500
 
 # Query order for the six radiation kinds; daughter ordering itself is by
 # (mass number, element), so chain membership does not depend on this.
@@ -96,10 +99,10 @@ class ChainMember(NamedTuple):
     unvalidated: bool = False
 
 
-# A settle's inputs beyond the parse: the inherited levels, in the node's
-# order, and whether cascades are simulated. Its results: the flattened levels
-# (None without a level scheme), the members and the warnings it added.
-SettleKey = tuple[tuple[EnergyValue, ...], bool]
+# A settle's input beyond the parse: the inherited levels, in the node's
+# order. Its results: the flattened levels (None without a level scheme), the
+# members and the warnings it added.
+SettleKey = tuple[EnergyValue, ...]
 Settled = tuple[FlattenedLevels | None, tuple[ChainMember, ...], tuple[str, ...]]
 
 
@@ -299,24 +302,19 @@ def _visit_scheme(
     return entry
 
 
-def _settle(node: NodeData, simulate_cascade: bool) -> None:
+def _settle(node: NodeData) -> None:
     """(Re)derive a node's flattened levels and members from its current
     feeding context; the ground state stands in for no feeding. A context
     already settled on the node's parse is taken from its settle table, with
     the warnings that settling added."""
-    key = (tuple(node.inherited), simulate_cascade)
+    key = tuple(node.inherited)
     settled = node.parsed.settled.get(key)
     if settled is None:
         warnings: list[str] = []
         flattened = None
         if node.scheme is not None:
             flattened = flatten_levels(
-                node.nuclide,
-                node.inherited or [EnergyValue(0.0)],
-                node.scheme,
-                warnings,
-                simulate_cascade=simulate_cascade,
-            )
+                node.inherited or [EnergyValue(0.0)], node.scheme, warnings)
         settled = node.parsed.settled.setdefault(
             key, (flattened, _resolve_members(node, flattened), tuple(warnings)))
     node.flattened, members, added = settled
@@ -404,23 +402,21 @@ def build_progeny(
     progenitor: Nuclide,
     source: DatasetSource,
     *,
-    simulate_cascade: bool = True,
-    visited_cap: int = DEFAULT_VISITED_CAP,
     memo: ParseMemo | None = None,
 ) -> ChainBuild:
     """Recursively collect all progeny of a progenitor.
 
     Returns the discovery-ordered decay chain (level-resolved members) and
     the lineage tree including stable leaves. Raises DataUnavailable when a
-    required dataset is neither cached nor fetchable, DepthExceeded when the
-    visited count passes ``visited_cap``. Nuclides already in ``memo`` are
-    not fetched or parsed again.
+    required dataset is neither cached nor fetchable, DepthExceeded when it
+    would visit more than ``VISITED_CAP`` nuclides. Nuclides already in
+    ``memo`` are not fetched or parsed again.
     """
-    return _walk(progenitor, source, simulate_cascade, visited_cap, memo, static=False)
+    return _walk(progenitor, source, memo, static=False)
 
 
-def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
-          visited_cap: int, memo: ParseMemo | None, static: bool) -> ChainBuild:
+def _walk(progenitor: Nuclide, source: DatasetSource, memo: ParseMemo | None,
+          static: bool) -> ChainBuild:
     """The walk behind `build_progeny`. A static walk visits the root alone
     in full and reads only its daughters' level schemes: a scheme-only node
     has no daughters, so the walk stops one level down."""
@@ -441,10 +437,8 @@ def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
         if static and current != root:
             node.parsed = _visit_scheme(current, source, memo)
             node.warnings.extend(node.parsed.warnings)
-        elif parsed + reused >= visited_cap:
-            raise DepthExceeded(
-                f"visited {parsed + reused} nuclides; cap is {visited_cap}"
-            )
+        elif parsed + reused >= VISITED_CAP:
+            raise DepthExceeded(f"visited {parsed + reused} nuclides; cap is {VISITED_CAP}")
         elif _visit(node, source, memo):
             parsed += 1
         else:
@@ -470,7 +464,7 @@ def _walk(progenitor: Nuclide, source: DatasetSource, simulate_cascade: bool,
     root_node.add_inherited((resolve_level_spec(progenitor.level, root_node.scheme),))
 
     for visited in order:
-        _settle(nodes[visited], simulate_cascade)
+        _settle(nodes[visited])
         warnings.extend(nodes[visited].warnings)
 
     members: list[Nuclide] = []
@@ -552,11 +546,7 @@ class RadionuclideSubset:
     nuclides_reused: int = 0  # builds' full visits served from the parse memo
 
 
-def _merge_nodes(
-    target: dict[Nuclide, NodeData],
-    extra: dict[Nuclide, NodeData],
-    simulate_cascade: bool,
-) -> None:
+def _merge_nodes(target: dict[Nuclide, NodeData], extra: dict[Nuclide, NodeData]) -> None:
     for key, node in extra.items():
         existing = target.get(key)
         if existing is None:
@@ -570,7 +560,7 @@ def _merge_nodes(
             existing.parsed = node.parsed
             changed = True
         if changed:
-            _settle(existing, simulate_cascade)
+            _settle(existing)
 
 
 def _static_member(node: NodeData, level: EnergyValue) -> Nuclide:
@@ -587,8 +577,6 @@ def assemble_subset(
     exclusions: list[Nuclide],
     source: DatasetSource,
     *,
-    simulate_cascade: bool = True,
-    visited_cap: int = DEFAULT_VISITED_CAP,
     memo: ParseMemo | None = None,
 ) -> RadionuclideSubset:
     """Assemble the complete radionuclide subset (R | Y | S) \\ E.
@@ -613,11 +601,10 @@ def assemble_subset(
     for index, root in enumerate([*recursive, *statics]):
         static = index >= len(recursive)
         if static:
-            build = _walk(root, source, simulate_cascade, visited_cap, memo, static=True)
+            build = _walk(root, source, memo, static=True)
         else:
-            build = build_progeny(root, source, simulate_cascade=simulate_cascade,
-                                  visited_cap=visited_cap, memo=memo)
-        _merge_nodes(nodes, build.nodes, simulate_cascade)
+            build = build_progeny(root, source, memo=memo)
+        _merge_nodes(nodes, build.nodes)
         warnings.extend(build.warnings)
         parsed += build.nuclides_parsed
         reused += build.nuclides_reused

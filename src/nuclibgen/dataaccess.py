@@ -367,13 +367,13 @@ class DataStore:
             if self._registered(key):
                 return None, "registry_skips"
             path = self.cache_path(key)
-            if path.exists():
-                try:
-                    body = path.read_text(encoding="utf-8")
-                except UnicodeDecodeError:
-                    body = ""  # no more a cached copy than a blank file
-                if body.strip():  # a blank file is no cached copy: refetch it
-                    return RawDataset(key, body, "cache"), "cache_hits"
+            try:  # byte-exact, as _write_cache wrote it: no newline translation
+                with open(path, encoding="utf-8", newline="") as cached:
+                    body = cached.read()
+            except (OSError, UnicodeDecodeError):
+                body = ""  # missing, unreadable or undecodable: no cached copy
+            if body.strip():  # a blank file is no cached copy: refetch it
+                return RawDataset(key, body, "cache"), "cache_hits"
 
             if self.cfg.offline:
                 raise OfflineMiss(f"offline and not cached: {key.serialize()}")

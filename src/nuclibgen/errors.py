@@ -40,7 +40,8 @@ class RegistryIoError(NuclibError):
 # --- dataset parsing ---------------------------------------------------------
 
 class HeaderMismatch(NuclibError):
-    """A raw dataset lacks columns required by the endpoint's CSV contract."""
+    """A raw dataset does not follow the endpoint's CSV contract: it lacks a
+    required column or the CSV reader rejects it."""
 
 
 class NuclideMismatch(NuclibError):

@@ -2,8 +2,11 @@
 
 A daughter nuclide is populated at the levels its parents feed directly; the
 remaining reachable levels are established by simulating electromagnetic
-transitions downward until the lowest energy is observed. Levels outside the
-flattened set are unfeasible and their radiation is excluded downstream.
+transitions downward until the lowest energy is observed. The simulation is
+always run: a level is feasible when a parent feeds it or a cascade reaches it
+(a scheme without transitions reaches no level beyond those fed). Levels
+outside the flattened set are unfeasible and their radiation is excluded
+downstream.
 
 A cascade looks up each start level once, then follows the integer edges its
 LevelScheme resolved when built. In a hand-built scheme an end that matches no
@@ -14,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .nuclide import EnergyIndex, EnergyValue, Nuclide
+from .nuclide import EnergyIndex, EnergyValue
 from .nuclide import energies_match  # noqa: F401  (re-exported)
 from .records import LevelScheme
 
@@ -24,7 +27,6 @@ class FlattenedLevels:
     """All permissible energy levels of one nuclide in a given context. The
     constructor indexes ``all``: pass the final list, later appends are unseen."""
 
-    nuclide: Nuclide
     all: list[EnergyValue]
 
     def __post_init__(self):
@@ -79,21 +81,12 @@ def cascade_visit(
 
 
 def flatten_levels(
-    nuclide: Nuclide,
     inherited: list[EnergyValue],
     scheme: LevelScheme,
     warnings: list[str] | None = None,
-    simulate_cascade: bool = True,
 ) -> FlattenedLevels:
-    """Combine parent-fed levels with their cascade closure.
-
-    ``simulate_cascade=False`` skips transition traversal (control/regression
-    use only); the flattened set is then the inherited levels alone.
-    """
+    """Combine parent-fed levels with their cascade closure."""
     inherited = _dedup_desc(list(inherited))
-    if simulate_cascade:
-        visited = cascade_visit(inherited, scheme, warnings)
-    else:
-        visited = list(inherited)
-    return FlattenedLevels(nuclide=nuclide, all=_dedup_desc(inherited + visited))
+    visited = cascade_visit(inherited, scheme, warnings)
+    return FlattenedLevels(all=_dedup_desc(inherited + visited))
 

@@ -23,18 +23,20 @@ daughter's parent-induced excited states is carried by the parent's dataset;
 for gamma rows the start/end level energies are levels of the daughter
 nuclide (of the nuclide itself for isomeric transitions).
 
-Row errors. A dataset whose header lacks a required column raises
-HeaderMismatch. A row is skipped with a warning that names its dataset key
-(``225ac:lv line 16: ...``) and line when one of its cells is bad: a number
-that does not parse, is non-finite or is out of range; an unknown element
-symbol or a mass number outside 1..300; an unknown decay code in a decay row;
-or a required cell the row is too short to have. Lines are numbered from the
-header, line 1; blank rows are skipped and take no number. Header names are
-stripped; of a column named twice, the last wins. Cells beyond the header
-are ignored, and an optional cell that is absent, short or blank reads as
-empty. In a level row an unknown decay code drops only that mode. A
-transition row of another nuclide raises NuclideMismatch; an upward or
-unresolvable transition is excluded with a warning.
+Row errors. A dataset whose header lacks a required column, or that the CSV
+reader rejects (a lone carriage return in an unquoted cell, a field longer
+than the reader's limit), raises HeaderMismatch. A row is skipped with a
+warning that names its dataset key (``225ac:lv line 16: ...``) and line when
+one of its cells is bad: a number that does not parse, is non-finite or is out
+of range; an unknown element symbol or a mass number outside 1..300; an
+unknown decay code in a decay row; or a required cell the row is too short to
+have. Lines are numbered from the header, line 1; blank rows are skipped and
+take no number. Header names are stripped; of a column named twice, the last
+wins. Cells beyond the header are ignored, and an optional cell that is
+absent, short or blank reads as empty. In a level row an unknown decay code
+drops only that mode. A transition row of another nuclide raises
+NuclideMismatch; an upward or unresolvable transition is excluded with a
+warning.
 
 A LevelScheme is resolved into a cascade graph as its table fills: the parser
 links each transition it keeps as it reads it, and each distinct start or end
@@ -201,34 +203,42 @@ def _table(raw: RawDataset, required: tuple[str, ...], columns: tuple[str, ...])
     """Check the header of ``raw`` and return its rows plus a picker that reads
     ``columns`` from a row of ``_rows`` as one tuple. A column named twice is
     read from its last occurrence; an absent column reads as None."""
+    key = raw.key.serialize()
     reader = csv.reader(io.StringIO(raw.body))
-    header = [name.strip() for name in next(reader, [])]
-    _require_columns(header, required, raw.key.serialize())
+    try:
+        header = [name.strip() for name in next(reader, [])]
+    except csv.Error as exc:
+        raise HeaderMismatch(f"{key} line 1: {exc}") from exc
+    _require_columns(header, required, key)
     position = {name: i for i, name in enumerate(header)}
     width = len(header)
     pick = itemgetter(*(position.get(col, width) for col in columns))
-    return _rows(reader, width), pick
+    return _rows(reader, width, key), pick
 
 
 _ABSENT = (None,)
 
 
-def _rows(reader, width: int):
+def _rows(reader, width: int, key: str):
     """(line number, cells) of each non-blank row; the header is line 1 and
     blank rows take no number. ``cells`` has ``width + 1`` items: a short row
     is padded with None, extra cells are dropped, and the last item is the
-    None that absent columns read."""
+    None that absent columns read. A row the CSV reader rejects raises
+    HeaderMismatch naming ``key`` and its line."""
     pad = [None] * (width + 1)
     lineno = 1
-    for row in reader:
-        if not row:
-            continue
-        lineno += 1
-        if len(row) <= width:
-            row += pad[len(row):]
-        else:
-            row[width:] = _ABSENT
-        yield lineno, row
+    try:
+        for row in reader:
+            if not row:
+                continue
+            lineno += 1
+            if len(row) <= width:
+                row += pad[len(row):]
+            else:
+                row[width:] = _ABSENT
+            yield lineno, row
+    except csv.Error as exc:
+        raise HeaderMismatch(f"{key} line {lineno + 1}: {exc}") from exc
 
 
 def _float(text: str) -> float:

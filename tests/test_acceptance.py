@@ -14,6 +14,7 @@ import pytest
 from nuclibgen.chains import assemble_subset, build_progeny, render_lineage
 from nuclibgen.cli import run
 from nuclibgen.config import load_config
+from nuclibgen.dataaccess import KIND_TRANSITIONS
 from nuclibgen.identify import Peak, PeakList, qualify_peaks
 from nuclibgen.library import PruneBounds, assemble_library, prune
 from nuclibgen.nuclide import DecayMode, RadiationType, parse_nuclide_id
@@ -88,6 +89,19 @@ def test_criterion_02_ac225_alpha_emitters(primed_store):
           "{Ac-225, Fr-221, At-217, Bi-213, Po-213} at >= 0.001%")
 
 
+class NoTransitions:
+    """A source whose every transitions dataset is absent, so no cascade
+    reaches a level its parents do not feed."""
+
+    def __init__(self, source):
+        self.source = source
+
+    def fetch_dataset(self, key):
+        if key.kindcode == KIND_TRANSITIONS:
+            return None
+        return self.source.fetch_dataset(key)
+
+
 def test_criterion_03_isomer_inference_and_cascade_regression(primed_store):
     subset = assemble_subset([parse_nuclide_id("99mo")], [], [], primed_store)
     assert "99tc@m" in ids(subset.members)
@@ -109,8 +123,9 @@ def test_criterion_03_isomer_inference_and_cascade_regression(primed_store):
     )
     assert line.parent_level.kev == pytest.approx(142.6836)
 
-    control = assemble_subset([parse_nuclide_id("99mo")], [], [], primed_store,
-                              simulate_cascade=False)
+    control = assemble_subset([parse_nuclide_id("99mo")], [], [],
+                              NoTransitions(primed_store))
+    assert ids(control.members) == ["99mo", "99tc@m"]
     control_lib = assemble_library(control, RadiationType.GAMMA)
     assert not any(abs(e.energy.kev - 140.511) < 0.01
                    for e in control_lib.entries), \

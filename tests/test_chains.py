@@ -79,11 +79,12 @@ def test_stable_progenitor_is_terminal(primed_store):
     assert build.tree.children == []
 
 
-def test_visited_cap_raises():
+def test_visit_cap_raises(monkeypatch):
     links = {f"{100 + i}sn": [(f"{101 + i}sn", 100.0)] for i in range(60)}
     source = simple_chain_source(links, stable={"161sn"})
+    monkeypatch.setattr(chains_mod, "VISITED_CAP", 50)
     with pytest.raises(DepthExceeded):
-        build_progeny(parse_nuclide_id("100sn"), source, visited_cap=50)
+        build_progeny(parse_nuclide_id("100sn"), source)
 
 
 def test_cycle_terminates_via_visited_set():
@@ -331,9 +332,9 @@ def test_merges_resettle_only_nodes_fed_a_new_level(monkeypatch, primed_store):
     settles = []
     settle, add_inherited = chains_mod._settle, chains_mod.NodeData.add_inherited
 
-    def counting_settle(node, simulate_cascade):
+    def counting_settle(node):
         settles.append(node.nuclide)
-        settle(node, simulate_cascade)
+        settle(node)
 
     def always_added(node, levels):
         add_inherited(node, levels)
@@ -426,13 +427,13 @@ def test_settle_warnings_are_reported_by_every_job_sharing_the_memo():
 
 def test_shared_chains_settle_each_feeding_context_once(monkeypatch, primed_store):
     """The six jobs of the benchmark's shared-chains workload, which share one
-    memo, flatten each (nuclide, fed levels, cascade) context once."""
+    memo, flatten each (nuclide, fed levels) context once."""
     flattens = Counter()
     flatten = chains_mod.flatten_levels
 
-    def counting(nuclide, inherited, scheme, warnings=None, simulate_cascade=True):
-        flattens[nuclide, tuple(inherited), simulate_cascade] += 1
-        return flatten(nuclide, inherited, scheme, warnings, simulate_cascade)
+    def counting(inherited, scheme, warnings=None):
+        flattens[scheme.nuclide, tuple(inherited)] += 1
+        return flatten(inherited, scheme, warnings)
 
     monkeypatch.setattr(chains_mod, "flatten_levels", counting)
     memo = {}

@@ -277,6 +277,51 @@ jobs:
     assert (out / "library_fine_g.csv").exists()
 
 
+def _insert(line, text):
+    """A spoiler that puts ``text`` before the first comma of a file's ``line``."""
+    def spoil(path):
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[line - 1] = lines[line - 1].replace(",", text + ",", 1)
+        path.write_text("\n".join(lines), encoding="utf-8", newline="")
+    return spoil
+
+
+def _directory(path):
+    path.unlink()
+    path.mkdir()
+
+
+@pytest.mark.parametrize("spoil, error", [
+    (_directory, "DataUnavailable: offline and not cached: 99mo:dr-g"),
+    (_insert(3, "x" * 200_000),
+     "HeaderMismatch: 99mo:dr-g line 3: field larger than field limit"),
+    (_insert(2, "\rx"),
+     "HeaderMismatch: 99mo:dr-g line 2: new-line character seen in unquoted field"),
+], ids=["directory", "huge-field", "lone-cr"])
+def test_bad_cache_entry_fails_only_its_job_offline(tmp_path, corpus_dir, spoil, error):
+    cache = prime_cache(corpus_dir, tmp_path / "cache")
+    spoil(cache / "99mo_dr-g.csv")
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+offline: true
+out_dir: {out}
+jobs:
+  - name: mo
+    recursive_progenitors: [99Mo]
+    radiation: gamma
+  - name: fine
+    recursive_progenitors: [226Ra]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    report = json.loads((out / "report.json").read_text())
+    by_name = {j["name"]: j for j in report["jobs"]}
+    assert by_name["mo"]["error"].startswith(error)
+    assert by_name["fine"]["ok"]
+    assert (out / "library_fine_g.csv").exists()
+
+
 @pytest.mark.parametrize("registry, error", [
     (None, "cannot read marker registry {path}: "),
     ("shape,color\nstar,#112233\n", "marker registry {path}: missing column nuclide"),

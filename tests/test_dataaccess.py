@@ -15,10 +15,11 @@ from nuclibgen.dataaccess import (
     DataStore,
     DatasetKey,
 )
-from nuclibgen.errors import CacheWriteError, NetworkError, OfflineMiss
+from nuclibgen.errors import CacheWriteError, HeaderMismatch, NetworkError, OfflineMiss
 from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
+from nuclibgen.records import parse_level_scheme
 
-from conftest import MockServer, prime_cache
+from conftest import MockServer, lv_body, prime_cache
 
 
 def key_for(nid="225ac", rad=RadiationType.ALPHA) -> DatasetKey:
@@ -310,6 +311,52 @@ def test_blank_cache_file_is_an_offline_miss(tmp_path, blank):
     with pytest.raises(OfflineMiss, match="225ac:dr-a"):
         store.fetch_dataset(key)
     assert store.cache_path(key).read_bytes() == blank  # left as it was
+
+
+def test_unreadable_cache_entry_is_an_offline_miss(tmp_path):
+    key = key_for("99mo", RadiationType.GAMMA)
+    store = DataStore(AccessConfig(cache_dir=tmp_path, offline=True))
+    store.cache_path(key).mkdir()  # exists, but cannot be read as a file
+    with pytest.raises(OfflineMiss, match="99mo:dr-g"):
+        store.fetch_dataset(key)
+    assert store.cache_path(key).is_dir()  # left as it was
+
+
+def test_unreadable_cache_entry_is_refetched_and_its_overwrite_fails(tmp_path, corpus_dir):
+    server = MockServer(corpus_dir)
+    try:
+        key = key_for("99mo", RadiationType.GAMMA)
+        store = DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path))
+        store.cache_path(key).mkdir()
+        with pytest.raises(CacheWriteError, match="99mo_dr-g.csv"):
+            store.fetch_dataset(key)
+        assert server.requests == 1
+        assert store.stats.cache_hits == 0
+    finally:
+        server.stop()
+
+
+def test_cached_body_is_the_fetched_body_byte_for_byte(tmp_path, corpus_dir):
+    """A warm run parses the text the cold run fetched: a lone carriage return
+    stays one rather than becoming a line break."""
+    server = MockServer(corpus_dir)
+    try:
+        key = DatasetKey.levels(Nuclide("Tc", 99))
+        body = lv_body([{"symbol": "Tc", "a": 99, "energy": 0.0},
+                        {"symbol": "Tc", "a": 99, "energy": 140.511}])
+        body = body.replace("\nTc,99,140.511", "\rTc,99,140.511")
+        server.cfg["overrides"][key.serialize()] = body.encode("utf-8")
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            cold = store.fetch_dataset(key)
+    finally:
+        server.stop()
+    with DataStore(AccessConfig(cache_dir=tmp_path, offline=True)) as store:
+        warm = store.fetch_dataset(key)
+    assert (cold.origin, warm.origin) == ("remote", "cache")
+    assert warm.body == cold.body == body
+    for raw in (cold, warm):
+        with pytest.raises(HeaderMismatch, match="^99tc:lv line 2: new-line character"):
+            parse_level_scheme(raw, None)
 
 
 def test_no_partial_cache_files_left_behind(tmp_path, corpus_dir):

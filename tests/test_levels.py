@@ -74,20 +74,20 @@ def test_unresolved_start_is_reported_not_fatal(tc99):
 
 
 def test_flatten_default_ground_for_progenitor(tc99):
-    flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(0.0)], tc99)
+    flat = flatten_levels([EnergyValue(0.0)], tc99)
     assert flat.contains(EnergyValue(0.0))
 
 
 def test_flatten_tc99_inherited_isomer(tc99):
-    flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(142.6836)], tc99)
+    flat = flatten_levels([EnergyValue(142.6836)], tc99)
     for expected in (142.6836, 140.511, 0.0):
         assert flat.contains(EnergyValue(expected))
 
 
 def test_flatten_without_cascade_is_inherited_only(tc99):
-    flat = flatten_levels(
-        Nuclide("Tc", 99), [EnergyValue(142.6836)], tc99, simulate_cascade=False
-    )
+    """A scheme with no transitions reaches no level beyond those fed."""
+    levels_only = LevelScheme(nuclide=tc99.nuclide, levels=tc99.levels)
+    flat = flatten_levels([EnergyValue(142.6836)], levels_only)
     assert not flat.contains(EnergyValue(140.511))
     assert not flat.contains(EnergyValue(0.0))
 
@@ -105,7 +105,7 @@ def test_lu177_m4_resolves_to_paper_energy(primed_store):
 def test_outcomes_tc99_isomer(tc99):
     """A level is feasible iff the flattened set contains it, and an isomer
     iff its record says so."""
-    flat = flatten_levels(Nuclide("Tc", 99), [EnergyValue(142.6836)], tc99)
+    flat = flatten_levels([EnergyValue(142.6836)], tc99)
     by_kev = {record.energy.kev: record for record in tc99.levels}
 
     isomer = by_kev[142.6836]
@@ -133,7 +133,7 @@ def test_outcomes_ground_only_nuclide():
         levels=[LevelRecord(nuclide=n, energy=EnergyValue(0.0),
                             decay_modes=((DecayMode.BETA_MINUS, 100.0),))],
     )
-    flat = flatten_levels(n, [EnergyValue(0.0)], scheme)
+    flat = flatten_levels([EnergyValue(0.0)], scheme)
     [ground] = scheme.levels
     assert flat.contains(ground.energy) and not ground.is_isomer
 

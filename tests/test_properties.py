@@ -15,6 +15,7 @@ import yaml
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import nuclibgen.chains as chains_mod
 from nuclibgen.chains import ChainMember, _member_identity, assemble_subset, build_progeny
 from nuclibgen.cli import main
 from nuclibgen.config import load_config
@@ -61,6 +62,7 @@ from nuclibgen.records import (
 )
 
 from conftest import (
+    CORPUS,
     DR_COLUMNS,
     LV_COLUMNS,
     TR_COLUMNS,
@@ -148,7 +150,6 @@ subset_calls = st.lists(
     st.tuples(
         st.lists(st.sampled_from(NESTED_POOL), max_size=4, unique=True),
         st.lists(st.sampled_from(SETTLE_STATIC_POOL), max_size=2, unique=True),
-        st.booleans(),
     ).filter(lambda call: call[0] or call[1]),
     min_size=1, max_size=3,
 )
@@ -164,20 +165,20 @@ def _settled(subset):
 
 @settings(max_examples=10, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@example(calls=[(["225ac"], ["213bi"], True),
-                (["237np", "225ac"], ["213bi", "99mo"], False),
-                (["229th"], ["225ac", "228ac"], True),
-                (["225ac"], ["213bi"], True)])
+@example(calls=[(["225ac"], ["213bi"]),
+                (["237np", "225ac"], ["213bi", "99mo"]),
+                (["229th"], ["225ac", "228ac"]),
+                (["225ac"], ["213bi"])])
 @given(calls=subset_calls)
 def test_shared_memo_settles_like_a_fresh_one(primed_store, calls):
     """Subsets assembled in any order on one memo, whose settle tables they
     share, equal the same subsets each assembled on a fresh memo."""
     memo = {}
-    for roots, statics, simulate_cascade in calls:
+    for roots, statics in calls:
         args = ([parse_nuclide_id(r) for r in roots],
                 [parse_nuclide_id(s) for s in statics], [], primed_store)
-        shared = assemble_subset(*args, simulate_cascade=simulate_cascade, memo=memo)
-        fresh = assemble_subset(*args, simulate_cascade=simulate_cascade)
+        shared = assemble_subset(*args, memo=memo)
+        fresh = assemble_subset(*args)
         assert _settled(shared) == _settled(fresh)
 
 
@@ -701,6 +702,35 @@ def test_random_bytes_load_or_raise_a_nuclib_error(tmp_path, loader, header, wit
         pass
 
 
+MO99, TC99 = Nuclide("Mo", 99), Nuclide("Tc", 99)
+FIXTURE_DATASETS = {
+    "dr": DatasetKey.decay_rads(MO99, RadiationType.GAMMA),
+    "lv": DatasetKey.levels(TC99),
+    "tr": DatasetKey.transitions(TC99),
+}
+FIXTURE_BODIES = {kind: (CORPUS / key.filename()).read_text(encoding="utf-8")
+                  for kind, key in FIXTURE_DATASETS.items()}
+# Text that the CSV reader treats specially, weighted up, then anything.
+CSV_TEXT = st.text(st.one_of(st.sampled_from('\r\n"\0,'), st.characters()),
+                   min_size=1, max_size=8)
+
+
+@given(data=st.data())
+@pytest.mark.parametrize("kind", list(FIXTURE_DATASETS))
+def test_fixture_body_with_inserted_text_parses_or_raises_a_nuclib_error(kind, data):
+    bodies = dict(FIXTURE_BODIES)
+    at = data.draw(st.integers(min_value=0, max_value=len(bodies[kind])))
+    bodies[kind] = bodies[kind][:at] + data.draw(CSV_TEXT) + bodies[kind][at:]
+    raw = {k: RawDataset(key, bodies[k], "cache") for k, key in FIXTURE_DATASETS.items()}
+    try:
+        if kind == "dr":
+            parse_decay_records(raw["dr"])
+        else:
+            parse_level_scheme(raw["lv"], raw["tr"])
+    except NuclibError:
+        pass
+
+
 # --- cascade laws ---------------------------------------------------------------
 
 @st.composite
@@ -833,7 +863,7 @@ def test_find_level_matches_linear_scan(data):
 def test_contains_matches_linear_scan(data):
     scheme, queries = data
     members = [record.energy for record in scheme.levels]
-    flat = FlattenedLevels(nuclide=scheme.nuclide, all=members)
+    flat = FlattenedLevels(all=members)
     for query in queries:
         assert flat.contains(query) == any(energies_match(query, m) for m in members)
 
@@ -1147,7 +1177,7 @@ def decay_graphs(draw):
 def test_traversal_terminates_and_visits_once(graph):
     root, links, stable = graph
     source = simple_chain_source(links, stable)
-    build = build_progeny(parse_nuclide_id(root), source, visited_cap=100)
+    build = build_progeny(parse_nuclide_id(root), source)
     visited = [str(n) for n in build.order]
     assert len(visited) == len(set(visited))
     assert len(visited) <= len(links) + len(stable)
@@ -1158,8 +1188,9 @@ def test_traversal_terminates_and_visits_once(graph):
     assert set(edges) == reachable_edges
 
 
-def test_visited_cap_enforced_on_long_chain():
+def test_visit_cap_enforced_on_long_chain(monkeypatch):
     links = {f"{100 + i}sn": [(f"{101 + i}sn", 100.0)] for i in range(80)}
     source = simple_chain_source(links, stable={"181sn"})
+    monkeypatch.setattr(chains_mod, "VISITED_CAP", 40)
     with pytest.raises(DepthExceeded):
-        build_progeny(parse_nuclide_id("100sn"), source, visited_cap=40)
+        build_progeny(parse_nuclide_id("100sn"), source)

@@ -185,3 +185,42 @@ def test_extract_daughters_skips_self_rows(primed_store):
     records, _ = parse_decay_records(fetch(primed_store, "99tc:dr-g"))
     feeds = extract_daughters(records)
     assert all(str(f.daughter) != "99tc" for f in feeds)
+
+
+TC99 = Nuclide("Tc", 99)
+TC99_LEVELS = lv_body([
+    {"symbol": "Tc", "a": 99, "energy": 0.0},
+    {"symbol": "Tc", "a": 99, "energy": 100.0, "unc_e": 0.1},
+])
+TC99_BODIES = {
+    "dr": dr_body([dr_row(("Tc", 99), ("Ru", 99))]),
+    "lv": TC99_LEVELS,
+    "tr": tr_body([{"symbol": "Tc", "a": 99, "start_level_energy": 100.0,
+                    "end_level_energy": 0.0, "energy": 100.0}]),
+}
+
+
+def parse_kind(kind: str, body: str):
+    """Parse ``body`` as a Tc-99 dataset of ``kind``; a transitions body is
+    parsed with a valid levels body."""
+    if kind == "dr":
+        key = DatasetKey.decay_rads(TC99, RadiationType.BETA_MINUS)
+        return parse_decay_records(RawDataset(key, body, "cache"))
+    if kind == "lv":
+        return parse_level_scheme(RawDataset(DatasetKey.levels(TC99), body, "cache"), None)
+    levels = RawDataset(DatasetKey.levels(TC99), TC99_LEVELS, "cache")
+    return parse_level_scheme(levels, RawDataset(DatasetKey.transitions(TC99), body, "cache"))
+
+
+@pytest.mark.parametrize("kind", ["dr", "lv", "tr"])
+@pytest.mark.parametrize("line", [1, 2], ids=["header", "row"])
+@pytest.mark.parametrize("defect, message", [
+    ("\rx", "new-line character seen in unquoted field"),
+    ("x" * 200_000, "field larger than field limit"),
+], ids=["lone-cr", "huge-field"])
+def test_body_the_csv_reader_rejects_is_a_header_mismatch(kind, line, defect, message):
+    lines = TC99_BODIES[kind].split("\n")
+    lines[line - 1] = lines[line - 1].replace(",", defect + ",", 1)
+    key = f"99tc:{'dr-bm' if kind == 'dr' else kind}"
+    with pytest.raises(HeaderMismatch, match=f"^{key} line {line}: {message}"):
+        parse_kind(kind, "\n".join(lines))
