@@ -36,7 +36,10 @@ daughters read only that, so a nuclide that one job visits in a chain and
 another reads as a static's daughter is parsed once. A visit that fails is not
 stored. An entry groups its decay records by (radiation, parent level) when it
 is made, so that member resolution and library assembly compare a level with
-each distinct parent level rather than with every record.
+each distinct parent level rather than with every record. A memo miss parses
+through the source: when every dataset of a parse came from its disk cache, a
+`DataStore` loads the parse an earlier run stored under ``cache_dir/parsed/``
+instead of parsing again (see `dataaccess`).
 
 What a settle derives depends only on the parse and the feeding context, so
 each memo entry also keeps a settle table keyed by the node's inherited levels:
@@ -83,7 +86,10 @@ class DatasetSource(Protocol):
     """Anything that can answer dataset requests (DataStore or a test fake).
 
     A source may also offer ``prefetch(keys)``, a hint that those keys will
-    be requested soon; sources without it are read one key at a time.
+    be requested soon; sources without it are read one key at a time. It may
+    offer ``stored_parse(parse, *raws)``, which returns ``parse(*raws)`` or a
+    parse of those datasets it stored earlier; sources without it are parsed
+    on every memo miss.
     """
 
     def fetch_dataset(self, key: DatasetKey) -> RawDataset | None: ...
@@ -250,6 +256,11 @@ def _fetch(source: DatasetSource, key: DatasetKey) -> RawDataset | None:
         raise DataUnavailable(str(exc)) from exc
 
 
+def _parse(source: DatasetSource, parse, *raws: RawDataset | None):
+    stored = getattr(source, "stored_parse", None)
+    return parse(*raws) if stored is None else stored(parse, *raws)
+
+
 def _fetch_records(
     source: DatasetSource, nuclide: Nuclide, warnings: list[str]
 ) -> list[DecayRecord]:
@@ -258,7 +269,7 @@ def _fetch_records(
         raw = _fetch(source, DatasetKey.decay_rads(nuclide, rad))
         if raw is None:
             continue
-        parsed, parse_warnings = parse_decay_records(raw)
+        parsed, parse_warnings = _parse(source, parse_decay_records, raw)
         records.extend(parsed)
         warnings.extend(parse_warnings)
     return records
@@ -297,7 +308,7 @@ def _visit_scheme(
         levels_raw = _fetch(source, key)
         if levels_raw is not None:
             transitions_raw = _fetch(source, DatasetKey.transitions(nuclide))
-            scheme, warnings = parse_level_scheme(levels_raw, transitions_raw)
+            scheme, warnings = _parse(source, parse_level_scheme, levels_raw, transitions_raw)
         entry = memo.setdefault(key, ParsedNuclide((), scheme, (), tuple(warnings)))
     return entry
 

@@ -16,7 +16,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -47,6 +46,7 @@ class JobReport:
     absences_recorded: int = 0
     nuclides_parsed: int = 0
     nuclides_reused: int = 0
+    parses_loaded: int = 0
     phase_seconds: dict[str, float] = field(default_factory=dict)
     total_seconds: float = 0.0
     outputs: list[str] = field(default_factory=list)
@@ -89,7 +89,8 @@ class RunReport:
             )
             lines.append(
                 f"    nuclides_parsed {job.nuclides_parsed}, "
-                f"nuclides_reused {job.nuclides_reused}"
+                f"nuclides_reused {job.nuclides_reused}, "
+                f"parses_loaded {job.parses_loaded}"
             )
             phases = ", ".join(
                 f"{name} {seconds:.3f}s" for name, seconds in job.phase_seconds.items()
@@ -205,6 +206,8 @@ def run(config: RunConfig, *, jobs_parallel: int = 1) -> RunReport:
     subsets: dict[tuple, RadionuclideSubset] = {}
     t0 = time.perf_counter()
     if jobs_parallel > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=jobs_parallel) as pool:
             report.jobs = list(pool.map(
                 lambda job: run_job(job, access, out_dir, memo, subsets), config.jobs))

@@ -16,21 +16,32 @@ and fetches inline when nothing is pending. An offline store never prefetches.
 
 The HTTP stack (``requests``) is imported, and the store's one session
 built, only when the store first goes to the network: offline stores, cache
-hits and registry skips never load it.
+hits and registry skips never load it. Likewise ``concurrent.futures`` is
+imported only when a pool is made, so an offline store never loads it.
+
+Stored parses. `DataStore.stored_parse` runs a parser on datasets the store
+returned. When all of them were read back from the disk cache, it first loads
+their parse from ``cache_dir/parsed/`` (one file per dataset key; a levels and
+transitions pair is one key), and on a miss parses and stores it there. A
+stale, foreign or damaged file is a miss that the new parse overwrites; a
+failed write is skipped. Datasets fetched from the network are parsed as
+always, so a cold run stores nothing and never imports ``pickle``.
+``cache_dir/parsed/`` may be deleted at any time; `parsecache` has the format.
 """
 
 from __future__ import annotations
 
 import os
 import threading
-from collections.abc import Iterable
-from concurrent.futures import Future, ThreadPoolExecutor
+from collections.abc import Callable, Iterable
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
+from typing import IO, TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
+    from concurrent.futures import Future, ThreadPoolExecutor
+
     import requests
 
 try:
@@ -38,10 +49,12 @@ try:
 except ImportError:  # not POSIX
     fcntl = None
 
-from .errors import CacheWriteError, NetworkError, OfflineMiss, RegistryIoError
+from .errors import CacheWriteError, InvalidInput, NetworkError, OfflineMiss, RegistryIoError
 from .nuclide import Nuclide, RadiationType
 
 REGISTRY_FILENAME = "absent_registry.txt"
+# The subdirectory of the cache that holds stored parses.
+PARSED_DIRNAME = "parsed"
 # Worker threads of one store's fetch pool; at most 10, the size of the
 # session's per-host connection pool.
 MAX_PARALLEL = 8
@@ -116,7 +129,7 @@ class RawDataset:
 
     def __post_init__(self):
         if not self.body.strip():
-            raise ValueError("dataset body must be non-empty")
+            raise InvalidInput(f"{self.key.serialize()}: dataset body must be non-empty")
 
 
 class AbsenceRegistry:
@@ -187,6 +200,21 @@ def _temp_name(path: Path, suffix: str) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.{suffix}")
 
 
+def write_atomically(path: Path, write: Callable[[IO[bytes]], object]) -> None:
+    """Write ``path`` with ``write(file)`` through a temp file renamed into
+    place, so that a crash mid-write never leaves a truncated file that would
+    pass for a whole one. A failed write removes its temp file and raises
+    CacheWriteError."""
+    tmp = _temp_name(path, "part")
+    try:
+        with open(tmp, "wb") as out:
+            write(out)
+        os.replace(tmp, path)
+    except OSError as exc:
+        tmp.unlink(missing_ok=True)
+        raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc
+
+
 @contextmanager
 def _directory_lock(directory: Path):
     """Hold an exclusive flock on ``directory`` itself: it serializes the
@@ -250,6 +278,7 @@ class AccessStats:
     cache_hits: int = 0
     registry_skips: int = 0
     absences_recorded: int = 0
+    parses_loaded: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def bump(self, attr: str) -> None:
@@ -263,6 +292,7 @@ class AccessStats:
                 "cache_hits": self.cache_hits,
                 "registry_skips": self.registry_skips,
                 "absences_recorded": self.absences_recorded,
+                "parses_loaded": self.parses_loaded,
             }
 
 
@@ -338,6 +368,8 @@ class DataStore:
                 if key in self._pending:
                     continue
                 if self._pool is None:
+                    from concurrent.futures import ThreadPoolExecutor
+
                     self._open_session()  # here, so no two workers race to import
                     self._pool = ThreadPoolExecutor(
                         max_workers=MAX_PARALLEL, thread_name_prefix="nuclibgen-fetch"
@@ -367,7 +399,7 @@ class DataStore:
             if self._registered(key):
                 return None, "registry_skips"
             path = self.cache_path(key)
-            try:  # byte-exact, as _write_cache wrote it: no newline translation
+            try:  # byte-exact, as write_atomically wrote it: no newline translation
                 with open(path, encoding="utf-8", newline="") as cached:
                     body = cached.read()
             except (OSError, UnicodeDecodeError):
@@ -385,8 +417,23 @@ class DataStore:
                     self._record_absent(key)
                 return None, None
 
-            self._write_cache(path, body)
+            write_atomically(path, lambda out: out.write(body.encode("utf-8")))
             return RawDataset(key, body, "remote"), None
+
+    def stored_parse(self, parse: Callable, *raws: RawDataset | None):
+        """``parse(*raws)`` for datasets this store returned (None for an absent
+        one). When every one was read back from the disk cache, their stored
+        parse under ``cache_dir/parsed/`` is loaded instead, which counts as
+        ``parses_loaded``, or on a miss the parse is stored there."""
+        if any(raw.origin != "cache" for raw in raws if raw is not None):
+            return parse(*raws)
+        from .parsecache import load_or_parse  # imports pickle: cold runs never do
+
+        path = (self.cache_dir / PARSED_DIRNAME / raws[0].key.filename()).with_suffix(".pickle")
+        result, loaded = load_or_parse(path, parse, *raws)
+        if loaded:
+            self.stats.bump("parses_loaded")
+        return result
 
     def _open_session(self) -> None:
         """Import the HTTP stack and build the store's one session, once."""
@@ -428,14 +475,3 @@ class DataStore:
             if key not in self.registry:
                 self.registry.record(key)
                 self.stats.bump("absences_recorded")
-
-    def _write_cache(self, path: Path, body: str) -> None:
-        # Write-to-temp-then-rename: a crash mid-download must not leave a
-        # truncated file that would pass the existence screen.
-        tmp = _temp_name(path, "part")
-        try:
-            tmp.write_text(body, encoding="utf-8", newline="")
-            os.replace(tmp, path)
-        except OSError as exc:
-            tmp.unlink(missing_ok=True)
-            raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc

@@ -67,6 +67,10 @@ from .nuclide import (
     energies_match,
 )
 
+# The format version of what the parsers return. Bump it whenever their output
+# changes: stored parses of another version are then ignored (see `parsecache`).
+PARSE_VERSION = 1
+
 FLAG_NO_INTENSITY = "no-intensity"
 FLAG_NO_UNCERTAINTY = "no-uncertainty"
 FLAG_UNVALIDATED = "unvalidated"
@@ -148,7 +152,7 @@ class LevelScheme:
     transitions: list[TransitionRecord] = field(default_factory=list)
 
     def __post_init__(self):
-        self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
+        self._index()
         # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
         self.isomers = sorted(
             (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
@@ -163,6 +167,18 @@ class LevelScheme:
              if energies_match(t.start_level, node)]
             for node in self.nodes[len(self.levels):]
         ]
+
+    def _index(self) -> None:
+        self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
+
+    def __getstate__(self) -> dict:
+        # The lookup memo holds a bound method, which a stored parse may not
+        # name; it is rebuilt, empty, on load.
+        return {name: value for name, value in vars(self).items() if name != "_hits"}
+
+    def __setstate__(self, state: dict) -> None:
+        vars(self).update(state)
+        self._index()
 
     def _matches(self, energy: EnergyValue) -> list[int]:
         """Positions of the levels matching ``energy``, looked up once per energy."""

@@ -147,7 +147,10 @@ def mini_corpus_dir() -> Path:
 
 @pytest.fixture(scope="session")
 def primed_store(corpus_dir, tmp_path_factory) -> DataStore:
-    """Offline store over a fully primed cache; shared read-only."""
+    """Offline store over a fully primed cache, shared by every test. Its
+    dataset files are only read, but its runs store parses under ``parsed/``
+    that later runs load: a test that counts parser calls uses
+    ``fresh_primed_store``."""
     cache = prime_cache(corpus_dir, tmp_path_factory.mktemp("primed_cache"))
     return DataStore(AccessConfig(cache_dir=cache, offline=True))
 

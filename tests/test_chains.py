@@ -444,7 +444,8 @@ def test_shared_chains_settle_each_feeding_context_once(monkeypatch, primed_stor
 
 
 def test_static_daughters_level_schemes_are_parsed_once_per_run(monkeypatch,
-                                                                 primed_store):
+                                                                 fresh_primed_store):
+    primed_store = fresh_primed_store  # no stored parses yet: the first run parses
     parses = Counter()
     parse = chains_mod.parse_level_scheme
 
@@ -468,11 +469,12 @@ def test_static_daughters_level_schemes_are_parsed_once_per_run(monkeypatch,
 
 
 @pytest.mark.parametrize("chain_first", [True, False])
-def test_chain_and_static_daughter_share_one_scheme_parse(monkeypatch, primed_store,
+def test_chain_and_static_daughter_share_one_scheme_parse(monkeypatch, fresh_primed_store,
                                                          chain_first):
     """99Mo as a progenitor and as a static, in either order on one memo: its
     daughter 99Tc, visited in the chain and read as the static's daughter,
     has its level scheme parsed once, and both subsets match fresh ones."""
+    primed_store = fresh_primed_store  # no stored parses yet: the first run parses
     parses = Counter()
     parse = chains_mod.parse_level_scheme
 

@@ -1,5 +1,6 @@
 import json
 import os
+import socket
 import subprocess
 import sys
 import threading
@@ -497,7 +498,9 @@ jobs:
 
 def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
-    offline and qualifies peaks without loading the HTTP stack."""
+    offline and qualifies peaks without loading the HTTP stack, and with
+    ``--jobs 1`` and no fetch it makes no thread pool, so it never loads
+    ``concurrent.futures`` either."""
     cache = prime_cache(corpus_dir, tmp_path / "cache")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -517,7 +520,7 @@ jobs:
         "cfg, peaks, library = sys.argv[1:]\n"
         "assert nuclibgen.cli.main(['generate', cfg]) == 0\n"
         "assert nuclibgen.cli.main(['qualify', peaks, library, '--tol-kev', '1']) == 0\n"
-        "print('requests' in sys.modules)\n"
+        "print('requests' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     result = subprocess.run(
@@ -525,7 +528,41 @@ jobs:
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False"
+    assert result.stdout.splitlines()[-1] == "False False"
+
+
+def test_transport_failure_fails_its_job_and_registers_nothing(tmp_path):
+    """An endpoint that refuses connections (a closed local port) fails the
+    job with DataUnavailable; the reports are written, the exit status is 1
+    and nothing is recorded as absent."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    cache, out = tmp_path / "cache", tmp_path / "out"
+    cfg = write_config(tmp_path, f"""
+cache_dir: {cache}
+base_url: http://127.0.0.1:{port}/data
+out_dir: {out}
+jobs:
+  - name: mo
+    recursive_progenitors: [99Mo]
+    radiation: gamma
+""")
+    assert main(["generate", str(cfg)]) == 1
+    job = json.loads((out / "report.json").read_text())["jobs"][0]
+    assert not job["ok"]
+    assert job["error"].startswith("DataUnavailable: request failed for 99mo:")
+    assert job["absences_recorded"] == 0
+    assert not (cache / "absent_registry.txt").exists()
+    assert "FAILED: DataUnavailable" in (out / "report.txt").read_text()
+
+
+def test_report_text_shows_ten_warnings_then_a_count():
+    report = cli_mod.RunReport(jobs=[
+        cli_mod.JobReport(name="many", warnings=[f"w{i}" for i in range(13)])])
+    lines = report.as_text().splitlines()
+    assert [line for line in lines if "warning" in line] == [
+        *(f"    warning: w{i}" for i in range(10)), "    ... 3 more warnings"]
 
 
 def test_unknown_nuclide_id_fails_job_cleanly(tmp_path, corpus_dir):

@@ -1,3 +1,4 @@
+import concurrent.futures
 import multiprocessing
 import sys
 import threading
@@ -133,12 +134,13 @@ def test_stores_writing_one_cache_file_do_not_collide(tmp_path):
               for _ in range(workers)]
     key = key_for("225ac")
     body = "energy,intensity\n5830.0,50.0\n"
+    data = body.encode()
     barrier = threading.Barrier(workers)
 
     def write(store):
         barrier.wait(timeout=30)
         for _ in range(rounds):
-            store._write_cache(store.cache_path(key), body)
+            dataaccess.write_atomically(store.cache_path(key), lambda out: out.write(data))
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -157,7 +159,7 @@ def test_failed_cache_write_removes_its_temp_file(tmp_path):
     path = store.cache_path(key_for("225ac"))
     path.mkdir()  # os.replace onto a directory fails
     with pytest.raises(CacheWriteError):
-        store._write_cache(path, "energy\n1.0\n")
+        dataaccess.write_atomically(path, lambda out: out.write(b"energy\n1.0\n"))
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
 
 def test_registry_short_circuits_before_cache_and_network(tmp_path):
@@ -489,7 +491,7 @@ def test_offline_store_never_submits_to_its_pool(monkeypatch, tmp_path, corpus_d
     def no_pool(*args, **kwargs):
         raise AssertionError("an offline store started a fetch pool")
 
-    monkeypatch.setattr(dataaccess, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     empty = DataStore(AccessConfig(cache_dir=tmp_path / "empty", offline=True))
     empty.prefetch([key_for("225ac")])
     with pytest.raises(OfflineMiss):

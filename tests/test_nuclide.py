@@ -86,6 +86,7 @@ def test_format_examples():
 def test_display_name():
     assert display_name(Nuclide("Pa", 234, LevelSpec.meta(1))) == "Pa-234m"
     assert display_name(Nuclide("U", 238)) == "U-238"
+    assert display_name(Nuclide("Tc", 99, LevelSpec.energy(150.0))) == "Tc-99@150keV"
 
 
 def test_level_spec_zero_energy_is_ground():

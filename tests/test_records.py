@@ -1,7 +1,7 @@
 import pytest
 
 from nuclibgen.dataaccess import DatasetKey, RawDataset
-from nuclibgen.errors import HeaderMismatch, NuclideMismatch
+from nuclibgen.errors import HeaderMismatch, InvalidInput, NuclibError, NuclideMismatch
 from nuclibgen.nuclide import DecayMode, EnergyValue, Nuclide, RadiationType
 from nuclibgen.records import (
     FLAG_NO_INTENSITY,
@@ -59,6 +59,26 @@ def test_bad_rows_are_warned_not_fatal():
     records, warnings = parse_decay_records(raw)
     assert len(records) == 1
     assert len(warnings) == 1 and "line 2" in warnings[0]
+
+
+def test_row_cut_short_before_its_decay_cell_is_warned():
+    """With ``decay`` after ``d_symbol`` in the header, a row that ends
+    before it is skipped with a short-row warning, not a crash."""
+    key = DatasetKey.decay_rads(Nuclide("Ac", 225), RadiationType.ALPHA)
+    body = ("p_symbol,p_a,p_energy,d_symbol,d_a,energy,intensity,decay_%,decay\n"
+            "Ac,225,0,Fr,221,5830.0\n"
+            "Ac,225,0,Fr,221,5830.0,50.0,100,A\n")
+    records, warnings = parse_decay_records(RawDataset(key, body, "cache"))
+    assert [r.energy.kev for r in records] == [5830.0]
+    assert warnings == ["225ac:dr-a line 2: short row: no 'decay' cell"]
+
+
+def test_empty_dataset_body_is_invalid_input():
+    key = DatasetKey.levels(Nuclide("Ac", 225))
+    for body in ("", " \n\t\n"):
+        with pytest.raises(InvalidInput, match="225ac:lv: dataset body must be non-empty"):
+            RawDataset(key, body, "cache")
+    assert issubclass(InvalidInput, NuclibError) and issubclass(InvalidInput, ValueError)
 
 
 def test_header_mismatch():
