@@ -23,9 +23,10 @@ Stored parses. `DataStore.stored_parse` runs a parser on datasets the store
 returned. When all of them were read back from the disk cache, it first loads
 their parse from ``cache_dir/parsed/`` (one file per dataset key; a levels and
 transitions pair is one key), and on a miss parses and stores it there. A
-stale, foreign or damaged file is a miss that the new parse overwrites; a
-failed write is skipped. Datasets fetched from the network are parsed as
-always, so a cold run stores nothing and never imports ``pickle``.
+stale, foreign or damaged file, or one stored by other code, is a miss that
+the new parse overwrites; a failed write is skipped. Datasets fetched from the
+network are parsed as always, so a cold run stores nothing and never imports
+``pickle``.
 ``cache_dir/parsed/`` may be deleted at any time; `parsecache` has the format.
 """
 

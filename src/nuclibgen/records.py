@@ -67,10 +67,6 @@ from .nuclide import (
     energies_match,
 )
 
-# The format version of what the parsers return. Bump it whenever their output
-# changes: stored parses of another version are then ignored (see `parsecache`).
-PARSE_VERSION = 1
-
 FLAG_NO_INTENSITY = "no-intensity"
 FLAG_NO_UNCERTAINTY = "no-uncertainty"
 FLAG_UNVALIDATED = "unvalidated"

@@ -1,8 +1,8 @@
 """Stored parses: a warm run loads the parse of each dataset that an earlier
 run read from the same cache, and whatever state ``cache_dir/parsed/`` is in
-(absent, fresh, stale, truncated, random bytes, another version, a file
+(absent, fresh, stale, truncated, random bytes, written by other code, a file
 naming a global outside the parse types, one that loads to something other
-than a parse, unwritable), the golden outputs are
+than a parse or to a parse of the wrong type, unwritable), the golden outputs are
 byte-identical and every job reports the warnings of a run without stored
 parses. A cold run stores nothing and never imports pickle."""
 
@@ -12,6 +12,7 @@ import pickle
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -19,7 +20,6 @@ import nuclibgen.chains as chains_mod
 import nuclibgen.parsecache as parsecache
 from nuclibgen.cli import main
 from nuclibgen.dataaccess import PARSED_DIRNAME
-from nuclibgen.records import PARSE_VERSION
 
 from conftest import REPO
 from test_goldens import checks, workloads
@@ -75,10 +75,13 @@ def stale(tmp_path_factory):
     return _stored(cache)
 
 
+OTHER_SOURCE = "0" * 64  # the source digest of some other version of the package
+
+
 def _bump(data: bytes) -> bytes:
-    """The stored parse ``data`` with the version in its header raised by one."""
-    return data.replace(f"nuclibgen-parse {PARSE_VERSION} ".encode(),
-                        f"nuclibgen-parse {PARSE_VERSION + 1} ".encode(), 1)
+    """The stored parse ``data`` as other code would have stored it."""
+    return data.replace(f"nuclibgen-parse {parsecache.SOURCE_DIGEST} ".encode(),
+                        f"nuclibgen-parse {OTHER_SOURCE} ".encode(), 1)
 
 
 def _foreign(header: bytes, marker) -> bytes:
@@ -111,13 +114,16 @@ def _spoil(state, parsed, stored, stale, marker):
         elif state == "foreign":
             data = _foreign(header + b"\n", marker)
         elif state == "misshapen":  # the right header, not a (result, warnings) pair
-            data = header + b"\n" + pickle.dumps((frozenset(), "warnings"))
+            data = header + b"\n" + pickle.dumps(frozenset())
+        elif state == "mistyped":  # a pair of lists, not what this key's parser returns
+            data = header + b"\n" + pickle.dumps(([], []) if name.endswith("_lv.pickle")
+                                                  else ([1], []))
         assert (data == stored[name]) == (state in ("fresh", "version"))
         (parsed / name).write_bytes(data)
 
 
 STATES = ["absent", "fresh", "stale", "truncated", "random", "version", "foreign",
-          "misshapen", "unwritable", "blocked"]
+          "misshapen", "mistyped", "unwritable", "blocked"]
 
 
 @pytest.mark.parametrize("state", STATES)
@@ -129,9 +135,9 @@ def test_goldens_and_warnings_whatever_the_stored_parses(state, tmp_path, monkey
     parsed = cache / PARSED_DIRNAME
     marker = tmp_path / "os-system-ran"
     _spoil(state, parsed, stored, stale, marker)
-    if state == "version":  # the parsers' output changed since the files were stored
-        monkeypatch.setattr(parsecache, "PARSE_VERSION", PARSE_VERSION + 1)
+    if state == "version":  # the package's code changed since the files were stored
         stored = {name: _bump(data) for name, data in stored.items()}
+        monkeypatch.setattr(parsecache, "SOURCE_DIGEST", OTHER_SOURCE)
     if state == "fresh":
         def never(*raws):
             raise AssertionError("a stored parse was parsed again")
@@ -153,6 +159,24 @@ def test_goldens_and_warnings_whatever_the_stored_parses(state, tmp_path, monkey
         assert all((parsed / name).is_dir() for name in stored)
     else:  # every miss stored its parse afresh, and left no temp file behind
         assert _stored(cache) == stored
+
+
+def test_any_edit_to_the_package_source_changes_the_stored_parse_header(tmp_path):
+    """Stored parses are tied to the code that wrote them, not to a version
+    number that someone must remember to raise."""
+    package = Path(parsecache.__file__).parent
+    assert parsecache.source_digest(package) == parsecache.SOURCE_DIGEST
+    copy = tmp_path / "nuclibgen"
+    copy.mkdir()
+    for path in package.glob("*.py"):
+        (copy / path.name).write_bytes(path.read_bytes())
+    assert parsecache.source_digest(copy) == parsecache.SOURCE_DIGEST
+    for name in ("records.py", "nuclide.py"):
+        edited = copy / name
+        original = edited.read_bytes()
+        edited.write_bytes(original + b"\n")
+        assert parsecache.source_digest(copy) != parsecache.SOURCE_DIGEST
+        edited.write_bytes(original)
 
 
 def test_parallel_jobs_load_stored_parses(tmp_path, reference):
