@@ -2,13 +2,13 @@
 
 Every nuclide goes through one node-visit core. `_visit` prefetches its eight
 datasets (six decay-radiation kinds, levels, transitions), then reads them in
-that order: it parses the decay records, tallies the daughters, and reads the
-transitions only when the levels exist. `_settle` flattens the levels fed to
-it (ground when none), always with their cascade closure, and resolves its
-level-resolved chain members, isomers included (for example Pa-234m and
-Pa-234 from one visited nuclide). It reads the cascade graph and isomer list
-the level scheme built when it was parsed, so its cascade makes one level
-lookup per fed level.
+that order: one parse of the decay datasets present gives the decay records
+and the daughters they feed, and the transitions are read only when the levels
+exist. `_settle` flattens the levels fed to it (ground when none), always with
+their cascade closure, and resolves its level-resolved chain members, isomers
+included (for example Pa-234m and Pa-234 from one visited nuclide). It reads
+the cascade graph and isomer list the level scheme built when it was parsed,
+so its cascade makes one level lookup per fed level.
 
 `build_progeny` realizes the progenitor->progeny recurrence
 f(j) = g(j) | f(j+1) with an explicit work stack: unvisited daughters are
@@ -37,9 +37,10 @@ another reads as a static's daughter is parsed once. A visit that fails is not
 stored. An entry groups its decay records by (radiation, parent level) when it
 is made, so that member resolution and library assembly compare a level with
 each distinct parent level rather than with every record. A memo miss parses
-through the source: when every dataset of a parse came from its disk cache, a
-`DataStore` loads the parse an earlier run stored under ``cache_dir/parsed/``
-instead of parsing again (see `dataaccess`).
+through the source, one parse per memo key: a nuclide's decay datasets with
+its daughters, and its levels with its transitions. When every dataset of a
+parse came from its disk cache, a `DataStore` loads the parse an earlier run
+stored under ``cache_dir/parsed/`` instead of parsing again (see `dataaccess`).
 
 What a settle derives depends only on the parse and the feeding context, so
 each memo entry also keeps a settle table keyed by the node's inherited levels:
@@ -261,18 +262,28 @@ def _parse(source: DatasetSource, parse, *raws: RawDataset | None):
     return parse(*raws) if stored is None else stored(parse, *raws)
 
 
-def _fetch_records(
-    source: DatasetSource, nuclide: Nuclide, warnings: list[str]
-) -> list[DecayRecord]:
+def _parse_decay(
+    *raws: RawDataset,
+) -> tuple[list[DecayRecord], list[DaughterFeed], list[str]]:
+    """The decay records of one nuclide's decay datasets, in the order given,
+    the daughters those records feed and the parse warnings."""
     records: list[DecayRecord] = []
-    for rad in KIND_ORDER:
-        raw = _fetch(source, DatasetKey.decay_rads(nuclide, rad))
-        if raw is None:
-            continue
-        parsed, parse_warnings = _parse(source, parse_decay_records, raw)
-        records.extend(parsed)
-        warnings.extend(parse_warnings)
-    return records
+    warnings: list[str] = []
+    for raw in raws:
+        parsed, parse_warnings = parse_decay_records(raw)
+        records += parsed
+        warnings += parse_warnings
+    return records, extract_daughters(records), warnings
+
+
+def _fetch_records(
+    source: DatasetSource, nuclide: Nuclide
+) -> tuple[list[DecayRecord], list[DaughterFeed], list[str]]:
+    """`_parse_decay` of the six decay kinds of ``nuclide`` that are present:
+    all six are fetched, then parsed in one call."""
+    raws = [_fetch(source, DatasetKey.decay_rads(nuclide, rad)) for rad in KIND_ORDER]
+    raws = [raw for raw in raws if raw is not None]
+    return _parse(source, _parse_decay, *raws) if raws else _parse_decay()
 
 
 def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
@@ -283,11 +294,10 @@ def _visit(node: NodeData, source: DatasetSource, memo: ParseMemo) -> bool:
     missed = entry is None
     if missed:
         _prefetch(source, _unread_keys(node.nuclide, memo, full=True))
-        warnings: list[str] = []
-        records = _fetch_records(source, node.nuclide, warnings)
+        records, daughters, warnings = _fetch_records(source, node.nuclide)
         levels = _visit_scheme(node.nuclide, source, memo)
         entry = memo.setdefault(node.nuclide, ParsedNuclide(
-            tuple(records), levels.scheme, tuple(extract_daughters(records)),
+            tuple(records), levels.scheme, tuple(daughters),
             tuple(warnings) + levels.warnings))
     node.parsed = entry
     node.warnings.extend(entry.warnings)

@@ -21,8 +21,10 @@ imported only when a pool is made, so an offline store never loads it.
 
 Stored parses. `DataStore.stored_parse` runs a parser on datasets the store
 returned. When all of them were read back from the disk cache, it first loads
-their parse from ``cache_dir/parsed/`` (one file per dataset key; a levels and
-transitions pair is one key), and on a miss parses and stores it there. A
+their parse from ``cache_dir/parsed/``, and on a miss parses and stores it
+there. There is one file per parse the caller makes: `chains` parses a
+nuclide's decay datasets together (``225ac_dr.pickle``) and its levels with
+its transitions (``225ac_lv.pickle``). A
 stale, foreign or damaged file, or one stored by other code, is a miss that
 the new parse overwrites; a failed write is skipped. Datasets fetched from the
 network are parsed as always, so a cold run stores nothing and never imports
@@ -430,7 +432,9 @@ class DataStore:
             return parse(*raws)
         from .parsecache import load_or_parse  # imports pickle: cold runs never do
 
-        path = (self.cache_dir / PARSED_DIRNAME / raws[0].key.filename()).with_suffix(".pickle")
+        # One file per parse: <nuclide>_dr for decay datasets, <nuclide>_lv for levels.
+        nuclide, kindcode = raws[0].key.serialize().split(":")
+        path = self.cache_dir / PARSED_DIRNAME / f"{nuclide}_{kindcode[:2]}.pickle"
         result, loaded = load_or_parse(path, parse, *raws)
         if loaded:
             self.stats.bump("parses_loaded")

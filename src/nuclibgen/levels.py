@@ -9,8 +9,9 @@ outside the flattened set are unfeasible and their radiation is excluded
 downstream.
 
 A cascade looks up each start level once, then follows the integer edges its
-LevelScheme resolved when built. In a hand-built scheme an end that matches no
-level is a node of its own, left by the transitions whose start matches it.
+LevelScheme keeps in place of a transition table, resolved when the scheme is
+built or parsed. In a hand-built scheme an end that matches no level is a node
+of its own, left by the transitions whose start matches it.
 """
 
 from __future__ import annotations

@@ -8,11 +8,13 @@ once. ``<data>`` is a SHA-256 of the parsed datasets' keys and bodies. A file
 with another header is stale or foreign and is not unpickled. The unpickler
 admits only the parse types below, so a stored parse can build the package's
 records and values and nothing else, and a load that is not shaped like the
-parser's output (a list of decay records or a level scheme, and a list of
-warnings) is a miss. The fields of the records are not checked: a file forged
-with the right header from these types can still hold wrong values. Only runs
-that read datasets back from the cache import this module, the one that
-imports pickle.
+parser's output is a miss: a nuclide's decay entry is lists of decay records,
+of their daughters and of warnings, and a level scheme comes with a list of
+warnings. The fields of the records are not checked: a file forged with the
+right header from these types can still hold wrong values. A level scheme is
+stored as its levels, isomers and cascade graph; its lookup memos are rebuilt
+on load. Only runs that read datasets back from the cache import this module,
+the one that imports pickle.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from pathlib import Path
 from .dataaccess import KIND_LEVELS, RawDataset, write_atomically
 from .errors import CacheWriteError
 from .nuclide import DecayMode, EnergyValue, HalfLife, LevelSpec, Nuclide, RadiationType
-from .records import DecayRecord, LevelRecord, LevelScheme, TransitionRecord
+from .records import DaughterFeed, DecayRecord, LevelRecord, LevelScheme
 
 
 def source_digest(package: Path) -> str:
@@ -40,7 +42,7 @@ SOURCE_DIGEST = source_digest(Path(__file__).parent)
 # The classes a stored parse may name: what the parsers build their output from.
 _PARSE_TYPES = {
     (cls.__module__, cls.__qualname__): cls
-    for cls in (DecayRecord, LevelRecord, TransitionRecord, LevelScheme, Nuclide,
+    for cls in (DecayRecord, DaughterFeed, LevelRecord, LevelScheme, Nuclide,
                 LevelSpec, EnergyValue, HalfLife, RadiationType, DecayMode, frozenset)
 }
 
@@ -53,15 +55,21 @@ class _ParseUnpickler(pickle.Unpickler):
         return cls
 
 
+def _is_list_of(values, cls: type) -> bool:
+    return type(values) is list and all(type(value) is cls for value in values)
+
+
 def _is_parse(result, levels: bool) -> bool:
     """Whether ``result`` is shaped like what the parser of these datasets
-    returns; raises when it is not a pair."""
-    parsed, warnings = result
+    returns: a level scheme and its warnings, or decay records, their
+    daughters and the warnings. Raises when it has another length."""
     if levels:
-        fits = type(parsed) is LevelScheme
+        scheme, warnings = result
+        fits = type(scheme) is LevelScheme
     else:
-        fits = type(parsed) is list and all(type(record) is DecayRecord for record in parsed)
-    return fits and type(warnings) is list and all(type(w) is str for w in warnings)
+        records, daughters, warnings = result
+        fits = _is_list_of(records, DecayRecord) and _is_list_of(daughters, DaughterFeed)
+    return fits and _is_list_of(warnings, str)
 
 
 def load_or_parse(path: Path, parse, *raws: RawDataset | None) -> tuple[object, bool]:

@@ -101,10 +101,9 @@ class PlotWindow:
 
 
 def _nice_ticks(lo: float, hi: float, target: int = 8) -> list[float]:
-    if hi <= lo:
-        hi = lo + 1.0
+    """Round ticks over ``lo < hi``; `plot_library` pads its axis by 1 keV or more."""
     raw_step = (hi - lo) / target
-    mag = 10 ** math.floor(math.log10(raw_step)) if raw_step > 0 else 1.0
+    mag = 10 ** math.floor(math.log10(raw_step))
     for mult in (1, 2, 5, 10):
         step = mult * mag
         if (hi - lo) / step <= target:

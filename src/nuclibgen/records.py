@@ -38,9 +38,11 @@ drops only that mode. A transition row of another nuclide raises
 NuclideMismatch; an upward or unresolvable transition is excluded with a
 warning.
 
-A LevelScheme is resolved into a cascade graph as its table fills: the parser
-links each transition it keeps as it reads it, and each distinct start or end
-energy is looked up once in the scheme's level index. Only a level whose lookup
+A LevelScheme keeps its levels and their cascade graph, not the transition
+table: the parser links each transition row it keeps as it reads it and stores
+no row, so a transition's gamma energy and intensity are checked (a bad one
+skips the row with a warning) but not kept. Each distinct start or end energy
+is looked up once in the scheme's level index. Only a level whose lookup
 window holds another level is checked for a duplicate.
 """
 
@@ -48,7 +50,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass
 from functools import partial
 from math import isfinite
 from operator import itemgetter
@@ -133,21 +135,23 @@ class TransitionRecord(NamedTuple):
 
 @dataclass
 class LevelScheme:
-    """A nuclide's energy levels plus its electromagnetic transition table,
-    resolved into a cascade graph: pass the final levels. The transitions
-    passed are linked when built; the parser links each one it adds.
+    """A nuclide's energy levels resolved into a cascade graph: pass the final
+    levels. The scheme keeps the graph, not the transition table: the
+    ``transitions`` passed are linked when it is built, and the parser links
+    each row it keeps as it reads it.
 
     Node i is ``levels[i]``, with energy ``nodes[i]``, and ``edges[i]`` lists in
     table order the end nodes of the transitions whose start matches node i. A
     transition ends at the node of find_level(end). An end that matches no
     level (only in a hand-built scheme: the parser excludes such rows) is a node
-    of its own past the levels, left by the transitions whose start matches it."""
+    of its own past the levels, left by the transitions whose start matches it.
+    Equality compares the nuclide and the levels only."""
 
     nuclide: Nuclide
-    levels: list[LevelRecord] = field(default_factory=list)
-    transitions: list[TransitionRecord] = field(default_factory=list)
+    levels: list[LevelRecord]
+    transitions: InitVar[list[TransitionRecord]]
 
-    def __post_init__(self):
+    def __post_init__(self, transitions: list[TransitionRecord]):
         self._index()
         # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
         self.isomers = sorted(
@@ -155,22 +159,23 @@ class LevelScheme:
         )
         self.nodes = [record.energy for record in self.levels]
         self.edges = [[] for _ in self.levels]
-        self._ends: dict[EnergyValue, int] = {}
-        for t in self.transitions:
-            self._link(t)
+        for t in transitions:
+            self._link(t.start_level, t.end_level)
         self.edges += [
-            [self._ends[t.end_level] for t in self.transitions
+            [self._ends[t.end_level] for t in transitions
              if energies_match(t.start_level, node)]
             for node in self.nodes[len(self.levels):]
         ]
 
     def _index(self) -> None:
         self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
+        self._ends = PerValue(self._end_node)
 
     def __getstate__(self) -> dict:
-        # The lookup memo holds a bound method, which a stored parse may not
-        # name; it is rebuilt, empty, on load.
-        return {name: value for name, value in vars(self).items() if name != "_hits"}
+        # The lookup memos hold bound methods, which a stored parse may not
+        # name; they are rebuilt, empty, on load.
+        return {name: value for name, value in vars(self).items()
+                if name not in ("_hits", "_ends")}
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
@@ -180,17 +185,19 @@ class LevelScheme:
         """Positions of the levels matching ``energy``, looked up once per energy."""
         return self._hits[energy]
 
-    def _link(self, t: TransitionRecord) -> None:
-        """Add the edges of one transition, resolving its end once per energy;
-        an end that matches no level becomes a node past the levels."""
-        end = self._ends.get(t.end_level)
-        if end is None:
-            end = self.position(t.end_level)
-            if end is None:
-                end = len(self.nodes)
-                self.nodes.append(t.end_level)
-            self._ends[t.end_level] = end
-        for i in self._matches(t.start_level):
+    def _end_node(self, end: EnergyValue) -> int:
+        """The node of find_level(end); an end that matches no level becomes a
+        node past the levels."""
+        node = self.position(end)
+        if node is None:
+            node = len(self.nodes)
+            self.nodes.append(end)
+        return node
+
+    def _link(self, start: EnergyValue, end: EnergyValue) -> None:
+        """Add the edges of one transition; each end is resolved once."""
+        end = self._ends[end]
+        for i in self._matches(start):
             self.edges[i].append(end)
 
     def position(self, energy: EnergyValue) -> int | None:
@@ -414,7 +421,7 @@ def parse_level_scheme(
     """Cross-validated level scheme; unresolvable transitions are excluded.
 
     ``transitions_raw`` may be None when the nuclide has no transition dataset
-    (single-level schemes); the scheme then has an empty transition table.
+    (single-level schemes); the scheme then has no edges.
     """
     key = levels_raw.key.serialize()
     if levels_raw.key.kindcode != KIND_LEVELS:
@@ -465,7 +472,7 @@ def parse_level_scheme(
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))
     levels.sort(key=lambda l: l.energy.kev)
 
-    scheme = LevelScheme(nuclide=nuclide, levels=levels)
+    scheme = LevelScheme(nuclide, levels, [])
     if transitions_raw is None:
         return scheme, warnings
 
@@ -486,8 +493,9 @@ def parse_level_scheme(
             t_nuclide = nuclides[symbol, a]
             start = energies[start, unc_sl]
             end = energies[end, unc_el]
-            gamma = EnergyValue(_float(gamma), _opt_float(unc_en) or 0.0)
-            intensity = _opt_float(intensity)
+            # The gamma and intensity cells are checked, not kept.
+            EnergyValue(_float(gamma), _opt_float(unc_en) or 0.0)
+            _opt_float(intensity)
         except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{t_key} line {lineno}: {exc}")
             continue
@@ -507,9 +515,7 @@ def parse_level_scheme(
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue
-        transition = TransitionRecord(nuclide, start, end, gamma, intensity)
-        scheme.transitions.append(transition)
-        scheme._link(transition)
+        scheme._link(start, end)
     return scheme, warnings
 
 

@@ -1,3 +1,4 @@
+import csv
 import re
 import xml.etree.ElementTree as ET
 
@@ -139,6 +140,10 @@ LIBRARY_ROW = "99mo,g,739.5,0.096,12.2,0.366,237384,0,\n"
     (LIBRARY_HEADER + LIBRARY_ROW.replace("99mo", "99xx"), "line 2:"),
     ("flags," + LIBRARY_HEADER.replace(",flags", "") + ",99mo,g,739.5\n",
      "line 2: expected 9 cells"),
+    # The blank line counts.
+    pytest.param(LIBRARY_HEADER + LIBRARY_ROW + "\n" + "9" * (csv.field_size_limit() + 1)
+                 + "\n", "line 4: field larger than field limit",
+                 id="csv-error-cell-over-the-field-limit"),
 ])
 def test_bad_library_csv_is_an_input_error(tmp_path, text, match):
     path = tmp_path / "lib.csv"
@@ -153,6 +158,12 @@ def test_missing_library_csv_is_an_input_error(tmp_path):
     path = tmp_path / "ok.csv"
     path.write_text(LIBRARY_HEADER + LIBRARY_ROW)
     assert [e.energy.kev for e in import_library_csv(path).entries] == [739.5]
+
+
+def test_library_csv_skips_a_blank_row(tmp_path):
+    path = tmp_path / "lib.csv"
+    path.write_text(LIBRARY_HEADER + LIBRARY_ROW + "\n" + LIBRARY_ROW.replace("739.5", "740"))
+    assert [e.energy.kev for e in import_library_csv(path).entries] == [739.5, 740.0]
 
 
 def test_library_csv_with_a_byte_order_mark_is_read(tmp_path):

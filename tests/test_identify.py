@@ -1,3 +1,4 @@
+import csv
 import math
 
 import pytest
@@ -125,6 +126,8 @@ def test_peak_rejects_non_finite_or_negative_centroid(centroid):
     ("centroid_kev\n# comment\n50\n10,nan\n", 4),
     ("inf\n", 1),
     ("100\n1OO.5\n200\n", 2),
+    pytest.param("100\n" + "9" * (csv.field_size_limit() + 1) + "\n", 2,
+                 id="csv-error-cell-over-the-field-limit"),
 ])
 def test_bad_peak_row_names_its_line(tmp_path, text, line):
     path = tmp_path / "peaks.csv"

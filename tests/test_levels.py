@@ -1,6 +1,7 @@
 import pytest
 
 from nuclibgen.dataaccess import DatasetKey, RawDataset
+from nuclibgen.errors import DataUnavailable
 from nuclibgen.levels import cascade_visit, flatten_levels
 from nuclibgen.nuclide import (
     DecayMode, EnergyIndex, EnergyValue, LevelSpec, Nuclide, parse_nuclide_id,
@@ -9,6 +10,7 @@ from nuclibgen.records import LevelRecord, LevelScheme, TransitionRecord, parse_
 from nuclibgen.chains import resolve_level_spec
 
 from conftest import CORPUS
+import test_parse_equivalence
 import test_properties
 
 
@@ -49,6 +51,7 @@ def test_cascade_empty_transition_table():
     scheme = LevelScheme(
         nuclide=Nuclide("Fe", 56),
         levels=[LevelRecord(nuclide=Nuclide("Fe", 56), energy=EnergyValue(0.0))],
+        transitions=[],
     )
     starts = [EnergyValue(0.0)]
     assert [e.kev for e in cascade_visit(starts, scheme)] == [0.0]
@@ -86,7 +89,7 @@ def test_flatten_tc99_inherited_isomer(tc99):
 
 def test_flatten_without_cascade_is_inherited_only(tc99):
     """A scheme with no transitions reaches no level beyond those fed."""
-    levels_only = LevelScheme(nuclide=tc99.nuclide, levels=tc99.levels)
+    levels_only = LevelScheme(nuclide=tc99.nuclide, levels=tc99.levels, transitions=[])
     flat = flatten_levels([EnergyValue(142.6836)], levels_only)
     assert not flat.contains(EnergyValue(140.511))
     assert not flat.contains(EnergyValue(0.0))
@@ -100,6 +103,11 @@ def test_lu177_m4_resolves_to_paper_energy(primed_store):
     )
     resolved = resolve_level_spec(LevelSpec.meta(4), scheme)
     assert resolved.kev == pytest.approx(970.1757)
+
+
+def test_metastable_ordinal_without_levels_is_data_unavailable():
+    with pytest.raises(DataUnavailable, match="without a level dataset"):
+        resolve_level_spec(LevelSpec.meta(1), None)
 
 
 def test_outcomes_tc99_isomer(tc99):
@@ -132,6 +140,7 @@ def test_outcomes_ground_only_nuclide():
         nuclide=n,
         levels=[LevelRecord(nuclide=n, energy=EnergyValue(0.0),
                             decay_modes=((DecayMode.BETA_MINUS, 100.0),))],
+        transitions=[],
     )
     flat = flatten_levels([EnergyValue(0.0)], scheme)
     [ground] = scheme.levels
@@ -141,7 +150,9 @@ def test_outcomes_ground_only_nuclide():
 # --- the cascade graph against the linear scan, on every fixture scheme ----------
 
 def fixture_schemes():
-    """(name, parsed scheme) of every fixture level dataset with a transition table."""
+    """(name, parsed scheme, transition table) of every fixture level dataset
+    with a transition table; the table is the one the DictReader parser of
+    test_parse_equivalence kept."""
     schemes = []
     for levels_path in sorted(CORPUS.glob("*_lv.csv")):
         transitions_path = levels_path.with_name(levels_path.name.replace("_lv", "_tr"))
@@ -151,16 +162,17 @@ def fixture_schemes():
         raws = [RawDataset(key, path.read_text(encoding="utf-8"), "cache")
                 for key, path in ((DatasetKey.levels(nuclide), levels_path),
                                   (DatasetKey.transitions(nuclide), transitions_path))]
-        schemes.append((levels_path.name, parse_level_scheme(*raws)[0]))
+        schemes.append((levels_path.name, parse_level_scheme(*raws)[0],
+                        test_parse_equivalence.parse_level_scheme(*raws)[0].transitions))
     return schemes
 
 
 FIXTURE_SCHEMES = fixture_schemes()
 
 
-@pytest.mark.parametrize("scheme", [s for _, s in FIXTURE_SCHEMES],
-                         ids=[name for name, _ in FIXTURE_SCHEMES])
-def test_cascade_graph_matches_linear_scan_on_fixtures(scheme, monkeypatch):
+@pytest.mark.parametrize("scheme, transitions", [item[1:] for item in FIXTURE_SCHEMES],
+                         ids=[item[0] for item in FIXTURE_SCHEMES])
+def test_cascade_graph_matches_linear_scan_on_fixtures(scheme, transitions, monkeypatch):
     """From each level, and from each level's energy shifted by 0.4 keV, the
     graph walk reaches what the scan over the transition table reaches; a
     start above every level warns the same way.
@@ -186,7 +198,8 @@ def test_cascade_graph_matches_linear_scan_on_fixtures(scheme, monkeypatch):
         warnings, expected_warnings = [], []
         level = scan_find_level(scheme, start)
         if level is None or id(level) not in scans:
-            expected = test_properties.scan_cascade_visit([start], scheme, expected_warnings)
+            expected = test_properties.scan_cascade_visit([start], scheme, transitions,
+                                                          expected_warnings)
             if level is not None:
                 scans[id(level)] = expected
         assert cascade_visit([start], scheme, warnings) == scans.get(id(level), expected)
@@ -197,7 +210,7 @@ def test_cascade_looks_up_each_start_level_once(monkeypatch):
     """The walk follows resolved edges: on the fixture scheme with the most
     transitions, the scheme's level lookup, and the level index behind it, are
     consulted once per start level only."""
-    _, scheme = max(FIXTURE_SCHEMES, key=lambda item: len(item[1].transitions))
+    _, scheme, _ = max(FIXTURE_SCHEMES, key=lambda item: len(item[2]))
     starts = [record.energy for record in scheme.levels[-3:]]
     lookups = {}
     for owner, name in ((EnergyIndex, "matches"), (EnergyIndex, "has_match"),

@@ -6,8 +6,11 @@ errors. Rows the old parsers crashed on (a missing symbol or decay cell,
 a bad element symbol or mass number) are compared with those rows left out,
 and must each become one warning of the new parsers. The old level-row
 warnings ("levels line 3: ...") are compared under the dataset key that the
-new parser names them by ("99tc:lv line 3: ..."), and every scheme the new
-parser builds must carry the cascade graph a linear scan links.
+new parser names them by ("99tc:lv line 3: ..."). A scheme is compared by its
+nuclide, levels, isomers and cascade graph, and every scheme the new parser
+builds must carry the graph a linear scan links from the transitions the old
+parser kept. The old parsers build a `TableScheme`, which keeps its transition
+table as the LevelScheme of their time did; that is their one change.
 """
 
 import csv
@@ -42,6 +45,14 @@ from nuclibgen.records import (
 )
 
 from conftest import DR_COLUMNS, LV_COLUMNS, TR_COLUMNS
+
+class TableScheme(LevelScheme):
+    """A LevelScheme that keeps the transition table it is built from."""
+
+    def __init__(self, nuclide, levels, transitions=()):
+        self.transitions = list(transitions)
+        super().__init__(nuclide, levels, self.transitions)
+
 
 # --- the DictReader parsers, verbatim -------------------------------------------
 
@@ -223,7 +234,7 @@ def parse_level_scheme(
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))
     levels.sort(key=lambda l: l.energy.kev)
 
-    scheme = LevelScheme(nuclide=nuclide, levels=levels)
+    scheme = TableScheme(nuclide=nuclide, levels=levels)
     if transitions_raw is None:
         return scheme, warnings
 
@@ -279,7 +290,7 @@ def parse_level_scheme(
                 intensity_percent=intensity,
             )
         )
-    return LevelScheme(nuclide=nuclide, levels=levels, transitions=transitions), warnings
+    return TableScheme(nuclide=nuclide, levels=levels, transitions=transitions), warnings
 
 
 # --- random datasets ------------------------------------------------------------
@@ -365,11 +376,17 @@ def crashes(parse, *raws) -> bool:
     return False
 
 
-def reference_link(scheme: LevelScheme):
-    """The nodes, edges and isomers of a parsed scheme, linked by linear scans
-    over its kept transitions: each transition goes from every level that
-    matches its start (matches) to the level find_level gives for its end
-    (position), the closest matching level, the earliest of equally close."""
+def graph(scheme: LevelScheme):
+    """The nodes, edges and isomers of a scheme."""
+    return scheme.nodes, scheme.edges, scheme.isomers
+
+
+def reference_link(scheme: TableScheme):
+    """The nodes, edges and isomers of a scheme the old parser built, linked by
+    linear scans over its kept transitions: each transition goes from every
+    level that matches its start (matches) to the level find_level gives for
+    its end (position), the closest matching level, the earliest of equally
+    close."""
     energies = [record.energy for record in scheme.levels]
 
     def position(energy):
@@ -383,28 +400,38 @@ def reference_link(scheme: LevelScheme):
     return energies, edges, isomers
 
 
-def assert_linked(result) -> None:
-    """A parsed scheme's cascade graph is its reference link; LevelScheme
-    equality does not compare the graph."""
+def comparable(result):
+    """An outcome with its scheme, if any, as (nuclide, levels, graph):
+    LevelScheme equality does not compare the graph."""
     if isinstance(result[0], LevelScheme):
         scheme = result[0]
-        assert (scheme.nodes, scheme.edges, scheme.isomers) == reference_link(scheme)
+        return (scheme.nuclide, scheme.levels, graph(scheme)), result[1]
+    return result
+
+
+def assert_linked(result, old_result) -> None:
+    """A parsed scheme's cascade graph is the reference link of the scheme the
+    old parser built from the same datasets."""
+    if isinstance(result[0], LevelScheme):
+        assert graph(result[0]) == reference_link(old_result[0])
 
 
 def check_equivalent(make_raws, old_parse, new_parse, header, rows, key_text):
     """Equal outcomes without the rows the old parser crashed on; with them,
-    the new parser warns once per such row and crashes on none. Every scheme
-    the new parser builds is linked as reference_link links it."""
+    the new parser warns once per such row, crashes on none and builds the
+    same scheme. Every scheme the new parser builds is linked as
+    reference_link links the old parser's."""
     crashed = {i for i, row in enumerate(rows)
                if row and crashes(old_parse, *make_raws(body(header, [row])))}
     kept = [row for i, row in enumerate(rows) if i not in crashed]
     raws = make_raws(body(header, kept))
-    result = outcome(new_parse, *raws)
-    assert result == outcome(old_parse, *raws)
-    assert_linked(result)
+    kept_result, old_result = outcome(new_parse, *raws), outcome(old_parse, *raws)
+    assert comparable(kept_result) == comparable(old_result)
+    assert_linked(kept_result, old_result)
 
     result = outcome(new_parse, *make_raws(body(header, rows)))
-    assert_linked(result)
+    if isinstance(result[0], LevelScheme):
+        assert comparable(result)[0] == comparable(kept_result)[0]
     numbers = line_numbers(rows)
     for i in sorted(crashed):
         if isinstance(result, tuple) and isinstance(result[0], str):
@@ -469,7 +496,7 @@ CROWDED_KEV = ["0", "139.9", "140.5", "140.9", "141.7", "142.5", "143.3", "150"]
 def test_parsed_cascade_graph_matches_reference_link(levels, transitions):
     """Near-duplicate levels, transitions whose start matches several levels
     and start and end cells repeated across rows: the scheme the parser links
-    as it reads is the reference link of the transitions it kept."""
+    as it reads is the reference link of the transitions the old parser kept."""
     lv = RawDataset(LV_KEY, body(
         ["symbol", "a", "energy", "unc_e", "half_life_sec", "decay_1"],
         [["Tc", "99", kev, unc, hl, ""] for kev, unc, hl in levels]), "cache")
@@ -478,4 +505,6 @@ def test_parsed_cascade_graph_matches_reference_link(levels, transitions):
          "energy"],
         [["Tc", "99", start, unc_s, end, unc_e, "1"]
          for start, unc_s, end, unc_e in transitions]), "cache")
-    assert_linked(new.parse_level_scheme(lv, tr))
+    result, old_result = new.parse_level_scheme(lv, tr), keyed_level_scheme(lv, tr)
+    assert comparable(result) == comparable(old_result)
+    assert_linked(result, old_result)

@@ -4,7 +4,8 @@ run read from the same cache, and whatever state ``cache_dir/parsed/`` is in
 naming a global outside the parse types, one that loads to something other
 than a parse or to a parse of the wrong type, unwritable), the golden outputs are
 byte-identical and every job reports the warnings of a run without stored
-parses. A cold run stores nothing and never imports pickle."""
+parses. A cold run stores nothing and never imports pickle. Over the whole
+corpus, every stored entry loads equal to a fresh parse."""
 
 import json
 import os
@@ -13,15 +14,18 @@ import random
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 import nuclibgen.chains as chains_mod
 import nuclibgen.parsecache as parsecache
 from nuclibgen.cli import main
-from nuclibgen.dataaccess import PARSED_DIRNAME
+from nuclibgen.dataaccess import PARSED_DIRNAME, AccessConfig, DataStore
+from nuclibgen.nuclide import EnergyValue, Nuclide, parse_nuclide_id
+from nuclibgen.records import DaughterFeed
 
-from conftest import REPO
+from conftest import CORPUS, REPO, prime_cache
 from test_goldens import checks, workloads
 
 WARM = [workloads.WORKLOADS[name] for name in ("warm_norm_suite", "warm_shared_chains")]
@@ -115,9 +119,9 @@ def _spoil(state, parsed, stored, stale, marker):
             data = _foreign(header + b"\n", marker)
         elif state == "misshapen":  # the right header, not a (result, warnings) pair
             data = header + b"\n" + pickle.dumps(frozenset())
-        elif state == "mistyped":  # a pair of lists, not what this key's parser returns
+        elif state == "mistyped":  # lists, not what this key's parser returns
             data = header + b"\n" + pickle.dumps(([], []) if name.endswith("_lv.pickle")
-                                                  else ([1], []))
+                                                  else ([1], [], []))
         assert (data == stored[name]) == (state in ("fresh", "version"))
         (parsed / name).write_bytes(data)
 
@@ -231,3 +235,78 @@ def test_cold_run_stores_no_parse_and_never_imports_pickle(tmp_path, mock_server
     assert not (cache / PARSED_DIRNAME).exists()
     report = json.loads((out_dir / "report.json").read_text(encoding="utf-8"))
     assert [job["parses_loaded"] for job in report["jobs"]] == [0, 0]
+
+
+def _entries(source, nuclide):
+    """(records, daughters, warnings) and the level scheme and its warnings
+    of one nuclide, as a visit reads them from ``source``; a source without
+    ``stored_parse`` parses afresh."""
+    levels = chains_mod._visit_scheme(nuclide, source, {})
+    return chains_mod._fetch_records(source, nuclide), (levels.scheme, levels.warnings)
+
+
+def _queries(scheme):
+    """Energies to ask find_level: each level's, each shifted by 0.4 and by
+    0.9 keV, and one above the top level."""
+    queries = [EnergyValue(max(node.kev for node in scheme.nodes) + 100.0)]
+    for node in scheme.nodes:
+        queries += [node, EnergyValue(node.kev + 0.4, node.uncertainty_kev),
+                    EnergyValue(node.kev + 0.9)]
+    return queries
+
+
+def test_every_stored_entry_of_the_corpus_loads_equal_to_a_fresh_parse(tmp_path):
+    """For every fixture nuclide, the decay entry and the level scheme that a
+    second run loads from parsed/ equal a fresh parse, field by field:
+    LevelScheme equality compares the nuclide and levels, not the graph. A
+    scheme is stored as its levels, isomers and graph alone."""
+    cache = prime_cache(CORPUS, tmp_path / "cache")
+    nuclides = sorted({parse_nuclide_id(path.name.split("_")[0])
+                       for path in CORPUS.glob("*.csv")}, key=str)
+    config = AccessConfig(cache_dir=cache, offline=True)
+    with DataStore(config) as store:  # the first run stores every entry
+        for nuclide in nuclides:
+            _entries(store, nuclide)
+    names = {path.name for path in (cache / PARSED_DIRNAME).iterdir()}
+    with DataStore(config) as store:
+        for nuclide in nuclides:
+            (records, daughters, warnings), (scheme, scheme_warnings) = _entries(
+                store, nuclide)
+            (fresh_records, fresh_daughters, fresh_warnings), (fresh, fresh_warnings_lv) = (
+                _entries(SimpleNamespace(fetch_dataset=store.fetch_dataset), nuclide))
+            assert records == fresh_records, nuclide
+            assert daughters == fresh_daughters, nuclide
+            assert warnings == fresh_warnings, nuclide
+            assert scheme_warnings == fresh_warnings_lv, nuclide
+            assert (scheme is None) == (fresh is None), nuclide
+            stem = f"{nuclide.mass_number}{nuclide.element.lower()}"
+            assert (f"{stem}_dr.pickle" in names) == bool(records), nuclide
+            assert (f"{stem}_lv.pickle" in names) == (scheme is not None), nuclide
+            if scheme is None:
+                continue
+            assert scheme.nuclide == fresh.nuclide
+            assert scheme.levels == fresh.levels, nuclide
+            assert scheme.nodes == fresh.nodes, nuclide
+            assert scheme.edges == fresh.edges, nuclide
+            assert scheme.isomers == fresh.isomers, nuclide
+            for query in _queries(fresh):
+                assert scheme.find_level(query) == fresh.find_level(query), (nuclide, query)
+            assert set(scheme.__getstate__()) == {"nuclide", "levels", "isomers", "nodes",
+                                                  "edges"}
+        assert store.stats.parses_loaded == len(names)
+
+
+TH234 = Nuclide("Th", 234)
+FEED = DaughterFeed(TH234, (EnergyValue(0.0),), 100.0)
+
+
+@pytest.mark.parametrize("result, fits", [
+    (([], [], []), True),
+    (([], [FEED], ["w"]), True),
+    (([1], [], []), False),
+    (([], [1], []), False),
+    (([], [FEED], [1]), False),
+    (([], (FEED,), []), False),
+])
+def test_a_decay_entry_is_checked_list_by_list(result, fits):
+    assert parsecache._is_parse(result, levels=False) is fits

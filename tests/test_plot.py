@@ -156,3 +156,36 @@ def test_entries_without_intensity_are_skipped(tmp_path):
     ))
     path = plot_library(lib, None, None, tmp_path / "p.svg")
     assert "209bi" not in svg_series(path)
+
+
+def _texts(path, group_class=None):
+    root = ET.parse(path).getroot()
+    groups = [root] if group_class is None else [
+        g for g in root.iter(f"{SVG_NS}g") if g.attrib.get("class") == group_class]
+    return [text.text for group in groups for text in group.iter(f"{SVG_NS}text")]
+
+
+@pytest.mark.parametrize("intensity, decades", [(10.0, ["1e1", "1e2"]),
+                                                (100.0, ["1e2", "1e3"])])
+def test_intensities_at_one_power_of_ten_get_a_one_decade_axis(tmp_path, intensity, decades):
+    path = plot_library(one_entry_library(intensity=intensity), None, None, tmp_path / "p.svg")
+    assert [text for text in _texts(path) if text.startswith("1e")] == decades
+
+
+def test_a_window_without_annotation_labels_nothing(tmp_path):
+    quiet = PlotWindow(energy_kev=(0, 1000), intensity_percent=(1e-3, 100), annotate=False,
+                       annotation_min_intensity=0.0)
+    loud = PlotWindow(energy_kev=(400, 600), intensity_percent=(1, 100))
+    lib = one_entry_library()
+    path = plot_library(lib, None, [quiet], tmp_path / "quiet.svg")
+    assert _texts(path, "annotations") == []
+    path = plot_library(lib, None, [quiet, loud], tmp_path / "both.svg")
+    assert _texts(path, "annotations") == ["500"]
+
+
+def test_a_library_with_nothing_to_place_gets_the_default_axes(tmp_path):
+    empty = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=[])
+    path = plot_library(empty, None, None, tmp_path / "p.svg")
+    decades = [text for text in _texts(path) if text.startswith("1e")]
+    assert decades == ["1e-3", "1e-2", "1e-1", "1e0", "1e1", "1e2"]
+    assert svg_series(path) == {}

@@ -791,8 +791,9 @@ def scan_find_level(scheme, energy):
     return best
 
 
-def scan_cascade_visit(start_levels, scheme, warnings):
-    """Linear-scan reference for cascade_visit."""
+def scan_cascade_visit(start_levels, scheme, transitions, warnings):
+    """Linear-scan reference for cascade_visit over the ``transitions`` the
+    scheme was built from."""
     visited, frontier = [], []
     for start in start_levels:
         record = scan_find_level(scheme, start)
@@ -808,7 +809,7 @@ def scan_cascade_visit(start_levels, scheme, warnings):
     seen = {e.kev for e in visited}
     while frontier:
         current = frontier.pop()
-        for transition in scheme.transitions:
+        for transition in transitions:
             if not energies_match(transition.start_level, current):
                 continue
             record = scan_find_level(scheme, transition.end_level)
@@ -827,7 +828,8 @@ def scan_cascade_visit(start_levels, scheme, warnings):
 @st.composite
 def crowded_schemes(draw):
     """Unsorted level schemes whose levels sit 0.5 keV apart with nonzero
-    uncertainties, and queries on a 0.25 keV grid (midpoints give
+    uncertainties, the transitions each was built from, and queries on a
+    0.25 keV grid (midpoints give
     equal-distance ties). The offset puts some schemes at large energies,
     where kev +- tolerance rounds."""
     offset = draw(st.sampled_from([0.0, 1000.1, 98765.4321]))
@@ -849,19 +851,19 @@ def crowded_schemes(draw):
             st.lists(st.tuples(energy(0.25), energy(0.25)), max_size=15))
     ]
     queries = draw(st.lists(energy(0.25), min_size=1, max_size=10))
-    return LevelScheme(nuclide=n, levels=levels, transitions=transitions), queries
+    return LevelScheme(nuclide=n, levels=levels, transitions=transitions), transitions, queries
 
 
 @given(crowded_schemes())
 def test_find_level_matches_linear_scan(data):
-    scheme, queries = data
+    scheme, _, queries = data
     for query in queries + [record.energy for record in scheme.levels]:
         assert scheme.find_level(query) is scan_find_level(scheme, query)
 
 
 @given(crowded_schemes())
 def test_contains_matches_linear_scan(data):
-    scheme, queries = data
+    scheme, _, queries = data
     members = [record.energy for record in scheme.levels]
     flat = FlattenedLevels(all=members)
     for query in queries:
@@ -870,10 +872,10 @@ def test_contains_matches_linear_scan(data):
 
 @given(crowded_schemes())
 def test_cascade_visit_matches_linear_scan(data):
-    scheme, starts = data
+    scheme, transitions, starts = data
     warnings, expected_warnings = [], []
     visited = cascade_visit(starts, scheme, warnings)
-    assert visited == scan_cascade_visit(starts, scheme, expected_warnings)
+    assert visited == scan_cascade_visit(starts, scheme, transitions, expected_warnings)
     assert warnings == expected_warnings
 
 
@@ -881,7 +883,7 @@ def test_cascade_visit_matches_linear_scan(data):
 def test_duplicate_level_warnings_match_linear_scan(data, bad_rows):
     """The same kept levels and the same warnings, in file order, as the
     linear check; rows that fail to parse sit between the levels."""
-    scheme, _ = data
+    scheme, _, _ = data
     rows = [record.energy for record in scheme.levels]
     for at in sorted(bad_rows, reverse=True):
         rows.insert(min(at, len(rows)), None)
@@ -1035,7 +1037,7 @@ def test_bad_transition_row_is_a_warning(column, value):
         RawDataset(DatasetKey.transitions(nuclide),
                    tr_body([dict(good, **{column: value}), good]), "cache"),
     )
-    assert [t.intensity_percent for t in scheme.transitions] == [89.0]
+    assert scheme.edges == [[], [0]]  # the good row alone is linked
     assert len(warnings) == 1 and "line 2" in warnings[0]
 
 
@@ -1135,7 +1137,7 @@ def _transitions(body: str):
        value=st.one_of(BAD_SYMBOLS, BAD_MASSES))
 def test_bad_id_in_transition_row_is_a_warning(column, value):
     scheme, warnings = _transitions(tr_body([dict(GOOD_TR, **{column: value}), GOOD_TR]))
-    assert len(scheme.transitions) == 1
+    assert scheme.edges == [[], [0]]
     assert len(warnings) == 1 and "line 2: " in warnings[0]
 
 
@@ -1144,9 +1146,9 @@ def test_short_transition_row_is_a_warning_or_lacks_only_optional_cells(cells):
     scheme, warnings = _transitions(_cut(tr_body([GOOD_TR, GOOD_TR]), 2, cells))
     present = TR_COLUMNS[:cells]
     if all(col in present for col in _TRANSITION_COLUMNS):
-        assert len(scheme.transitions) == 2 and warnings == []
+        assert scheme.edges == [[], [0, 0]] and warnings == []
     else:
-        assert len(scheme.transitions) == 1
+        assert scheme.edges == [[], [0]]
         assert len(warnings) == 1 and "line 2: " in warnings[0]
 
 # --- traversal termination on random graphs -------------------------------------

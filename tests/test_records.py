@@ -110,11 +110,13 @@ def test_tc99_level_scheme_from_fixture(primed_store):
     assert modes == {DecayMode.IT, DecayMode.BETA_MINUS}
     medical = scheme.find_level(EnergyValue(140.511))
     assert medical is not None and medical.jpi == "7/2+"
-    # transitions form a strictly downward table resolving to levels
-    for tr in scheme.transitions:
-        assert tr.start_level.kev > tr.end_level.kev
-        assert scheme.find_level(tr.start_level) is not None
-        assert scheme.find_level(tr.end_level) is not None
+    with pytest.raises(AttributeError):
+        scheme.transitions  # the table is linked, not kept
+    # transitions link levels strictly downward
+    assert any(scheme.edges) and len(scheme.nodes) == len(scheme.levels)
+    for start, ends in enumerate(scheme.edges):
+        for end in ends:
+            assert scheme.nodes[start].kev > scheme.nodes[end].kev
 
 
 def test_unresolvable_transition_excluded_with_warning():
@@ -136,7 +138,7 @@ def test_unresolvable_transition_excluded_with_warning():
         RawDataset(DatasetKey.levels(n), lv, "cache"),
         RawDataset(DatasetKey.transitions(n), tr, "cache"),
     )
-    assert len(scheme.transitions) == 1
+    assert scheme.edges == [[], [0]]
     assert any("does not resolve" in w for w in warnings)
 
 
@@ -154,7 +156,7 @@ def test_upward_transition_excluded():
         RawDataset(DatasetKey.levels(n), lv, "cache"),
         RawDataset(DatasetKey.transitions(n), tr, "cache"),
     )
-    assert scheme.transitions == []
+    assert scheme.edges == [[], []]
     assert any("non-downward" in w for w in warnings)
 
 
@@ -163,6 +165,29 @@ def test_level_transition_nuclide_mismatch(primed_store):
         parse_level_scheme(
             fetch(primed_store, "99tc:lv"), fetch(primed_store, "99ru:tr")
         )
+
+
+def test_transition_row_of_another_nuclide_is_a_nuclide_mismatch():
+    n = Nuclide("Tc", 99)
+    lv = lv_body([{"symbol": "Tc", "a": 99, "energy": kev} for kev in (0.0, 140.511)])
+    tr = tr_body([{"symbol": "Ru", "a": 99, "start_level_energy": 140.511,
+                   "end_level_energy": 0.0, "energy": 140.511}])
+    with pytest.raises(NuclideMismatch, match="99tc:tr line 2: row nuclide"):
+        parse_level_scheme(RawDataset(DatasetKey.levels(n), lv, "cache"),
+                           RawDataset(DatasetKey.transitions(n), tr, "cache"))
+
+
+@pytest.mark.parametrize("levels, transitions, match", [
+    ("99tc:tr", None, "99tc:tr is not a levels dataset"),
+    ("99tc:dr-g", "99tc:tr", "99tc:dr-g is not a levels dataset"),
+    ("99tc:lv", "99tc:lv", "99tc:lv is not a transitions dataset"),
+    ("99tc:lv", "99tc:dr-g", "99tc:dr-g is not a transitions dataset"),
+])
+def test_level_scheme_of_the_wrong_dataset_kinds_is_a_header_mismatch(
+        primed_store, levels, transitions, match):
+    with pytest.raises(HeaderMismatch, match=match):
+        parse_level_scheme(fetch(primed_store, levels),
+                           transitions and fetch(primed_store, transitions))
 
 
 def test_extract_daughters_mo99(primed_store):
