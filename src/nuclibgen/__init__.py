@@ -51,7 +51,6 @@ from .records import (
     DecayRecord,
     LevelRecord,
     LevelScheme,
-    TransitionRecord,
     extract_daughters,
     parse_decay_records,
     parse_level_scheme,
@@ -83,7 +82,6 @@ __all__ = [
     "RadionuclideLibrary",
     "RadionuclideSubset",
     "RawDataset",
-    "TransitionRecord",
     "assemble_library",
     "assemble_subset",
     "build_progeny",

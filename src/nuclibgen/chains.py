@@ -192,7 +192,6 @@ class DecayChain:
 
     progenitor: Nuclide
     members: list[Nuclide]
-    progenitor_terminal: bool = False
 
 
 @dataclass
@@ -206,16 +205,6 @@ class LineageTree:
     root: Nuclide
     children: list[tuple[float, "LineageTree"]] = field(default_factory=list)
     expanded: bool = True
-
-    def edges(self) -> list[tuple[Nuclide, Nuclide]]:
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            for _, child in node.children:
-                out.append((node.root, child.root))
-                stack.append(child)
-        return out
 
 
 @dataclass
@@ -493,16 +482,12 @@ def _walk(progenitor: Nuclide, source: DatasetSource, memo: ParseMemo | None,
         members.extend(m.nuclide for m in nodes[visited].members)
 
     # The progenitor heads its chain; a stable one heads an otherwise empty chain.
-    progenitor_terminal = not root_node.records
-    if progenitor_terminal or (members and members[0].ground_state != root):
+    if not root_node.records or (members and members[0].ground_state != root):
         members.insert(0, progenitor)
 
     tree = _build_tree(root, edges, discoverer)
-    chain = DecayChain(
-        progenitor=members[0] if members else progenitor,
-        members=members,
-        progenitor_terminal=progenitor_terminal,
-    )
+    chain = DecayChain(progenitor=members[0] if members else progenitor,
+                       members=members)
     return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order,
                       warnings=warnings, nuclides_parsed=parsed, nuclides_reused=reused)
 

@@ -37,7 +37,7 @@ from __future__ import annotations
 import os
 import threading
 from collections.abc import Callable, Iterable
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NamedTuple
@@ -191,7 +191,8 @@ class AbsenceRegistry:
                 )
                 os.replace(tmp, self.backing_path)
         except (OSError, UnicodeDecodeError) as exc:
-            tmp.unlink(missing_ok=True)
+            with suppress(OSError):  # a failed clean-up must not hide the error
+                tmp.unlink(missing_ok=True)
             raise RegistryIoError(
                 f"cannot write registry {self.backing_path}: {exc}"
             ) from exc
@@ -214,7 +215,8 @@ def write_atomically(path: Path, write: Callable[[IO[bytes]], object]) -> None:
             write(out)
         os.replace(tmp, path)
     except OSError as exc:
-        tmp.unlink(missing_ok=True)
+        with suppress(OSError):
+            tmp.unlink(missing_ok=True)
         raise CacheWriteError(f"cannot write cache file {path}: {exc}") from exc
 
 

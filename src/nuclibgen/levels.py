@@ -8,10 +8,8 @@ always run: a level is feasible when a parent feeds it or a cascade reaches it
 outside the flattened set are unfeasible and their radiation is excluded
 downstream.
 
-A cascade looks up each start level once, then follows the integer edges its
-LevelScheme keeps in place of a transition table, resolved when the scheme is
-built or parsed. In a hand-built scheme an end that matches no level is a node
-of its own, left by the transitions whose start matches it.
+A cascade looks up each start level once, then follows the edges, between
+positions in its levels, that its LevelScheme was linked with when parsed.
 """
 
 from __future__ import annotations
@@ -67,13 +65,13 @@ def cascade_visit(
                 )
             visited.append(start)
             continue
-        visited.append(scheme.nodes[position])
+        visited.append(scheme.levels[position].energy)
         frontier.append(position)
 
     seen = {e.kev for e in visited}
     while frontier:
         for end in scheme.edges[frontier.pop()]:
-            energy = scheme.nodes[end]
+            energy = scheme.levels[end].energy
             if energy.kev not in seen:
                 seen.add(energy.kev)
                 visited.append(energy)

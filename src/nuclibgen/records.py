@@ -39,18 +39,19 @@ NuclideMismatch; an upward or unresolvable transition is excluded with a
 warning.
 
 A LevelScheme keeps its levels and their cascade graph, not the transition
-table: the parser links each transition row it keeps as it reads it and stores
-no row, so a transition's gamma energy and intensity are checked (a bad one
-skips the row with a warning) but not kept. Each distinct start or end energy
-is looked up once in the scheme's level index. Only a level whose lookup
-window holds another level is checked for a duplicate.
+table: the level parser is the only code that adds edges, linking each
+transition row it keeps as it reads it and storing no row, so a transition's
+gamma energy and intensity are checked (a bad one skips the row with a
+warning) but not kept. Each distinct start or end energy is looked up once in
+the scheme's level index. Only a level whose lookup window holds another level
+is checked for a duplicate.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import InitVar, dataclass
+from dataclasses import dataclass
 from functools import partial
 from math import isfinite
 from operator import itemgetter
@@ -66,7 +67,6 @@ from .nuclide import (
     Nuclide,
     PerValue,
     RadiationType,
-    energies_match,
 )
 
 FLAG_NO_INTENSITY = "no-intensity"
@@ -123,59 +123,34 @@ class LevelRecord(NamedTuple):
         )
 
 
-class TransitionRecord(NamedTuple):
-    """One downward electromagnetic transition between two levels."""
-
-    nuclide: Nuclide
-    start_level: EnergyValue
-    end_level: EnergyValue
-    gamma_energy: EnergyValue
-    intensity_percent: float | None = None
-
-
 @dataclass
 class LevelScheme:
     """A nuclide's energy levels resolved into a cascade graph: pass the final
-    levels. The scheme keeps the graph, not the transition table: the
-    ``transitions`` passed are linked when it is built, and the parser links
-    each row it keeps as it reads it.
+    levels. Only parse_level_scheme adds edges: it links each transition row it
+    keeps as it reads it and stores no row.
 
-    Node i is ``levels[i]``, with energy ``nodes[i]``, and ``edges[i]`` lists in
-    table order the end nodes of the transitions whose start matches node i. A
-    transition ends at the node of find_level(end). An end that matches no
-    level (only in a hand-built scheme: the parser excludes such rows) is a node
-    of its own past the levels, left by the transitions whose start matches it.
+    Node i is ``levels[i]``. ``edges[i]`` lists, in table order, the position
+    of find_level(end) for each transition whose start matches level i.
     Equality compares the nuclide and the levels only."""
 
     nuclide: Nuclide
     levels: list[LevelRecord]
-    transitions: InitVar[list[TransitionRecord]]
 
-    def __post_init__(self, transitions: list[TransitionRecord]):
+    def __post_init__(self):
         self._index()
         # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
         self.isomers = sorted(
             (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
         )
-        self.nodes = [record.energy for record in self.levels]
         self.edges = [[] for _ in self.levels]
-        for t in transitions:
-            self._link(t.start_level, t.end_level)
-        self.edges += [
-            [self._ends[t.end_level] for t in transitions
-             if energies_match(t.start_level, node)]
-            for node in self.nodes[len(self.levels):]
-        ]
 
     def _index(self) -> None:
         self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
-        self._ends = PerValue(self._end_node)
 
     def __getstate__(self) -> dict:
-        # The lookup memos hold bound methods, which a stored parse may not
-        # name; they are rebuilt, empty, on load.
-        return {name: value for name, value in vars(self).items()
-                if name not in ("_hits", "_ends")}
+        # The lookup memo holds a bound method, which a stored parse may not
+        # name; it is rebuilt, empty, on load.
+        return {name: value for name, value in vars(self).items() if name != "_hits"}
 
     def __setstate__(self, state: dict) -> None:
         vars(self).update(state)
@@ -185,18 +160,9 @@ class LevelScheme:
         """Positions of the levels matching ``energy``, looked up once per energy."""
         return self._hits[energy]
 
-    def _end_node(self, end: EnergyValue) -> int:
-        """The node of find_level(end); an end that matches no level becomes a
-        node past the levels."""
-        node = self.position(end)
-        if node is None:
-            node = len(self.nodes)
-            self.nodes.append(end)
-        return node
-
     def _link(self, start: EnergyValue, end: EnergyValue) -> None:
-        """Add the edges of one transition; each end is resolved once."""
-        end = self._ends[end]
+        """Add the edges of one transition whose start and end both match a level."""
+        end = self.position(end)
         for i in self._matches(start):
             self.edges[i].append(end)
 
@@ -472,7 +438,7 @@ def parse_level_scheme(
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))
     levels.sort(key=lambda l: l.energy.kev)
 
-    scheme = LevelScheme(nuclide, levels, [])
+    scheme = LevelScheme(nuclide, levels)
     if transitions_raw is None:
         return scheme, warnings
 

@@ -20,7 +20,8 @@ from urllib.parse import parse_qs, urlparse
 import pytest
 
 from nuclibgen.dataaccess import AccessConfig, DataStore, DatasetKey, RawDataset
-from nuclibgen.nuclide import parse_nuclide_id
+from nuclibgen.nuclide import Nuclide, parse_nuclide_id
+from nuclibgen.records import parse_level_scheme
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "fixtures"
@@ -61,6 +62,30 @@ def lv_body(rows) -> str:
 
 def tr_body(rows) -> str:
     return _csv_body(TR_COLUMNS, rows)
+
+
+def parse_scheme(nuclide: Nuclide, levels, transitions=()):
+    """The LevelScheme that parse_level_scheme builds from level energies and
+    (start, end) transition energies, in keV, written as dataset text."""
+    cells = {"symbol": nuclide.element, "a": nuclide.mass_number}
+    lv = lv_body([dict(cells, energy=kev) for kev in levels])
+    tr = tr_body([dict(cells, start_level_energy=start, end_level_energy=end,
+                       energy=start - end) for start, end in transitions])
+    scheme, _ = parse_level_scheme(RawDataset(DatasetKey.levels(nuclide), lv, "cache"),
+                                   RawDataset(DatasetKey.transitions(nuclide), tr, "cache"))
+    return scheme
+
+
+def tree_edges(tree) -> list[tuple[str, str]]:
+    """The (parent, daughter) id pairs of a LineageTree, depth first from a
+    stack: the last child is walked first."""
+    out, stack = [], [tree]
+    while stack:
+        node = stack.pop()
+        for _, child in node.children:
+            out.append((str(node.root), str(child.root)))
+            stack.append(child)
+    return out
 
 
 def dr_row(p, d, *, mode="B-", pct=100.0, energy=100.0, intensity=10.0,

@@ -17,7 +17,9 @@ from nuclibgen.errors import DataUnavailable, DepthExceeded, EmptySubset, Networ
 from nuclibgen.library import assemble_library
 from nuclibgen.nuclide import LevelSpec, Nuclide, RadiationType, parse_nuclide_id
 
-from conftest import MockServer, brute_edges, dr_body, dr_row, lv_body, simple_chain_source
+from conftest import (
+    MockServer, brute_edges, dr_body, dr_row, lv_body, simple_chain_source, tree_edges,
+)
 
 
 def ids(members):
@@ -67,15 +69,32 @@ def test_synthetic_three_nuclide_chain():
     )
     build = build_progeny(parse_nuclide_id("131te"), source)
     assert ids(build.chain.members) == ["131te", "131i"]
-    assert [(str(p), str(d)) for p, d in build.tree.edges()] == [
+    assert tree_edges(build.tree) == [
         ("131te", "131i"), ("131i", "131xe"),
     ]
+
+
+def test_parent_levels_resolving_to_one_level_give_one_member():
+    """131I is fed at 100.0 keV and decays from parent levels 99.1 and
+    100.9 keV: they do not match each other, but both resolve to the one
+    100.0 keV level, so they give one chain member."""
+    source = simple_chain_source(
+        {"131te": [("131i", 100.0)], "131i": [("131xe", 100.0)]},
+        stable={"131xe"},
+    )
+    source.bodies["131te:dr-bm"] = dr_body([dr_row(("Te", 131), ("I", 131), fed=100.0)])
+    source.bodies["131i:lv"] = lv_body([{"symbol": "I", "a": 131, "energy": kev}
+                                        for kev in (0.0, 100.0)])
+    source.bodies["131i:dr-bm"] = dr_body([dr_row(("I", 131), ("Xe", 131), p_energy=kev)
+                                           for kev in (99.1, 100.9)])
+    build = build_progeny(parse_nuclide_id("131te"), source)
+    assert ids(build.chain.members) == ["131te", "131i@100.0kev"]
 
 
 def test_stable_progenitor_is_terminal(primed_store):
     build = build_progeny(parse_nuclide_id("208pb"), primed_store)
     assert ids(build.chain.members) == ["208pb"]
-    assert build.chain.progenitor_terminal
+    assert not build.nodes[parse_nuclide_id("208pb")].records
     assert build.tree.children == []
 
 
@@ -103,7 +122,7 @@ def test_membership_independent_of_kind_query_order(primed_store, monkeypatch):
 
 
 def test_edges_match_brute_force_and_are_unique(th_build, corpus_dir):
-    edges = [(str(p), str(d)) for p, d in th_build.tree.edges()]
+    edges = tree_edges(th_build.tree)
     assert len(edges) == len(set(edges))
     assert set(edges) == brute_edges(corpus_dir, "232th")
 

@@ -148,6 +148,8 @@ def test_yaml_syntax_error_reports_line(tmp_path):
 @pytest.mark.parametrize("text, where", [
     ("jobs:\n  - recursive_progenitors: [238U\n", "at line 3, column 1"),
     ("jobs:\n\t- recursive_progenitors: [238U]\n", "at line 2, column 1"),
+    # A control character is a reader error, which has no line mark.
+    pytest.param("jobs: \x07\n", "position 6", id="reader-error"),
 ])
 @pytest.mark.parametrize("loader", ["SafeLoader", "CSafeLoader"])
 def test_either_yaml_loader_reports_the_error_position(tmp_path, monkeypatch, text,
@@ -338,6 +340,20 @@ def test_value_that_is_not_a_list_is_rejected(tmp_path, job, key):
 jobs:
   - {job}
 """))
+
+
+@pytest.mark.parametrize("text, match", [
+    ("5\n", "run.yaml: top level must be a mapping or job list"),
+    ("jobs: [{recursive_progenitors: [238U], plot: 5}]\n",
+     "jobs[0].plot: plot must be a mapping or boolean"),
+    ("jobs: [{recursive_progenitors: [238U], plot: {windows: [5]}}]\n",
+     "jobs[0].plot.windows[0]: expected a mapping"),
+    ("jobs: [{recursive_progenitors: [{level: m1}]}]\n",
+     "jobs[0].recursive_progenitors: nuclide mapping needs an 'id'"),
+], ids=["top-level", "plot", "plot-window", "nuclide-without-id"])
+def test_config_of_the_wrong_shape_is_rejected(tmp_path, text, match):
+    with pytest.raises(ConfigParseError, match=re.escape(match)):
+        load_config(write(tmp_path, text))
 
 
 def test_null_radiation_means_gamma(tmp_path):

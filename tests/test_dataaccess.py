@@ -16,7 +16,9 @@ from nuclibgen.dataaccess import (
     DataStore,
     DatasetKey,
 )
-from nuclibgen.errors import CacheWriteError, HeaderMismatch, NetworkError, OfflineMiss
+from nuclibgen.errors import (
+    CacheWriteError, HeaderMismatch, NetworkError, OfflineMiss, RegistryIoError,
+)
 from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
 from nuclibgen.records import parse_level_scheme
 
@@ -161,6 +163,22 @@ def test_failed_cache_write_removes_its_temp_file(tmp_path):
     with pytest.raises(CacheWriteError):
         dataaccess.write_atomically(path, lambda out: out.write(b"energy\n1.0\n"))
     assert [p.name for p in tmp_path.iterdir()] == [path.name]
+
+
+@pytest.mark.parametrize("write, error", [
+    (lambda path: AbsenceRegistry(path).record("238u:dr-a"), RegistryIoError),
+    (lambda path: dataaccess.write_atomically(path, lambda out: out.write(b"x\n")),
+     CacheWriteError),
+], ids=["registry", "cache-file"])
+def test_write_under_a_regular_file_raises_the_package_error(tmp_path, write, error):
+    """The temp file's directory is a regular file, so removing the temp file
+    fails too: that failure does not replace the package error."""
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    with pytest.raises(error):
+        write(afile / "absent_registry.txt")
+    assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+    assert afile.read_text() == "kept\n"
 
 def test_registry_short_circuits_before_cache_and_network(tmp_path):
     server = MockServer(tmp_path)  # empty corpus; any hit would count

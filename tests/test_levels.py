@@ -6,10 +6,10 @@ from nuclibgen.levels import cascade_visit, flatten_levels
 from nuclibgen.nuclide import (
     DecayMode, EnergyIndex, EnergyValue, LevelSpec, Nuclide, parse_nuclide_id,
 )
-from nuclibgen.records import LevelRecord, LevelScheme, TransitionRecord, parse_level_scheme
+from nuclibgen.records import LevelRecord, LevelScheme, parse_level_scheme
 from nuclibgen.chains import resolve_level_spec
 
-from conftest import CORPUS
+from conftest import CORPUS, parse_scheme
 import test_parse_equivalence
 import test_properties
 
@@ -26,18 +26,8 @@ def tc99(primed_store):
 
 def linear_scheme(levels):
     """L[n] -> L[n-1] -> ... -> L[0] toy scheme."""
-    n = Nuclide("Fe", 56)
-    records = [LevelRecord(nuclide=n, energy=EnergyValue(kev)) for kev in levels]
-    transitions = [
-        TransitionRecord(
-            nuclide=n,
-            start_level=EnergyValue(hi),
-            end_level=EnergyValue(lo),
-            gamma_energy=EnergyValue(hi - lo),
-        )
-        for hi, lo in zip(sorted(levels, reverse=True), sorted(levels, reverse=True)[1:])
-    ]
-    return LevelScheme(nuclide=n, levels=records, transitions=transitions)
+    descending = sorted(levels, reverse=True)
+    return parse_scheme(Nuclide("Fe", 56), levels, zip(descending, descending[1:]))
 
 
 def test_cascade_visits_the_five_tc99_levels(tc99):
@@ -51,7 +41,6 @@ def test_cascade_empty_transition_table():
     scheme = LevelScheme(
         nuclide=Nuclide("Fe", 56),
         levels=[LevelRecord(nuclide=Nuclide("Fe", 56), energy=EnergyValue(0.0))],
-        transitions=[],
     )
     starts = [EnergyValue(0.0)]
     assert [e.kev for e in cascade_visit(starts, scheme)] == [0.0]
@@ -89,7 +78,7 @@ def test_flatten_tc99_inherited_isomer(tc99):
 
 def test_flatten_without_cascade_is_inherited_only(tc99):
     """A scheme with no transitions reaches no level beyond those fed."""
-    levels_only = LevelScheme(nuclide=tc99.nuclide, levels=tc99.levels, transitions=[])
+    levels_only = LevelScheme(nuclide=tc99.nuclide, levels=tc99.levels)
     flat = flatten_levels([EnergyValue(142.6836)], levels_only)
     assert not flat.contains(EnergyValue(140.511))
     assert not flat.contains(EnergyValue(0.0))
@@ -140,7 +129,6 @@ def test_outcomes_ground_only_nuclide():
         nuclide=n,
         levels=[LevelRecord(nuclide=n, energy=EnergyValue(0.0),
                             decay_modes=((DecayMode.BETA_MINUS, 100.0),))],
-        transitions=[],
     )
     flat = flatten_levels([EnergyValue(0.0)], scheme)
     [ground] = scheme.levels
@@ -151,8 +139,8 @@ def test_outcomes_ground_only_nuclide():
 
 def fixture_schemes():
     """(name, parsed scheme, transition table) of every fixture level dataset
-    with a transition table; the table is the one the DictReader parser of
-    test_parse_equivalence kept."""
+    with a transition table; the table holds the (start, end) energies of the
+    transitions the DictReader parser of test_parse_equivalence kept."""
     schemes = []
     for levels_path in sorted(CORPUS.glob("*_lv.csv")):
         transitions_path = levels_path.with_name(levels_path.name.replace("_lv", "_tr"))
@@ -162,8 +150,9 @@ def fixture_schemes():
         raws = [RawDataset(key, path.read_text(encoding="utf-8"), "cache")
                 for key, path in ((DatasetKey.levels(nuclide), levels_path),
                                   (DatasetKey.transitions(nuclide), transitions_path))]
+        table = test_parse_equivalence.parse_level_scheme(*raws)[0].transitions
         schemes.append((levels_path.name, parse_level_scheme(*raws)[0],
-                        test_parse_equivalence.parse_level_scheme(*raws)[0].transitions))
+                        [(t.start_level, t.end_level) for t in table]))
     return schemes
 
 

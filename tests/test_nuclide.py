@@ -28,7 +28,7 @@ from nuclibgen.nuclide import (
     format_nuclide_id,
     parse_nuclide_id,
 )
-from nuclibgen.records import DaughterFeed, DecayRecord, LevelRecord, TransitionRecord
+from nuclibgen.records import DaughterFeed, DecayRecord, LevelRecord
 
 
 def test_parse_canonical_ground_forms():
@@ -71,6 +71,12 @@ def test_parse_errors():
         parse_nuclide_id("u-238-m")
     with pytest.raises(MalformedId):
         parse_nuclide_id("99tc@1e999kev")  # infinite level energy
+    with pytest.raises(MalformedId, match="bad level suffix"):
+        parse_nuclide_id("238u@xyz")
+    with pytest.raises(MalformedId, match="unrecognized nuclide identifier"):
+        parse_nuclide_id("u-")
+    with pytest.raises(MalformedId, match="conflicting level specifications"):
+        parse_nuclide_id("pa-234m@m2")
     with pytest.raises(MassOutOfRange):
         parse_nuclide_id("u999")
     with pytest.raises(MassOutOfRange):
@@ -164,8 +170,6 @@ VALUE_TYPES = {
         "branching_percent", "half_life", "start_level", "end_level", "flags",
     ),
     LevelRecord: ("nuclide", "energy", "jpi", "half_life", "decay_modes"),
-    TransitionRecord: (
-        "nuclide", "start_level", "end_level", "gamma_energy", "intensity_percent"),
     DaughterFeed: ("daughter", "feeding_levels", "branching_percent"),
     ChainMember: ("nuclide", "node", "level_kev", "half_life_s", "unvalidated"),
 }
@@ -178,7 +182,6 @@ DEFAULTS = {
     DecayRecord: {"half_life": None, "start_level": None, "end_level": None,
                   "flags": frozenset()},
     LevelRecord: {"jpi": None, "half_life": None, "decay_modes": ()},
-    TransitionRecord: {"intensity_percent": None},
     DaughterFeed: {},
     ChainMember: {"half_life_s": None, "unvalidated": False},
 }
@@ -193,8 +196,6 @@ SAMPLES = [
     DecayRecord(U238, EnergyValue(0.0), RadiationType.ALPHA, EnergyValue(4198.0), 79.0,
                 0.0, Nuclide("Th", 234), EnergyValue(0.0), DecayMode.ALPHA, 100.0),
     LevelRecord(U238, EnergyValue(0.0), "0+", HalfLife(1.4e17)),
-    TransitionRecord(Nuclide("Th", 234), EnergyValue(49.55), EnergyValue(0.0),
-                     EnergyValue(49.55)),
     DaughterFeed(Nuclide("Th", 234), (EnergyValue(49.55), EnergyValue(0.0)), 100.0),
     ChainMember(U238, U238, 0.0, 1.4e17),
 ]

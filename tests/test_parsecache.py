@@ -248,10 +248,11 @@ def _entries(source, nuclide):
 def _queries(scheme):
     """Energies to ask find_level: each level's, each shifted by 0.4 and by
     0.9 keV, and one above the top level."""
-    queries = [EnergyValue(max(node.kev for node in scheme.nodes) + 100.0)]
-    for node in scheme.nodes:
-        queries += [node, EnergyValue(node.kev + 0.4, node.uncertainty_kev),
-                    EnergyValue(node.kev + 0.9)]
+    energies = [record.energy for record in scheme.levels]
+    queries = [EnergyValue(max(energy.kev for energy in energies) + 100.0)]
+    for energy in energies:
+        queries += [energy, EnergyValue(energy.kev + 0.4, energy.uncertainty_kev),
+                    EnergyValue(energy.kev + 0.9)]
     return queries
 
 
@@ -286,13 +287,11 @@ def test_every_stored_entry_of_the_corpus_loads_equal_to_a_fresh_parse(tmp_path)
                 continue
             assert scheme.nuclide == fresh.nuclide
             assert scheme.levels == fresh.levels, nuclide
-            assert scheme.nodes == fresh.nodes, nuclide
             assert scheme.edges == fresh.edges, nuclide
             assert scheme.isomers == fresh.isomers, nuclide
             for query in _queries(fresh):
                 assert scheme.find_level(query) == fresh.find_level(query), (nuclide, query)
-            assert set(scheme.__getstate__()) == {"nuclide", "levels", "isomers", "nodes",
-                                                  "edges"}
+            assert set(scheme.__getstate__()) == {"nuclide", "levels", "isomers", "edges"}
         assert store.stats.parses_loaded == len(names)
 
 

@@ -56,7 +56,6 @@ from nuclibgen.records import (
     _TRANSITION_COLUMNS,
     LevelRecord,
     LevelScheme,
-    TransitionRecord,
     parse_decay_records,
     parse_level_scheme,
 )
@@ -72,9 +71,11 @@ from conftest import (
     dr_body,
     dr_row,
     lv_body,
+    parse_scheme,
     prime_cache,
     simple_chain_source,
     tr_body,
+    tree_edges,
 )
 
 # --- identifier round-trip -----------------------------------------------------
@@ -743,19 +744,9 @@ def schemes_with_starts(draw):
     levels = [0.0]
     for gap in gaps:
         levels.append(round(levels[-1] + gap, 3))
-    records = [LevelRecord(nuclide=n, energy=EnergyValue(kev)) for kev in levels]
     pairs = [(i, j) for i in range(len(levels)) for j in range(i)]
     chosen = draw(st.lists(st.sampled_from(pairs), max_size=18, unique=True))
-    transitions = [
-        TransitionRecord(
-            nuclide=n,
-            start_level=EnergyValue(levels[i]),
-            end_level=EnergyValue(levels[j]),
-            gamma_energy=EnergyValue(round(levels[i] - levels[j], 3)),
-        )
-        for i, j in chosen
-    ]
-    scheme = LevelScheme(nuclide=n, levels=records, transitions=transitions)
+    scheme = parse_scheme(n, levels, [(levels[i], levels[j]) for i, j in chosen])
     starts = draw(st.lists(st.sampled_from(levels), min_size=1, max_size=4,
                            unique=True))
     extra = draw(st.lists(st.sampled_from(levels), max_size=3, unique=True))
@@ -793,7 +784,8 @@ def scan_find_level(scheme, energy):
 
 def scan_cascade_visit(start_levels, scheme, transitions, warnings):
     """Linear-scan reference for cascade_visit over the ``transitions`` the
-    scheme was built from."""
+    scheme was linked from: (start, end) energy pairs whose start and end
+    both match a level."""
     visited, frontier = [], []
     for start in start_levels:
         record = scan_find_level(scheme, start)
@@ -809,11 +801,10 @@ def scan_cascade_visit(start_levels, scheme, transitions, warnings):
     seen = {e.kev for e in visited}
     while frontier:
         current = frontier.pop()
-        for transition in transitions:
-            if not energies_match(transition.start_level, current):
+        for start, end in transitions:
+            if not energies_match(start, current):
                 continue
-            record = scan_find_level(scheme, transition.end_level)
-            end = record.energy if record is not None else transition.end_level
+            end = scan_find_level(scheme, end).energy
             if end.kev not in seen:
                 seen.add(end.kev)
                 visited.append(end)
@@ -828,10 +819,11 @@ def scan_cascade_visit(start_levels, scheme, transitions, warnings):
 @st.composite
 def crowded_schemes(draw):
     """Unsorted level schemes whose levels sit 0.5 keV apart with nonzero
-    uncertainties, the transitions each was built from, and queries on a
-    0.25 keV grid (midpoints give
-    equal-distance ties). The offset puts some schemes at large energies,
-    where kev +- tolerance rounds."""
+    uncertainties, the transitions each was linked from, and queries on a
+    0.25 keV grid (midpoints give equal-distance ties). Of random (start,
+    end) pairs, only those the level parser keeps, downward with both ends
+    matching a level, are linked. The offset puts some schemes at large
+    energies, where kev +- tolerance rounds."""
     offset = draw(st.sampled_from([0.0, 1000.1, 98765.4321]))
 
     def energy(step):
@@ -844,14 +836,17 @@ def crowded_schemes(draw):
         LevelRecord(nuclide=n, energy=e)
         for e in draw(st.lists(energy(0.5), min_size=1, max_size=12))
     ]
+    scheme = LevelScheme(nuclide=n, levels=levels)
     transitions = [
-        TransitionRecord(nuclide=n, start_level=start, end_level=end,
-                         gamma_energy=EnergyValue(abs(start.kev - end.kev)))
-        for start, end in draw(
-            st.lists(st.tuples(energy(0.25), energy(0.25)), max_size=15))
+        (start, end)
+        for start, end in draw(st.lists(st.tuples(energy(0.25), energy(0.25)), max_size=15))
+        if start.kev > end.kev and scan_find_level(scheme, start) is not None
+        and scan_find_level(scheme, end) is not None
     ]
+    for start, end in transitions:
+        scheme._link(start, end)
     queries = draw(st.lists(energy(0.25), min_size=1, max_size=10))
-    return LevelScheme(nuclide=n, levels=levels, transitions=transitions), transitions, queries
+    return scheme, transitions, queries
 
 
 @given(crowded_schemes())
@@ -1183,7 +1178,7 @@ def test_traversal_terminates_and_visits_once(graph):
     visited = [str(n) for n in build.order]
     assert len(visited) == len(set(visited))
     assert len(visited) <= len(links) + len(stable)
-    edges = [(str(p), str(d)) for p, d in build.tree.edges()]
+    edges = tree_edges(build.tree)
     assert len(edges) == len(set(edges))
     oracle_edges = {(p, d) for p, lst in links.items() for d, _ in lst}
     reachable_edges = {(p, d) for (p, d) in oracle_edges if p in visited}

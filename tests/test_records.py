@@ -113,10 +113,10 @@ def test_tc99_level_scheme_from_fixture(primed_store):
     with pytest.raises(AttributeError):
         scheme.transitions  # the table is linked, not kept
     # transitions link levels strictly downward
-    assert any(scheme.edges) and len(scheme.nodes) == len(scheme.levels)
+    assert any(scheme.edges) and len(scheme.edges) == len(scheme.levels)
     for start, ends in enumerate(scheme.edges):
         for end in ends:
-            assert scheme.nodes[start].kev > scheme.nodes[end].kev
+            assert scheme.levels[start].energy.kev > scheme.levels[end].energy.kev
 
 
 def test_unresolvable_transition_excluded_with_warning():
