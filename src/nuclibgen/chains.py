@@ -17,14 +17,18 @@ absent/empty is terminal (stable); a build that would visit more than
 VISITED_CAP nuclides raises DepthExceeded. A daughter's datasets are
 prefetched as soon as it is scheduled, the next one to visit first, so the
 source can fetch the whole frontier while visits stay sequential in discovery
-order. Nodes are settled after traversal, once every parent's feeding is
-known. A static is a one-level build through the same walk: its own nuclide in
-full, only the level schemes of its daughters (all that gamma feasibility
-gating needs), and their warnings, as a one-level chain reports them. `assemble_subset` prefetches every
-progenitor and static up front and merges one build after another; a later
-build re-settles a shared node only when it feeds it a new level or brings the
-full parse of a static's scheme-only daughter. A static resolves to the member
-at its level, the same member a chain reaching that level would produce.
+order. The lineage tree grows as daughters are scheduled: a daughter's subtree
+hangs under the parent that schedules it, a leaf marks it under every later
+parent, and each node's children are sorted once its feeds are all read.
+Nodes are settled after traversal, once every parent's feeding is known. A
+static is a one-level build through the same walk: its own nuclide in full,
+only the level schemes of its daughters (all that gamma feasibility gating
+needs), and their warnings, as a one-level chain reports them.
+`assemble_subset` prefetches every progenitor and static up front and merges
+one build after another; a later build re-settles a shared node only when it
+feeds it a new level or brings the full parse of a static's scheme-only
+daughter. A static resolves to the member at its level, the same member a
+chain reaching that level would produce.
 
 What a visit parses depends only on the nuclide, never on who reached it, so
 a run keeps one `ParseMemo`: each ground-state nuclide's decay records, level
@@ -427,23 +431,24 @@ def build_progeny(
 
 def _walk(progenitor: Nuclide, source: DatasetSource, memo: ParseMemo | None,
           static: bool) -> ChainBuild:
-    """The walk behind `build_progeny`. A static walk visits the root alone
-    in full and reads only its daughters' level schemes: a scheme-only node
-    has no daughters, so the walk stops one level down."""
+    """The walk behind `build_progeny`; it builds the lineage tree as it
+    schedules daughters. A static walk visits the root alone in full and reads
+    only its daughters' level schemes: a scheme-only node has no daughters, so
+    the walk stops one level down."""
     memo = {} if memo is None else memo
     warnings: list[str] = []
+    members: list[Nuclide] = []
     parsed = reused = 0
     root = progenitor.ground_state
-    nodes: dict[Nuclide, NodeData] = {}
+    nodes = {root: NodeData(nuclide=root)}  # every nuclide scheduled so far
     order: list[Nuclide] = []
-    edges: list[tuple[Nuclide, Nuclide, float]] = []
-    discoverer: dict[Nuclide, Nuclide] = {}
+    tree = LineageTree(root)
 
-    stack = [root]
-    scheduled = {root}
+    stack = [tree]
     while stack:
-        current = stack.pop()
-        node = nodes.setdefault(current, NodeData(nuclide=current))
+        current_tree = stack.pop()
+        current = current_tree.root
+        node = nodes[current]
         if static and current != root:
             node.parsed = _visit_scheme(current, source, memo)
             node.warnings.extend(node.parsed.warnings)
@@ -457,16 +462,18 @@ def _walk(progenitor: Nuclide, source: DatasetSource, memo: ParseMemo | None,
 
         fresh = []
         for feed in node.daughters:
-            edges.append((current, feed.daughter, feed.branching_percent))
-            child = nodes.setdefault(feed.daughter, NodeData(nuclide=feed.daughter))
+            child = nodes.get(feed.daughter)
+            child_tree = LineageTree(feed.daughter, expanded=child is None)
+            if child is None:
+                child = nodes[feed.daughter] = NodeData(nuclide=feed.daughter)
+                fresh.append(child_tree)
             child.add_inherited(feed.feeding_levels)
-            if feed.daughter not in scheduled:
-                scheduled.add(feed.daughter)
-                discoverer[feed.daughter] = current
-                fresh.append(feed.daughter)
+            current_tree.children.append((feed.branching_percent, child_tree))
+        current_tree.children.sort(key=lambda item: (
+            -item[0], item[1].root.mass_number, item[1].root.element))
         # fresh[0] is visited next, so its datasets are queued first.
         _prefetch(source, [key for daughter in fresh
-                           for key in _unread_keys(daughter, memo, full=not static)])
+                           for key in _unread_keys(daughter.root, memo, full=not static)])
         stack.extend(reversed(fresh))
 
     # Progenitor levels are designated by the user; omission means ground.
@@ -474,47 +481,19 @@ def _walk(progenitor: Nuclide, source: DatasetSource, memo: ParseMemo | None,
     root_node.add_inherited((resolve_level_spec(progenitor.level, root_node.scheme),))
 
     for visited in order:
-        _settle(nodes[visited])
-        warnings.extend(nodes[visited].warnings)
-
-    members: list[Nuclide] = []
-    for visited in order:
-        members.extend(m.nuclide for m in nodes[visited].members)
+        node = nodes[visited]
+        _settle(node)
+        warnings.extend(node.warnings)
+        members.extend(m.nuclide for m in node.members)
 
     # The progenitor heads its chain; a stable one heads an otherwise empty chain.
     if not root_node.records or (members and members[0].ground_state != root):
         members.insert(0, progenitor)
 
-    tree = _build_tree(root, edges, discoverer)
     chain = DecayChain(progenitor=members[0] if members else progenitor,
                        members=members)
     return ChainBuild(chain=chain, tree=tree, nodes=nodes, order=order,
                       warnings=warnings, nuclides_parsed=parsed, nuclides_reused=reused)
-
-
-def _build_tree(
-    root: Nuclide,
-    edges: list[tuple[Nuclide, Nuclide, float]],
-    discoverer: dict[Nuclide, Nuclide],
-) -> LineageTree:
-    children: dict[Nuclide, list[tuple[float, Nuclide]]] = {}
-    for parent, daughter, branching in edges:
-        children.setdefault(parent, []).append((branching, daughter))
-
-    def make(nuclide: Nuclide, expand: bool) -> LineageTree:
-        tree = LineageTree(root=nuclide, expanded=expand)
-        if not expand:
-            return tree
-        ordered = sorted(
-            children.get(nuclide, ()),
-            key=lambda item: (-item[0], item[1].mass_number, item[1].element),
-        )
-        for branching, daughter in ordered:
-            subtree = make(daughter, discoverer.get(daughter) == nuclide)
-            tree.children.append((branching, subtree))
-        return tree
-
-    return make(root, True)
 
 
 def render_lineage(tree: LineageTree) -> str:
@@ -623,14 +602,9 @@ def assemble_subset(
             trees.append(build.tree)
 
     excluded = set(exclusions)
-    members: list[Nuclide] = []
-    for chain in chains:
-        for member in chain.members:
-            if member not in excluded and member not in members:
-                members.append(member)
-    for static in resolved_statics:
-        if static not in excluded and static not in members:
-            members.append(static)
+    members = [member for member in dict.fromkeys(
+        [m for chain in chains for m in chain.members] + resolved_statics)
+        if member not in excluded]
 
     if not members:
         raise EmptySubset("radionuclide subset resolved to no members")

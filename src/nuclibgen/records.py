@@ -28,15 +28,17 @@ reader rejects (a lone carriage return in an unquoted cell, a field longer
 than the reader's limit), raises HeaderMismatch. A row is skipped with a
 warning that names its dataset key (``225ac:lv line 16: ...``) and line when
 one of its cells is bad: a number that does not parse, is non-finite or is out
-of range; an unknown element symbol or a mass number outside 1..300; an
+of range (no energy, intensity, uncertainty, percentage or half-life is
+negative); an unknown element symbol or a mass number outside 1..300; an
 unknown decay code in a decay row; or a required cell the row is too short to
 have. Lines are numbered from the header, line 1; blank rows are skipped and
 take no number. Header names are stripped; of a column named twice, the last
 wins. Cells beyond the header are ignored, and an optional cell that is
-absent, short or blank reads as empty. In a level row an unknown decay code
-drops only that mode. A transition row of another nuclide raises
-NuclideMismatch; an upward or unresolvable transition is excluded with a
-warning.
+absent, short or blank reads as empty. A decay row's decay code and end level
+are checked but not kept, and a level row's ``jp`` is not read: nothing uses
+them. In a level row an unknown decay code drops only that mode. A transition
+row of another nuclide raises NuclideMismatch; an upward or unresolvable
+transition is excluded with a warning.
 
 A LevelScheme keeps its levels and their cascade graph, not the transition
 table: the level parser is the only code that adds edges, linking each
@@ -95,11 +97,9 @@ class DecayRecord(NamedTuple):
     intensity_unc: float
     daughter: Nuclide
     daughter_feeding_level: EnergyValue | None
-    decay_mode: DecayMode
     branching_percent: float
     half_life: HalfLife | None = None
     start_level: EnergyValue | None = None
-    end_level: EnergyValue | None = None
     flags: frozenset[str] = frozenset()
 
 
@@ -108,7 +108,6 @@ class LevelRecord(NamedTuple):
 
     nuclide: Nuclide
     energy: EnergyValue
-    jpi: str | None = None
     half_life: HalfLife | None = None
     decay_modes: tuple[tuple[DecayMode, float], ...] = ()
 
@@ -264,6 +263,13 @@ def _decay_mode(code: str | None) -> DecayMode:
     return DecayMode.from_code(code)
 
 
+def _nonnegative(value: float | None) -> float | None:
+    """``value``, which must not be negative when present."""
+    if value is not None and value < 0:
+        raise ValueError(f"negative value {value:g}")
+    return value
+
+
 def _half_life(cells: tuple[str | None, str | None]) -> HalfLife | None:
     """The half-life of an optional (seconds, uncertainty) cell pair."""
     seconds = _opt_float(cells[0])
@@ -309,11 +315,11 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             daughter = daughters[d_symbol, d_a]
             energy = EnergyValue(_float(energy), _opt_float(unc_en) or 0.0)
             parent_level = parent_levels[p_energy, unc_pe]
-            mode = modes[decay]
-            branching = _float(decay_pct)
+            modes[decay]  # an unknown decay code skips the row
+            branching = _nonnegative(_float(decay_pct))
 
-            intensity = _opt_float(intensity)
-            intensity_unc = _opt_float(unc_i)
+            intensity = _nonnegative(_opt_float(intensity))
+            intensity_unc = _nonnegative(_opt_float(unc_i))
             if intensity is None:
                 flags = _FLAGS_NO_INTENSITY
             elif intensity_unc is None:
@@ -323,10 +329,10 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
 
             half_life = half_lives[hl_s, unc_hls]
             floats[fed], floats[start], floats[end]  # a bad number before a negative one
-            fed, start, end = levels[fed], levels[start], levels[end]
+            fed, start, _ = levels[fed], levels[start], levels[end]  # end: checked only
             records.append(DecayRecord(
                 parent, parent_level, rad, energy, intensity, intensity_unc or 0.0,
-                daughter, fed, mode, branching, half_life, start, end, flags,
+                daughter, fed, branching, half_life, start, flags,
             ))
         except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{raw.key.serialize()} line {lineno}: {exc}")
@@ -335,7 +341,7 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
 
 _LEVEL_CELLS = (
     "symbol", "a", "energy", "unc_e", "half_life_sec", "unc_hls",
-    "decay_1_%", "decay_2_%", "decay_3_%", "decay_1", "decay_2", "decay_3", "jp",
+    "decay_1_%", "decay_2_%", "decay_3_%", "decay_1", "decay_2", "decay_3",
 )
 
 
@@ -343,7 +349,7 @@ def _parse_level_row(
     cells: tuple, key: str, lineno: int, warnings: list[str], nuclides: PerValue
 ) -> LevelRecord | None:
     (symbol, a, energy, unc_e, hl_text, unc_hls,
-     pct_1, pct_2, pct_3, code_1, code_2, code_3, jp) = cells
+     pct_1, pct_2, pct_3, code_1, code_2, code_3) = cells
     try:
         nuclide = nuclides[symbol, a]
         energy = EnergyValue(_float(energy), _opt_float(unc_e) or 0.0)
@@ -354,7 +360,7 @@ def _parse_level_row(
             half_life = HalfLife(_float(hl_text), _opt_float(unc_hls) or 0.0)
         else:
             half_life = None
-        percents = (_opt_float(pct_1), _opt_float(pct_2), _opt_float(pct_3))
+        percents = [_nonnegative(_opt_float(pct)) for pct in (pct_1, pct_2, pct_3)]
     except (ValueError, TypeError, MalformedId) as exc:
         warnings.append(f"{key} line {lineno}: {exc}")
         return None
@@ -372,7 +378,7 @@ def _parse_level_row(
             continue
         modes.append((mode, pct if pct is not None else 0.0))
 
-    return LevelRecord(nuclide, energy, (jp or "").strip() or None, half_life, tuple(modes))
+    return LevelRecord(nuclide, energy, half_life, tuple(modes))
 
 
 _TRANSITION_CELLS = (
@@ -461,7 +467,7 @@ def parse_level_scheme(
             end = energies[end, unc_el]
             # The gamma and intensity cells are checked, not kept.
             EnergyValue(_float(gamma), _opt_float(unc_en) or 0.0)
-            _opt_float(intensity)
+            _nonnegative(_opt_float(intensity))
         except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{t_key} line {lineno}: {exc}")
             continue

@@ -16,7 +16,6 @@ from nuclibgen.elements import SYMBOLS
 from nuclibgen.errors import MalformedId, MassOutOfRange, UnknownElement
 from nuclibgen.nuclide import (
     MAX_MASS_NUMBER,
-    DecayMode,
     EnergyValue,
     HalfLife,
     LevelSpec,
@@ -166,10 +165,10 @@ VALUE_TYPES = {
     DatasetKey: ("nuclide", "kindcode"),
     DecayRecord: (
         "parent", "parent_level", "radiation", "energy", "intensity_percent",
-        "intensity_unc", "daughter", "daughter_feeding_level", "decay_mode",
-        "branching_percent", "half_life", "start_level", "end_level", "flags",
+        "intensity_unc", "daughter", "daughter_feeding_level",
+        "branching_percent", "half_life", "start_level", "flags",
     ),
-    LevelRecord: ("nuclide", "energy", "jpi", "half_life", "decay_modes"),
+    LevelRecord: ("nuclide", "energy", "half_life", "decay_modes"),
     DaughterFeed: ("daughter", "feeding_levels", "branching_percent"),
     ChainMember: ("nuclide", "node", "level_kev", "half_life_s", "unvalidated"),
 }
@@ -179,9 +178,8 @@ DEFAULTS = {
     EnergyValue: {"uncertainty_kev": 0.0},
     HalfLife: {"seconds": None, "uncertainty_seconds": 0.0},
     DatasetKey: {},
-    DecayRecord: {"half_life": None, "start_level": None, "end_level": None,
-                  "flags": frozenset()},
-    LevelRecord: {"jpi": None, "half_life": None, "decay_modes": ()},
+    DecayRecord: {"half_life": None, "start_level": None, "flags": frozenset()},
+    LevelRecord: {"half_life": None, "decay_modes": ()},
     DaughterFeed: {},
     ChainMember: {"half_life_s": None, "unvalidated": False},
 }
@@ -194,8 +192,8 @@ SAMPLES = [
     HalfLife(24.1 * 86400, 0.03 * 86400),
     DatasetKey.levels(U238),
     DecayRecord(U238, EnergyValue(0.0), RadiationType.ALPHA, EnergyValue(4198.0), 79.0,
-                0.0, Nuclide("Th", 234), EnergyValue(0.0), DecayMode.ALPHA, 100.0),
-    LevelRecord(U238, EnergyValue(0.0), "0+", HalfLife(1.4e17)),
+                0.0, Nuclide("Th", 234), EnergyValue(0.0), 100.0),
+    LevelRecord(U238, EnergyValue(0.0), HalfLife(1.4e17)),
     DaughterFeed(Nuclide("Th", 234), (EnergyValue(49.55), EnergyValue(0.0)), 100.0),
     ChainMember(U238, U238, 0.0, 1.4e17),
 ]

@@ -11,7 +11,11 @@ nuclide, levels, isomers and cascade graph: every scheme the new parser builds
 must carry the graph a linear scan links from the transitions the old parser
 kept. The old parsers build a `TableScheme`, which keeps its transition table,
 unlinked, as the LevelScheme of their time did, in the `TransitionRecord`s of
-their time; that is their one change.
+their time. Their other changes follow the new parsers' rules: a negative
+intensity, intensity uncertainty or decay percentage (`_nonnegative`) skips
+its row, and the records no longer hold a decay row's decay mode and end level
+or a level row's spin-parity, though the decay code and end level are still
+read and checked.
 """
 
 import csv
@@ -87,6 +91,13 @@ def _float(text: str) -> float:
     return value
 
 
+def _nonnegative(value: float | None) -> float | None:
+    """``value``, which must not be negative when present."""
+    if value is not None and value < 0:
+        raise ValueError(f"negative value {value:g}")
+    return value
+
+
 def _opt_float(row: dict, col: str) -> float | None:
     text = (row.get(col) or "").strip()
     if not text:
@@ -116,14 +127,14 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             parent_level = EnergyValue(
                 _float(row["p_energy"]), _opt_float(row, "unc_pe") or 0.0
             )
-            mode = DecayMode.from_code(row["decay"])
-            branching = _float(row["decay_%"])
+            DecayMode.from_code(row["decay"])
+            branching = _nonnegative(_float(row["decay_%"]))
 
             flags = set()
-            intensity = _opt_float(row, "intensity")
+            intensity = _nonnegative(_opt_float(row, "intensity"))
             if intensity is None:
                 flags.add(FLAG_NO_INTENSITY)
-            intensity_unc = _opt_float(row, "unc_i")
+            intensity_unc = _nonnegative(_opt_float(row, "unc_i"))
             if intensity is not None and intensity_unc is None:
                 flags.add(FLAG_NO_UNCERTAINTY)
 
@@ -135,6 +146,7 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             fed = _opt_float(row, "daughter_level_energy")
             start = _opt_float(row, "start_level_energy")
             end = _opt_float(row, "end_level_energy")
+            fed, start, end = (None if e is None else EnergyValue(e) for e in (fed, start, end))
             records.append(
                 DecayRecord(
                     parent=parent,
@@ -144,12 +156,10 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
                     intensity_percent=intensity,
                     intensity_unc=intensity_unc or 0.0,
                     daughter=daughter,
-                    daughter_feeding_level=None if fed is None else EnergyValue(fed),
-                    decay_mode=mode,
+                    daughter_feeding_level=fed,
                     branching_percent=branching,
                     half_life=half_life,
-                    start_level=None if start is None else EnergyValue(start),
-                    end_level=None if end is None else EnergyValue(end),
+                    start_level=start,
                     flags=frozenset(flags),
                 )
             )
@@ -169,7 +179,7 @@ def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord
             half_life = HalfLife(_float(hl_text), _opt_float(row, "unc_hls") or 0.0)
         else:
             half_life = None
-        percents = [_opt_float(row, f"decay_{i}_%") for i in (1, 2, 3)]
+        percents = [_nonnegative(_opt_float(row, f"decay_{i}_%")) for i in (1, 2, 3)]
     except (ValueError, KeyError, TypeError) as exc:
         warnings.append(f"levels line {lineno}: {exc}")
         return None
@@ -190,7 +200,6 @@ def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord
     return LevelRecord(
         nuclide=nuclide,
         energy=energy,
-        jpi=(row.get("jp") or "").strip() or None,
         half_life=half_life,
         decay_modes=tuple(modes),
     )
@@ -272,7 +281,7 @@ def parse_level_scheme(
                 _float(row["end_level_energy"]), _opt_float(row, "unc_el") or 0.0
             )
             gamma = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_en") or 0.0)
-            intensity = _opt_float(row, "intensity")
+            intensity = _nonnegative(_opt_float(row, "intensity"))
         except (ValueError, KeyError, TypeError) as exc:
             warnings.append(f"{transitions_raw.key.serialize()} line {lineno}: {exc}")
             continue

@@ -16,7 +16,14 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import nuclibgen.chains as chains_mod
-from nuclibgen.chains import ChainMember, _member_identity, assemble_subset, build_progeny
+from nuclibgen.chains import (
+    ChainMember,
+    LineageTree,
+    _member_identity,
+    assemble_subset,
+    build_progeny,
+    render_lineage,
+)
 from nuclibgen.cli import main
 from nuclibgen.config import load_config
 from nuclibgen.dataaccess import AbsenceRegistry, DatasetKey, RawDataset
@@ -138,6 +145,18 @@ def test_subset_equals_set_identity(primed_store, corpus_dir, roots, statics,
     oracle |= set(statics)
     oracle -= set(exclusions)
     assert engine == oracle
+
+    # No duplicates; the chains' members come first, in chain order and, within
+    # a chain, in discovery order; the statics follow.
+    excluded = {parse_nuclide_id(e) for e in exclusions}
+    from_chains = []
+    for chain in subset.recursive_chains:
+        for member in chain.members:
+            if member not in excluded and member not in from_chains:
+                from_chains.append(member)
+    assert len(subset.members) == len(set(subset.members))
+    assert subset.members[:len(from_chains)] == from_chains
+    assert {str(m.ground_state) for m in subset.members[len(from_chains):]} <= set(statics)
 
 
 # --- the run's settle table --------------------------------------------------------
@@ -980,6 +999,8 @@ def test_qualify_matches_linear_scan(case):
 # --- non-finite values in a dataset row become parse warnings --------------------
 
 NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
+# A negative number is out of range in every numeric cell these tests vary.
+BAD_NUMBER = st.one_of(NON_FINITE, st.just("-1"))
 
 
 @given(
@@ -988,7 +1009,7 @@ NON_FINITE = st.sampled_from(["nan", "NaN", "inf", "-inf", "Infinity"])
         "daughter_level_energy", "start_level_energy", "end_level_energy",
         "intensity", "unc_i", "decay_%",
     ]),
-    value=NON_FINITE,
+    value=BAD_NUMBER,
 )
 def test_non_finite_decay_row_is_a_warning(column, value):
     key = DatasetKey.decay_rads(Nuclide("U", 238), RadiationType.GAMMA)
@@ -1001,7 +1022,7 @@ def test_non_finite_decay_row_is_a_warning(column, value):
 
 @given(
     column=st.sampled_from(["energy", "unc_e", "half_life_sec", "unc_hls", "decay_1_%"]),
-    value=NON_FINITE,
+    value=BAD_NUMBER,
 )
 def test_non_finite_level_row_is_a_warning(column, value):
     good = {"symbol": "Tc", "a": 99, "energy": 142.6836, "unc_e": 0.1,
@@ -1019,7 +1040,7 @@ def test_non_finite_level_row_is_a_warning(column, value):
         "start_level_energy", "unc_sl", "end_level_energy", "unc_el",
         "energy", "unc_en", "intensity",
     ]),
-    value=st.one_of(NON_FINITE, st.just("abc")),
+    value=st.one_of(BAD_NUMBER, st.just("abc")),
 )
 def test_bad_transition_row_is_a_warning(column, value):
     nuclide = Nuclide("Tc", 99)
@@ -1169,6 +1190,38 @@ def decay_graphs(draw):
     return ids[0], links, stable
 
 
+def reference_tree(build):
+    """The lineage tree of a build as a post-pass builder made it: from the
+    walk's edge list, in visit and feed order, and each daughter's discoverer,
+    the first visited parent that lists it (the root has none)."""
+    root = build.order[0]
+    edges, discoverer = [], {}
+    for parent in build.order:
+        for feed in build.nodes[parent].daughters:
+            edges.append((parent, feed.daughter, feed.branching_percent))
+            if feed.daughter != root:
+                discoverer.setdefault(feed.daughter, parent)
+
+    children = {}
+    for parent, daughter, branching in edges:
+        children.setdefault(parent, []).append((branching, daughter))
+
+    def make(nuclide, expand):
+        tree = LineageTree(root=nuclide, expanded=expand)
+        if not expand:
+            return tree
+        ordered = sorted(
+            children.get(nuclide, ()),
+            key=lambda item: (-item[0], item[1].mass_number, item[1].element),
+        )
+        for branching, daughter in ordered:
+            subtree = make(daughter, discoverer.get(daughter) == nuclide)
+            tree.children.append((branching, subtree))
+        return tree
+
+    return make(root, True)
+
+
 @settings(max_examples=40, deadline=None)
 @given(decay_graphs())
 def test_traversal_terminates_and_visits_once(graph):
@@ -1183,6 +1236,30 @@ def test_traversal_terminates_and_visits_once(graph):
     oracle_edges = {(p, d) for p, lst in links.items() for d, _ in lst}
     reachable_edges = {(p, d) for (p, d) in oracle_edges if p in visited}
     assert set(edges) == reachable_edges
+
+    # Each visited non-root nuclide is expanded exactly once, under the first
+    # visited parent that lists it; children are in (-branching, A, element)
+    # order, and an unexpanded leaf has none.
+    first_parent = {}
+    for parent in build.order:
+        for feed in build.nodes[parent].daughters:
+            first_parent.setdefault(feed.daughter, parent)
+    expanded, stack = [], [build.tree]
+    while stack:
+        node = stack.pop()
+        keys = [(-pct, child.root.mass_number, child.root.element)
+                for pct, child in node.children]
+        assert keys == sorted(keys)
+        assert node.expanded or not node.children
+        for _, child in node.children:
+            if child.expanded:
+                expanded.append((node.root, child.root))
+            stack.append(child)
+    assert sorted(str(d) for _, d in expanded) == sorted(visited[1:])
+    assert all(first_parent[d] == p for p, d in expanded)
+    reference = reference_tree(build)
+    assert build.tree == reference
+    assert render_lineage(build.tree) == render_lineage(reference)
 
 
 def test_visit_cap_enforced_on_long_chain(monkeypatch):

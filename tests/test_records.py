@@ -34,7 +34,8 @@ def test_k40_gamma_row_from_fixture(primed_store):
     line = next(r for r in records if abs(r.energy.kev - 1460.82) < 0.01)
     assert line.intensity_percent == pytest.approx(10.66)
     assert line.daughter == Nuclide("Ar", 40)
-    assert line.decay_mode is DecayMode.BETA_PLUS_EC
+    assert line.branching_percent == pytest.approx(10.72)
+    assert line.start_level.kev == pytest.approx(1460.822)
 
 
 def test_pa234m_gamma_row_from_fixture(primed_store):
@@ -109,7 +110,8 @@ def test_tc99_level_scheme_from_fixture(primed_store):
     modes = {mode for mode, _pct in isomer.decay_modes}
     assert modes == {DecayMode.IT, DecayMode.BETA_MINUS}
     medical = scheme.find_level(EnergyValue(140.511))
-    assert medical is not None and medical.jpi == "7/2+"
+    assert medical is not None and medical.half_life.seconds == pytest.approx(1.9e-10)
+    assert not medical.is_isomer  # below ISOMER_THRESHOLD_S
     with pytest.raises(AttributeError):
         scheme.transitions  # the table is linked, not kept
     # transitions link levels strictly downward

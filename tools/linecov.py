@@ -2,14 +2,19 @@
 
     python tools/linecov.py [--diff REV] [--] [pytest arguments]
 
-Runs pytest in this process (by default ``-q -p no:cacheprovider tests``)
-under ``sys.settrace`` and ``threading.settrace``, and prints, for each module
-of the package, its executable lines and the line numbers that never ran. A
-line is executable when a code object compiled from the module lists it in its
-line table. Tracing starts before pytest imports the package, so module-level
-lines count too. Code run in a subprocess is not seen. With ``--diff REV``
-only the lines added since the git revision REV are reported. The exit status
-is pytest's, or 1 when it passed but a reported line never ran.
+Runs pytest in this process (by default ``-q -p no:cacheprovider
+--hypothesis-seed=0 tests``) under ``sys.settrace`` and ``threading.settrace``,
+and prints, for each module of the package, its executable lines and the line
+numbers that never ran. A line is executable when a code object compiled from
+the module lists it in its line table. Tracing starts before pytest imports
+the package, so module-level lines count too. Code run in a subprocess is not
+seen. With ``--diff REV`` only the lines added since the git revision REV are
+reported. The exit status is pytest's, or 1 when it passed but a reported line
+never ran.
+
+The default arguments fix the hypothesis seed, so every run draws the same
+examples and gives the same report: a line that only some draws reach would
+otherwise count as run in some runs and not in others.
 
 Tracing slows the run several times over.
 """
@@ -99,7 +104,7 @@ def main() -> int:
     sys.settrace(tracer)
     try:
         status = pytest.main(args.pytest_args or ["-q", "-p", "no:cacheprovider",
-                                                  str(ROOT / "tests")])
+                                                  "--hypothesis-seed=0", str(ROOT / "tests")])
     finally:
         sys.settrace(None)
         threading.settrace(None)
