@@ -36,17 +36,19 @@ take no number. Header names are stripped; of a column named twice, the last
 wins. Cells beyond the header are ignored, and an optional cell that is
 absent, short or blank reads as empty. A decay row's decay code and end level
 are checked but not kept, and a level row's ``jp`` is not read: nothing uses
-them. In a level row an unknown decay code drops only that mode. A transition
-row of another nuclide raises NuclideMismatch; an upward or unresolvable
-transition is excluded with a warning.
+them. In a level row an unknown decay code drops only that mode. A row whose
+cells parse but name another nuclide than its dataset key raises
+NuclideMismatch (``225ac:dr-a line 2: row nuclide 221fr != 225ac``); an
+upward or unresolvable transition is excluded with a warning.
 
 A LevelScheme keeps its levels and their cascade graph, not the transition
 table: the level parser is the only code that adds edges, linking each
 transition row it keeps as it reads it and storing no row, so a transition's
 gamma energy and intensity are checked (a bad one skips the row with a
-warning) but not kept. Each distinct start or end energy is looked up once in
-the scheme's level index. Only a level whose lookup window holds another level
-is checked for a duplicate.
+warning) but not kept. The parser looks up each distinct start or end energy
+once in the scheme's level index; the scheme keeps that index and no lookup
+memo. Only a level whose lookup window holds another level is checked for a
+duplicate.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ from math import isfinite
 from operator import itemgetter
 from typing import NamedTuple
 
-from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, RawDataset
+from .dataaccess import KIND_LEVELS, KIND_TRANSITIONS, DatasetKey, RawDataset
 from .errors import HeaderMismatch, MalformedId, NuclideMismatch
 from .nuclide import (
     DecayMode,
@@ -129,45 +131,26 @@ class LevelScheme:
     keeps as it reads it and stores no row.
 
     Node i is ``levels[i]``. ``edges[i]`` lists, in table order, the position
-    of find_level(end) for each transition whose start matches level i.
-    Equality compares the nuclide and the levels only."""
+    of find_level(end) for each transition whose start matches level i, and
+    ``index`` indexes the levels' energies. Equality compares the nuclide and
+    the levels only."""
 
     nuclide: Nuclide
     levels: list[LevelRecord]
 
     def __post_init__(self):
-        self._index()
+        self.index = EnergyIndex([l.energy for l in self.levels])
         # Isomer levels ascending in energy; the 1-based ordinal is the 'm' numbering.
         self.isomers = sorted(
             (rec for rec in self.levels if rec.is_isomer), key=lambda rec: rec.energy.kev
         )
         self.edges = [[] for _ in self.levels]
 
-    def _index(self) -> None:
-        self._hits = PerValue(EnergyIndex([l.energy for l in self.levels]).matches)
-
-    def __getstate__(self) -> dict:
-        # The lookup memo holds a bound method, which a stored parse may not
-        # name; it is rebuilt, empty, on load.
-        return {name: value for name, value in vars(self).items() if name != "_hits"}
-
-    def __setstate__(self, state: dict) -> None:
-        vars(self).update(state)
-        self._index()
-
-    def _matches(self, energy: EnergyValue) -> list[int]:
-        """Positions of the levels matching ``energy``, looked up once per energy."""
-        return self._hits[energy]
-
-    def _link(self, start: EnergyValue, end: EnergyValue) -> None:
-        """Add the edges of one transition whose start and end both match a level."""
-        end = self.position(end)
-        for i in self._matches(start):
-            self.edges[i].append(end)
-
-    def position(self, energy: EnergyValue) -> int | None:
-        """The position in ``levels`` of find_level(energy), or None."""
-        return min(self._matches(energy), default=None,
+    def position(self, energy: EnergyValue, matches: list[int] | None = None) -> int | None:
+        """The position in ``levels`` of find_level(energy), or None; of
+        ``matches``, when given, as the positions matching ``energy``."""
+        matches = self.index.matches(energy) if matches is None else matches
+        return min(matches, default=None,
                    key=lambda i: abs(self.levels[i].energy.kev - energy.kev))
 
     def find_level(self, energy: EnergyValue) -> LevelRecord | None:
@@ -175,12 +158,6 @@ class LevelScheme:
         of equally close levels the earliest in ``levels`` wins."""
         i = self.position(energy)
         return None if i is None else self.levels[i]
-
-
-def _require_columns(header: list[str], required: tuple[str, ...], key: str) -> None:
-    missing = [col for col in required if col not in header]
-    if missing:
-        raise HeaderMismatch(f"{key}: missing columns {missing}")
 
 
 def _table(raw: RawDataset, required: tuple[str, ...], columns: tuple[str, ...]):
@@ -193,7 +170,9 @@ def _table(raw: RawDataset, required: tuple[str, ...], columns: tuple[str, ...])
         header = [name.strip() for name in next(reader, [])]
     except csv.Error as exc:
         raise HeaderMismatch(f"{key} line 1: {exc}") from exc
-    _require_columns(header, required, key)
+    missing = [col for col in required if col not in header]
+    if missing:
+        raise HeaderMismatch(f"{key}: missing columns {missing}")
     position = {name: i for i, name in enumerate(header)}
     width = len(header)
     pick = itemgetter(*(position.get(col, width) for col in columns))
@@ -235,10 +214,7 @@ def _float(text: str) -> float:
 
 def _opt_float(text: str | None) -> float | None:
     """The float of an optional cell; None when it is absent or blank."""
-    if not text:
-        return None
-    text = text.strip()
-    if not text:
+    if not text or not (text := text.strip()):
         return None
     return _float(text)
 
@@ -268,6 +244,13 @@ def _nonnegative(value: float | None) -> float | None:
     if value is not None and value < 0:
         raise ValueError(f"negative value {value:g}")
     return value
+
+
+def _check_nuclide(nuclide: Nuclide, key: DatasetKey, lineno: int) -> None:
+    """Raise NuclideMismatch unless a row's ``nuclide`` is its dataset's."""
+    if nuclide != key.nuclide:
+        raise NuclideMismatch(
+            f"{key.serialize()} line {lineno}: row nuclide {nuclide} != {key.nuclide}")
 
 
 def _half_life(cells: tuple[str | None, str | None]) -> HalfLife | None:
@@ -330,6 +313,7 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             half_life = half_lives[hl_s, unc_hls]
             floats[fed], floats[start], floats[end]  # a bad number before a negative one
             fed, start, _ = levels[fed], levels[start], levels[end]  # end: checked only
+            _check_nuclide(parent, raw.key, lineno)
             records.append(DecayRecord(
                 parent, parent_level, rad, energy, intensity, intensity_unc or 0.0,
                 daughter, fed, branching, half_life, start, flags,
@@ -346,7 +330,7 @@ _LEVEL_CELLS = (
 
 
 def _parse_level_row(
-    cells: tuple, key: str, lineno: int, warnings: list[str], nuclides: PerValue
+    cells: tuple, key: DatasetKey, lineno: int, warnings: list[str], nuclides: PerValue
 ) -> LevelRecord | None:
     (symbol, a, energy, unc_e, hl_text, unc_hls,
      pct_1, pct_2, pct_3, code_1, code_2, code_3) = cells
@@ -362,8 +346,9 @@ def _parse_level_row(
             half_life = None
         percents = [_nonnegative(_opt_float(pct)) for pct in (pct_1, pct_2, pct_3)]
     except (ValueError, TypeError, MalformedId) as exc:
-        warnings.append(f"{key} line {lineno}: {exc}")
+        warnings.append(f"{key.serialize()} line {lineno}: {exc}")
         return None
+    _check_nuclide(nuclide, key, lineno)
 
     # An unknown decay code drops that mode only; the level itself is sound.
     modes: list[tuple[DecayMode, float]] = []
@@ -374,7 +359,7 @@ def _parse_level_row(
         try:
             mode = DecayMode.from_code(code)
         except ValueError as exc:
-            warnings.append(f"{key} line {lineno}: {exc}")
+            warnings.append(f"{key.serialize()} line {lineno}: {exc}")
             continue
         modes.append((mode, pct if pct is not None else 0.0))
 
@@ -404,9 +389,8 @@ def parse_level_scheme(
     parsed: list[tuple[LevelRecord | None, list[str]]] = []
     for lineno, row in rows:
         row_warnings: list[str] = []
-        parsed.append(
-            (_parse_level_row(pick(row), key, lineno, row_warnings, nuclides), row_warnings)
-        )
+        record = _parse_level_row(pick(row), levels_raw.key, lineno, row_warnings, nuclides)
+        parsed.append((record, row_warnings))
 
     # A level matching an earlier kept level is dropped, with a warning naming
     # the first such level; one index over all parsed levels finds them.
@@ -436,9 +420,7 @@ def parse_level_scheme(
 
     if not levels:
         raise HeaderMismatch(f"{key}: no level rows")
-    nuclide = levels[0].nuclide
-    if any(l.nuclide != nuclide for l in levels):
-        raise NuclideMismatch(f"{key}: mixed nuclides")
+    nuclide = levels_raw.key.nuclide
     if not any(l.energy.kev == 0 for l in levels):
         warnings.append(f"{key}: ground state missing; injected")
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))
@@ -459,6 +441,9 @@ def parse_level_scheme(
     t_rows, t_pick = _table(transitions_raw, _TRANSITION_COLUMNS, _TRANSITION_CELLS)
     t_key = transitions_raw.key.serialize()
     energies = PerValue(_energy)
+    # Each distinct start's matches and each distinct end's position are looked up once.
+    matches = PerValue(scheme.index.matches)
+    ends = PerValue(lambda end: scheme.position(end, matches[end]))
     for lineno, row in t_rows:
         (symbol, a, start, unc_sl, end, unc_el, gamma, unc_en, intensity) = t_pick(row)
         try:
@@ -471,23 +456,21 @@ def parse_level_scheme(
         except (ValueError, TypeError, MalformedId) as exc:
             warnings.append(f"{t_key} line {lineno}: {exc}")
             continue
-        if t_nuclide != nuclide:
-            raise NuclideMismatch(
-                f"{t_key} line {lineno}: row nuclide {t_nuclide} != {nuclide}"
-            )
+        _check_nuclide(t_nuclide, transitions_raw.key, lineno)
         if start.kev <= end.kev:
             warnings.append(
                 f"{t_key} line {lineno}: "
                 f"non-downward transition {start.kev} -> {end.kev}; excluded"
             )
             continue
-        if not (scheme._matches(start) and scheme._matches(end)):
+        if not matches[start] or ends[end] is None:
             warnings.append(
                 f"{t_key} line {lineno}: transition "
                 f"{start.kev} -> {end.kev} does not resolve to levels; excluded"
             )
             continue
-        scheme._link(start, end)
+        for i in matches[start]:
+            scheme.edges[i].append(ends[end])
     return scheme, warnings
 
 

@@ -350,7 +350,9 @@ jobs:
      "jobs[0].plot.windows[0]: expected a mapping"),
     ("jobs: [{recursive_progenitors: [{level: m1}]}]\n",
      "jobs[0].recursive_progenitors: nuclide mapping needs an 'id'"),
-], ids=["top-level", "plot", "plot-window", "nuclide-without-id"])
+    ("jobs: [{recursive_progenitors: [238U], prune: 5}]\n",
+     "jobs[0].prune: prune must be a mapping"),
+], ids=["top-level", "plot", "plot-window", "nuclide-without-id", "prune"])
 def test_config_of_the_wrong_shape_is_rejected(tmp_path, text, match):
     with pytest.raises(ConfigParseError, match=re.escape(match)):
         load_config(write(tmp_path, text))

@@ -15,7 +15,11 @@ their time. Their other changes follow the new parsers' rules: a negative
 intensity, intensity uncertainty or decay percentage (`_nonnegative`) skips
 its row, and the records no longer hold a decay row's decay mode and end level
 or a level row's spin-parity, though the decay code and end level are still
-read and checked.
+read and checked. A decay or level row whose cells parse but name another
+nuclide than its dataset key (the random rows draw ``Ru``) raises
+NuclideMismatch naming the key and line, as a transition row of another
+nuclide did; this replaces the old "mixed nuclides" check, and a scheme takes
+its key's nuclide.
 """
 
 import csv
@@ -147,6 +151,7 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
             start = _opt_float(row, "start_level_energy")
             end = _opt_float(row, "end_level_energy")
             fed, start, end = (None if e is None else EnergyValue(e) for e in (fed, start, end))
+            _check_nuclide(parent, raw.key, lineno)
             records.append(
                 DecayRecord(
                     parent=parent,
@@ -168,7 +173,16 @@ def parse_decay_records(raw: RawDataset) -> tuple[list[DecayRecord], list[str]]:
     return records, warnings
 
 
-def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord | None:
+def _check_nuclide(nuclide: Nuclide, key: DatasetKey, lineno: int) -> None:
+    if nuclide != key.nuclide:
+        raise NuclideMismatch(
+            f"{key.serialize()} line {lineno}: row nuclide {nuclide} != {key.nuclide}"
+        )
+
+
+def _parse_level_row(
+    row: dict, key: DatasetKey, lineno: int, warnings: list[str]
+) -> LevelRecord | None:
     try:
         nuclide = Nuclide(row["symbol"].strip(), int(row["a"]))
         energy = EnergyValue(_float(row["energy"]), _opt_float(row, "unc_e") or 0.0)
@@ -183,6 +197,7 @@ def _parse_level_row(row: dict, lineno: int, warnings: list[str]) -> LevelRecord
     except (ValueError, KeyError, TypeError) as exc:
         warnings.append(f"levels line {lineno}: {exc}")
         return None
+    _check_nuclide(nuclide, key, lineno)
 
     # An unknown decay code drops that mode only; the level itself is sound.
     modes: list[tuple[DecayMode, float]] = []
@@ -221,7 +236,9 @@ def parse_level_scheme(
     parsed: list[tuple[LevelRecord | None, list[str]]] = []
     for lineno, row in enumerate(reader, start=2):
         row_warnings: list[str] = []
-        parsed.append((_parse_level_row(row, lineno, row_warnings), row_warnings))
+        parsed.append(
+            (_parse_level_row(row, levels_raw.key, lineno, row_warnings), row_warnings)
+        )
 
     # A level matching an earlier kept level is dropped, with a warning naming
     # the first such level; one index over all parsed levels finds them.
@@ -247,9 +264,7 @@ def parse_level_scheme(
 
     if not levels:
         raise HeaderMismatch(f"{levels_raw.key.serialize()}: no level rows")
-    nuclide = levels[0].nuclide
-    if any(l.nuclide != nuclide for l in levels):
-        raise NuclideMismatch(f"{levels_raw.key.serialize()}: mixed nuclides")
+    nuclide = levels_raw.key.nuclide
     if not any(l.energy.kev == 0 for l in levels):
         warnings.append(f"{levels_raw.key.serialize()}: ground state missing; injected")
         levels.insert(0, LevelRecord(nuclide=nuclide, energy=EnergyValue(0.0)))

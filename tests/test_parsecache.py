@@ -1,16 +1,20 @@
 """Stored parses: a warm run loads the parse of each dataset that an earlier
 run read from the same cache, and whatever state ``cache_dir/parsed/`` is in
-(absent, fresh, stale, truncated, random bytes, written by other code, a file
-naming a global outside the parse types, one that loads to something other
-than a parse or to a parse of the wrong type, unwritable), the golden outputs are
-byte-identical and every job reports the warnings of a run without stored
-parses. A cold run stores nothing and never imports pickle. Over the whole
-corpus, every stored entry loads equal to a fresh parse."""
+(absent, fresh, stale, truncated, one payload byte flipped, random bytes,
+written by other code, a file naming a global outside the parse types, one
+that loads to something other than a parse or to a parse of the wrong type,
+unwritable), the golden outputs are byte-identical and every job reports the
+warnings of a run without stored parses. A forged payload carries its right
+payload digest, so that the unpickler and the shape check are what refuse it.
+A cold run stores nothing and never imports pickle. Over the whole corpus,
+every stored entry loads equal to a fresh parse."""
 
+import hashlib
 import json
 import os
 import pickle
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -21,9 +25,10 @@ import pytest
 import nuclibgen.chains as chains_mod
 import nuclibgen.parsecache as parsecache
 from nuclibgen.cli import main
-from nuclibgen.dataaccess import PARSED_DIRNAME, AccessConfig, DataStore
+from nuclibgen.dataaccess import (PARSED_DIRNAME, AccessConfig, DatasetKey, DataStore,
+                                  RawDataset)
 from nuclibgen.nuclide import EnergyValue, Nuclide, parse_nuclide_id
-from nuclibgen.records import DaughterFeed
+from nuclibgen.records import DaughterFeed, LevelRecord, LevelScheme, parse_level_scheme
 
 from conftest import CORPUS, REPO, prime_cache
 from test_goldens import checks, workloads
@@ -88,12 +93,18 @@ def _bump(data: bytes) -> bytes:
                         f"nuclibgen-parse {OTHER_SOURCE} ".encode(), 1)
 
 
+def _forge(header: bytes, payload: bytes) -> bytes:
+    """A stored parse of ``payload`` under ``header``, the header line up to
+    its payload digest, with the right payload digest."""
+    return header + hashlib.sha256(payload).hexdigest().encode() + b"\n" + payload
+
+
 def _foreign(header: bytes, marker) -> bytes:
     class Foreign:
         def __reduce__(self):
             return os.system, (f"touch {marker}",)
 
-    return header + pickle.dumps(((Foreign(), []), None))
+    return _forge(header, pickle.dumps(((Foreign(), []), None)))
 
 
 def _spoil(state, parsed, stored, stale, marker):
@@ -105,7 +116,8 @@ def _spoil(state, parsed, stored, stale, marker):
         return
     parsed.mkdir()
     for name, data in stored.items():
-        header, _, body = data.partition(b"\n")
+        line, _, body = data.partition(b"\n")
+        header = line.rpartition(b" ")[0] + b" "
         if state == "blocked":  # a directory where each file belongs
             (parsed / name).mkdir()
             continue
@@ -113,20 +125,23 @@ def _spoil(state, parsed, stored, stale, marker):
             data = stale[name]
         elif state == "truncated":
             data = data[: len(data) // 2]
+        elif state == "corrupt":  # one payload byte flipped
+            at = len(line) + 1 + len(body) // 2
+            data = data[:at] + bytes([data[at] ^ 1]) + data[at + 1:]
         elif state == "random":
             data = random.Random(name).randbytes(len(data))
         elif state == "foreign":
-            data = _foreign(header + b"\n", marker)
+            data = _foreign(header, marker)
         elif state == "misshapen":  # the right header, not a (result, warnings) pair
-            data = header + b"\n" + pickle.dumps(frozenset())
+            data = _forge(header, pickle.dumps(frozenset()))
         elif state == "mistyped":  # lists, not what this key's parser returns
-            data = header + b"\n" + pickle.dumps(([], []) if name.endswith("_lv.pickle")
-                                                  else ([1], [], []))
+            data = _forge(header, pickle.dumps(([], []) if name.endswith("_lv.pickle")
+                                               else ([1], [], [])))
         assert (data == stored[name]) == (state in ("fresh", "version"))
         (parsed / name).write_bytes(data)
 
 
-STATES = ["absent", "fresh", "stale", "truncated", "random", "version", "foreign",
+STATES = ["absent", "fresh", "stale", "truncated", "corrupt", "random", "version", "foreign",
           "misshapen", "mistyped", "unwritable", "blocked"]
 
 
@@ -260,7 +275,8 @@ def test_every_stored_entry_of_the_corpus_loads_equal_to_a_fresh_parse(tmp_path)
     """For every fixture nuclide, the decay entry and the level scheme that a
     second run loads from parsed/ equal a fresh parse, field by field:
     LevelScheme equality compares the nuclide and levels, not the graph. A
-    scheme is stored as its levels, isomers and graph alone."""
+    scheme is stored as exactly what the parser built: its nuclide, levels,
+    isomers, graph and level index."""
     cache = prime_cache(CORPUS, tmp_path / "cache")
     nuclides = sorted({parse_nuclide_id(path.name.split("_")[0])
                        for path in CORPUS.glob("*.csv")}, key=str)
@@ -291,8 +307,29 @@ def test_every_stored_entry_of_the_corpus_loads_equal_to_a_fresh_parse(tmp_path)
             assert scheme.isomers == fresh.isomers, nuclide
             for query in _queries(fresh):
                 assert scheme.find_level(query) == fresh.find_level(query), (nuclide, query)
-            assert set(scheme.__getstate__()) == {"nuclide", "levels", "isomers", "edges"}
+            assert set(vars(scheme)) == set(vars(fresh)) == {
+                "nuclide", "levels", "isomers", "edges", "index"}
         assert store.stats.parses_loaded == len(names)
+
+
+def test_a_flipped_payload_bit_is_a_miss_and_the_parse_is_stored_afresh(tmp_path):
+    """One bit flipped in a level energy of a stored Tc-99 scheme still
+    unpickles, to a wrong energy. The payload digest makes the load a miss:
+    the parse is done afresh, equals the first one and is stored again."""
+    tc99 = Nuclide("Tc", 99)
+    raws = [RawDataset(key, (CORPUS / key.filename()).read_text(encoding="utf-8"), "cache")
+            for key in (DatasetKey.levels(tc99), DatasetKey.transitions(tc99))]
+    path = tmp_path / "99tc_lv.pickle"
+    fresh, loaded = parsecache.load_or_parse(path, parse_level_scheme, *raws)
+    assert not loaded
+    stored = path.read_bytes()
+    at = stored.index(struct.pack(">d", fresh[0].levels[1].energy.kev)) + 7
+    path.write_bytes(stored[:at] + bytes([stored[at] ^ 1]) + stored[at + 1:])
+    result, loaded = parsecache.load_or_parse(path, parse_level_scheme, *raws)
+    assert not loaded
+    assert result == fresh and result[0].edges == fresh[0].edges
+    assert path.read_bytes() == stored
+    assert parsecache.load_or_parse(path, parse_level_scheme, *raws) == (fresh, True)
 
 
 TH234 = Nuclide("Th", 234)
@@ -309,3 +346,14 @@ FEED = DaughterFeed(TH234, (EnergyValue(0.0),), 100.0)
 ])
 def test_a_decay_entry_is_checked_list_by_list(result, fits):
     assert parsecache._is_parse(result, levels=False) is fits
+
+
+@pytest.mark.parametrize("index, fits", [(None, True), (frozenset(), False), ([], False)],
+                         ids=["parsed", "frozenset", "list"])
+def test_a_level_scheme_is_checked_with_its_level_index(index, fits):
+    """A stored scheme whose index is not an EnergyIndex, which a forged file
+    built from the parse types could hold, is a miss."""
+    scheme = LevelScheme(TH234, [LevelRecord(TH234, EnergyValue(0.0))])
+    if index is not None:
+        scheme.index = index
+    assert parsecache._is_parse((scheme, ["w"]), levels=True) is fits

@@ -862,8 +862,9 @@ def crowded_schemes(draw):
         if start.kev > end.kev and scan_find_level(scheme, start) is not None
         and scan_find_level(scheme, end) is not None
     ]
-    for start, end in transitions:
-        scheme._link(start, end)
+    for start, end in transitions:  # as the level parser links each row it keeps
+        for i in scheme.index.matches(start):
+            scheme.edges[i].append(scheme.position(end))
     queries = draw(st.lists(energy(0.25), min_size=1, max_size=10))
     return scheme, transitions, queries
 

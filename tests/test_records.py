@@ -179,6 +179,38 @@ def test_transition_row_of_another_nuclide_is_a_nuclide_mismatch():
                            RawDataset(DatasetKey.transitions(n), tr, "cache"))
 
 
+def test_decay_row_of_another_nuclide_is_a_nuclide_mismatch(primed_store):
+    """A 221Fr row placed first in 225Ac's alpha dataset is not read as 225Ac's:
+    extract_daughters would have taken 221Fr as the parent, and 217At as its
+    daughter."""
+    raw = fetch(primed_store, "225ac:dr-a")
+    stray = fetch(primed_store, "221fr:dr-a").body.splitlines()[1]
+    header, _, rows = raw.body.partition("\n")
+    body = f"{header}\n{stray}\n{rows}"
+    with pytest.raises(NuclideMismatch, match="225ac:dr-a line 2: row nuclide 221fr != 225ac"):
+        parse_decay_records(RawDataset(raw.key, body, "cache"))
+
+
+def test_decay_row_of_another_nuclide_with_a_bad_cell_is_only_warned():
+    """As for transition rows, a row is checked against its dataset's nuclide
+    once its cells parse: a row with a bad cell is skipped with a warning."""
+    key = DatasetKey.decay_rads(Nuclide("U", 238), RadiationType.ALPHA)
+    stray = dr_row(("Th", 234), ("Ra", 230), mode="A", energy="not-a-number")
+    records, warnings = parse_decay_records(RawDataset(key, dr_body([stray]), "cache"))
+    assert records == [] and len(warnings) == 1 and "line 2" in warnings[0]
+
+
+@pytest.mark.parametrize("symbols, line", [(["Mo", "Mo"], 2), (["Tc", "Mo"], 3)],
+                         ids=["all", "one"])
+def test_level_row_of_another_nuclide_is_a_nuclide_mismatch(symbols, line):
+    """A 99tc:lv whose rows say Mo-99 is not a scheme of 99Mo, and a scheme
+    always takes its dataset key's nuclide."""
+    lv = lv_body([{"symbol": symbol, "a": 99, "energy": kev}
+                  for symbol, kev in zip(symbols, (0.0, 97.785))])
+    with pytest.raises(NuclideMismatch, match=f"99tc:lv line {line}: row nuclide 99mo != 99tc"):
+        parse_level_scheme(RawDataset(DatasetKey.levels(Nuclide("Tc", 99)), lv, "cache"), None)
+
+
 @pytest.mark.parametrize("levels, transitions, match", [
     ("99tc:tr", None, "99tc:tr is not a levels dataset"),
     ("99tc:dr-g", "99tc:tr", "99tc:dr-g is not a levels dataset"),
