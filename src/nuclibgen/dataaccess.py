@@ -14,10 +14,13 @@ pool; `DataStore.fetch_dataset` collects a pending fetch's result, or screens
 and fetches inline when nothing is pending. An offline store never prefetches.
 `DataStore.close` (or leaving a ``with`` block) shuts the pool down.
 
-The HTTP stack (``requests``) is imported, and the store's one session
-built, only when the store first goes to the network: offline stores, cache
-hits and registry skips never load it. Likewise ``concurrent.futures`` is
-imported only when a pool is made, so an offline store never loads it.
+The HTTP stack (`transport`, over the standard library's ``http.client``)
+is imported, and the store's one transport made, only when the store first
+goes to the network: offline stores, cache hits and registry skips never load
+it. Each fetching thread (a pool worker, or the caller of an inline fetch)
+keeps its own keep-alive connection; `DataStore.close` closes them. Likewise
+``concurrent.futures`` is imported only when a pool is made, so an offline
+store never loads it.
 
 Stored parses. `DataStore.stored_parse` runs a parser on datasets the store
 returned. When all of them were read back from the disk cache, it first loads
@@ -45,8 +48,6 @@ from typing import IO, TYPE_CHECKING, NamedTuple
 if TYPE_CHECKING:
     from concurrent.futures import Future, ThreadPoolExecutor
 
-    import requests
-
 try:
     import fcntl
 except ImportError:  # not POSIX
@@ -58,8 +59,8 @@ from .nuclide import Nuclide, RadiationType
 REGISTRY_FILENAME = "absent_registry.txt"
 # The subdirectory of the cache that holds stored parses.
 PARSED_DIRNAME = "parsed"
-# Worker threads of one store's fetch pool; at most 10, the size of the
-# session's per-host connection pool.
+# Worker threads of one store's fetch pool. Each keeps its own connection to
+# the endpoint, so a store holds at most one more (an inline fetch's).
 MAX_PARALLEL = 8
 # Seconds an HTTP request may wait to connect, and then between bytes.
 TIMEOUT_S = 30.0
@@ -319,8 +320,8 @@ class DataStore:
             raise CacheWriteError(f"cannot create {self.cache_dir}: {exc}") from exc
         self.registry = AbsenceRegistry.load(self.cache_dir / REGISTRY_FILENAME)
         self.stats = AccessStats()
-        self._session: requests.Session | None = None
-        self._session_lock = threading.Lock()
+        self._transport = None  # a transport.Transport, made by the first request
+        self._transport_lock = threading.Lock()
         self._registry_lock = threading.Lock()
         self._key_locks: dict[str, threading.Lock] = {}
         self._key_locks_guard = threading.Lock()
@@ -335,13 +336,16 @@ class DataStore:
         self.close()
 
     def close(self) -> None:
-        """Shut the fetch pool down: fetches in flight finish, queued ones are
-        dropped. Idempotent; a later prefetch starts a new pool."""
+        """Shut the fetch pool down (fetches in flight finish, queued ones are
+        dropped), then close every connection. Idempotent; a later fetch opens
+        a new connection and a later prefetch starts a new pool."""
         with self._pending_lock:
             pool, self._pool = self._pool, None
             self._pending.clear()
         if pool is not None:
             pool.shutdown(wait=True, cancel_futures=True)
+        if self._transport is not None:
+            self._transport.close()
 
     def _lock_for(self, key: DatasetKey) -> threading.Lock:
         serialized = key.serialize()
@@ -375,7 +379,6 @@ class DataStore:
                 if self._pool is None:
                     from concurrent.futures import ThreadPoolExecutor
 
-                    self._open_session()  # here, so no two workers race to import
                     self._pool = ThreadPoolExecutor(
                         max_workers=MAX_PARALLEL, thread_name_prefix="nuclibgen-fetch"
                     )
@@ -415,7 +418,6 @@ class DataStore:
             if self.cfg.offline:
                 raise OfflineMiss(f"offline and not cached: {key.serialize()}")
 
-            self._open_session()
             body = self._http_get(key)
             if is_no_data(body):
                 if self.cfg.registry_enabled:
@@ -442,38 +444,34 @@ class DataStore:
             self.stats.bump("parses_loaded")
         return result
 
-    def _open_session(self) -> None:
-        """Import the HTTP stack and build the store's one session, once."""
-        with self._session_lock:
-            if self._session is None:
-                import requests
+    def _open_session(self):
+        """The store's `transport.Transport`, made on the first request: that
+        imports the HTTP stack and reads the proxy from the environment."""
+        with self._transport_lock:
+            if self._transport is None:
+                from .transport import Transport
 
-                self._session = requests.Session()
+                self._transport = Transport(self.cfg.base_url, TIMEOUT_S)
+            return self._transport
 
     def _http_get(self, key: DatasetKey) -> str:
-        from email.message import Message  # both loaded by _open_session
-
-        import requests
+        from http.client import HTTPException
 
         failed = f"request failed for {key.serialize()}"
         self.stats.bump("network_calls")
-        try:
-            resp = self._session.get(
-                self.cfg.base_url,
-                params=query_params(key),
-                timeout=TIMEOUT_S,
-            )
-        except requests.RequestException as exc:
+        try:  # ValueError: a bad host or port in the base or proxy URL
+            resp, data = self._open_session().get(query_params(key))
+        except (OSError, ValueError, HTTPException) as exc:
             raise NetworkError(f"{failed}: {exc}") from exc
-        if resp.status_code != 200:
-            raise NetworkError(f"{failed}: HTTP {resp.status_code} for {key.serialize()}")
+        if resp.status != 200:
+            location = resp.getheader("Location")
+            moved = f", redirect to {location} not followed" if location else ""
+            raise NetworkError(f"{failed}: HTTP {resp.status}{moved}")
         # The declared charset, else UTF-8 (the cache's encoding), not the
-        # ISO-8859-1 that requests assumes for text/* without a charset.
-        header = Message()
-        header["Content-Type"] = resp.headers.get("Content-Type", "")
-        charset = header.get_content_charset("utf-8")
+        # ISO-8859-1 that HTTP/1.1 assumes for text/* without a charset.
+        charset = resp.msg.get_content_charset("utf-8")
         try:
-            return resp.content.decode(charset)
+            return data.decode(charset)
         except (LookupError, UnicodeDecodeError) as exc:
             raise NetworkError(f"{failed}: body does not decode as {charset}: {exc}") from exc
 

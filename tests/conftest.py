@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import shutil
+import ssl
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -199,7 +200,14 @@ def fresh_primed_store(corpus_dir, tmp_path) -> DataStore:
 
 
 class _CorpusHandler(BaseHTTPRequestHandler):
+    """Answers each request and closes the connection (HTTP/1.0)."""
+
     server_version = "MockNucData/1.0"
+
+    def setup(self):
+        super().setup()
+        with self.server.cfg["lock"]:
+            self.server.cfg["connections"] += 1
 
     def do_GET(self):  # noqa: N802 (stdlib naming)
         cfg = self.server.cfg
@@ -207,6 +215,7 @@ class _CorpusHandler(BaseHTTPRequestHandler):
         with cfg["lock"]:
             cfg["requests"] += 1
             cfg["keys"].append(key)
+            cfg["heads"].append((self.path, self.headers))
             cfg["inflight"] += 1
             cfg["max_inflight"] = max(cfg["max_inflight"], cfg["inflight"])
         try:
@@ -221,6 +230,7 @@ class _CorpusHandler(BaseHTTPRequestHandler):
                 cfg["inflight"] -= 1
         if body is None:
             self.send_response(503)
+            self.send_header("Content-Length", "0")
             self.end_headers()
             return
         data = body if isinstance(body, bytes) else body.encode("utf-8")
@@ -260,24 +270,52 @@ class _CorpusHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveHandler(_CorpusHandler):
+    """Keeps each connection open for the client's next request (HTTP/1.1).
+    An idle connection is dropped after ``timeout`` seconds."""
+
+    protocol_version = "HTTP/1.1"
+    timeout = 10
+
+
+class DroppingHandler(KeepAliveHandler):
+    """Drops each connection after one answer, which says nothing of it: the
+    client takes the connection for kept alive."""
+
+    def do_GET(self):  # noqa: N802 (stdlib naming)
+        super().do_GET()
+        self.close_connection = True
+
+
 class MockServer:
     """Serves a fixture corpus over HTTP with optional latency/failure.
 
     ``fail`` answers every request with HTTP 503, ``fail_keys`` only those
     serialized keys; ``overrides`` maps a serialized key to a body (text is
     sent as UTF-8, bytes as they are) and ``content_type`` is the header
-    every body is sent with. It records the key of every request and the
-    most requests in flight at once.
+    every body is sent with. It records the key, target and headers of every
+    request, the connections made and the most requests in flight at once.
+    ``handler`` may be `KeepAliveHandler` or `DroppingHandler`; a server
+    with either must be stopped after its clients close their connections.
+    With a ``certfile`` (certificate and key) it serves HTTPS.
     """
 
-    def __init__(self, corpus: Path, latency: float = 0.0):
+    def __init__(self, corpus: Path, latency: float = 0.0, handler=_CorpusHandler,
+                 certfile: Path | None = None):
         self.cfg = {
             "corpus": corpus, "latency": latency, "fail": False, "fail_keys": set(),
-            "requests": 0, "keys": [], "inflight": 0, "max_inflight": 0,
-            "overrides": {}, "content_type": "text/csv", "lock": threading.Lock(),
+            "requests": 0, "keys": [], "heads": [], "connections": 0, "inflight": 0,
+            "max_inflight": 0, "overrides": {}, "content_type": "text/csv",
+            "lock": threading.Lock(),
         }
-        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), _CorpusHandler)
+        self._httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
         self._httpd.cfg = self.cfg
+        self._scheme = "http"
+        if certfile is not None:
+            context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+            context.load_cert_chain(certfile)
+            self._httpd.socket = context.wrap_socket(self._httpd.socket, server_side=True)
+            self._scheme = "https"
         # A short poll lets stop() return at once instead of after up to 0.5 s.
         self._thread = threading.Thread(
             target=self._httpd.serve_forever, kwargs={"poll_interval": 0.01}, daemon=True
@@ -287,7 +325,7 @@ class MockServer:
     @property
     def url(self) -> str:
         host, port = self._httpd.server_address
-        return f"http://{host}:{port}/data"
+        return f"{self._scheme}://{host}:{port}/data"
 
     @property
     def requests(self) -> int:
@@ -298,6 +336,18 @@ class MockServer:
     def keys(self) -> list[str | None]:
         with self.cfg["lock"]:
             return list(self.cfg["keys"])
+
+    @property
+    def heads(self) -> list[tuple[str, object]]:
+        """The target and the headers (an ``email.message.Message``) of every
+        request."""
+        with self.cfg["lock"]:
+            return list(self.cfg["heads"])
+
+    @property
+    def connections(self) -> int:
+        with self.cfg["lock"]:
+            return self.cfg["connections"]
 
     @property
     def max_inflight(self) -> int:

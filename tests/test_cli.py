@@ -496,11 +496,11 @@ jobs:
     assert not out.exists()
 
 
-def test_offline_generate_and_qualify_never_import_requests(tmp_path, corpus_dir):
+def test_offline_generate_and_qualify_never_load_the_http_stack(tmp_path, corpus_dir):
     """A fresh interpreter imports the package, generates from a primed cache
-    offline and qualifies peaks without loading the HTTP stack, and with
-    ``--jobs 1`` and no fetch it makes no thread pool, so it never loads
-    ``concurrent.futures`` either."""
+    offline and qualifies peaks without loading the HTTP stack (``http.client``
+    or ``ssl``), and with ``--jobs 1`` and no fetch it makes no thread pool, so
+    it never loads ``concurrent.futures`` either."""
     cache = prime_cache(corpus_dir, tmp_path / "cache")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -520,7 +520,7 @@ jobs:
         "cfg, peaks, library = sys.argv[1:]\n"
         "assert nuclibgen.cli.main(['generate', cfg]) == 0\n"
         "assert nuclibgen.cli.main(['qualify', peaks, library, '--tol-kev', '1']) == 0\n"
-        "print('requests' in sys.modules, 'concurrent.futures' in sys.modules)\n"
+        "print([name in sys.modules for name in ('http.client', 'ssl', 'concurrent.futures')])\n"
     )
     env = dict(os.environ, PYTHONPATH=str(REPO / "src"))
     result = subprocess.run(
@@ -528,7 +528,7 @@ jobs:
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.splitlines()[-1] == "False False"
+    assert result.stdout.splitlines()[-1] == "[False, False, False]"
 
 
 def test_transport_failure_fails_its_job_and_registers_nothing(tmp_path):

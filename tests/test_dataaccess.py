@@ -1,12 +1,17 @@
 import concurrent.futures
+import http.client
 import multiprocessing
+import shutil
+import socket
 import sys
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
+import nuclibgen
 import nuclibgen.dataaccess as dataaccess
 from nuclibgen.chains import assemble_subset
 from nuclibgen.dataaccess import (
@@ -22,7 +27,7 @@ from nuclibgen.errors import (
 from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
 from nuclibgen.records import parse_level_scheme
 
-from conftest import MockServer, lv_body, prime_cache
+from conftest import DroppingHandler, KeepAliveHandler, MockServer, lv_body, prime_cache
 
 
 def key_for(nid="225ac", rad=RadiationType.ALPHA) -> DatasetKey:
@@ -520,21 +525,19 @@ def test_offline_store_never_submits_to_its_pool(monkeypatch, tmp_path, corpus_d
     assert primed.stats.cache_hits > 0
 
 
-def test_store_builds_one_session_and_only_for_the_network(monkeypatch, tmp_path,
-                                                          corpus_dir):
-    """No session for screening; one for eight prefetched keys, built before
-    any pool worker runs."""
-    import requests
+def test_store_opens_connections_only_for_the_network(monkeypatch, tmp_path, corpus_dir):
+    """No connection for screening; at most MAX_PARALLEL for eight prefetched
+    keys, kept alive until close() closes them all. After a close, an inline
+    fetch opens a new connection, which the next close closes."""
+    made = []
 
-    sessions = []
-    real_session = requests.Session
+    class CountingConnection(http.client.HTTPConnection):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            made.append(self)
 
-    def counting_session():
-        sessions.append(real_session())
-        return sessions[-1]
-
-    monkeypatch.setattr(requests, "Session", counting_session)
-    server = MockServer(corpus_dir, latency=0.02)
+    monkeypatch.setattr(http.client, "HTTPConnection", CountingConnection)
+    server = MockServer(corpus_dir, latency=0.02, handler=KeepAliveHandler)
     try:
         ac = Nuclide("Ac", 225)
         keys = ([DatasetKey.decay_rads(ac, rad) for rad in RadiationType]
@@ -542,18 +545,244 @@ def test_store_builds_one_session_and_only_for_the_network(monkeypatch, tmp_path
         cache = tmp_path / "cache"
         cache.mkdir()
         (cache / "absent_registry.txt").write_text("209bi:dr-x\n")
+        shutil.copy(corpus_dir / "221fr_dr-a.csv", cache)
         with DataStore(AccessConfig(base_url=server.url, cache_dir=cache)) as store:
             assert store.fetch_dataset(key_for("209bi", RadiationType.XRAY)) is None
-            assert sessions == []
+            assert store.fetch_dataset(key_for("221fr")).origin == "cache"
+            store.prefetch([key_for("221fr")])
+            assert made == [] and server.connections == 0
             store.prefetch(keys)
             results = [store.fetch_dataset(key) for key in keys]
-        assert len(keys) == 8 and server.requests == 8
+            assert 1 <= len(made) <= MAX_PARALLEL
+            assert store.fetch_dataset(key_for("217at")).origin == "remote"  # inline
+            assert all(conn.sock is not None for conn in made)  # kept alive
         assert sum(r is not None for r in results) == 5  # no dr-bm, dr-bp or dr-x
-        assert len(sessions) == 1
+        assert server.requests == 9 and server.connections == len(made)
+        assert all(conn.sock is None for conn in made)
+        with store:
+            assert store.fetch_dataset(key_for("213bi")).origin == "remote"
+        assert server.connections == len(made)
+        assert all(conn.sock is None for conn in made)
     finally:
         server.stop()
-        for session in sessions:
-            session.close()
+
+
+@pytest.mark.parametrize("base, key, target", [
+    ("", key_for("225ac"), "/data?fields=decay_rads&nuclides=225ac&rad_types=a"),
+    ("", DatasetKey.levels(Nuclide("Tc", 99)), "/data?fields=levels&nuclides=99tc"),
+    ("", DatasetKey.transitions(Nuclide("Tc", 99)), "/data?fields=gammas&nuclides=99tc"),
+    ("?api=1", DatasetKey.levels(Nuclide("Tc", 99)),
+     "/data?api=1&fields=levels&nuclides=99tc"),
+], ids=["decay", "levels", "transitions", "base-query"])
+def test_request_target_and_headers(tmp_path, corpus_dir, base, key, target):
+    """The query string is the one query_params builds, after any query of
+    the base URL; every request names its client and asks for no encoding."""
+    server = MockServer(corpus_dir)
+    try:
+        with DataStore(AccessConfig(base_url=server.url + base, cache_dir=tmp_path)) as store:
+            store.fetch_dataset(key)
+        [(path, headers)] = server.heads
+        assert path == target
+        assert headers["User-Agent"] == f"nuclibgen/{nuclibgen.__version__}"
+        assert "Accept-Encoding" not in headers
+    finally:
+        server.stop()
+
+
+def test_timeout_applies_to_connect_and_read(monkeypatch, tmp_path, corpus_dir):
+    connects = []
+    real_connect = socket.create_connection
+
+    def recording_connect(address, timeout, *args, **kwargs):
+        connects.append(timeout)
+        return real_connect(address, timeout, *args, **kwargs)
+
+    monkeypatch.setattr(dataaccess, "TIMEOUT_S", 0.1)
+    monkeypatch.setattr(socket, "create_connection", recording_connect)
+    server = MockServer(corpus_dir, latency=0.5)
+    try:
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            with pytest.raises(NetworkError, match="^request failed for 225ac:dr-a: timed out"):
+                store.fetch_dataset(key_for("225ac"))
+            server.cfg["latency"] = 0.0  # the cut-short connection is not reused
+            assert store.fetch_dataset(key_for("225ac")).origin == "remote"
+        assert connects == [0.1, 0.1]
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("handler, connections", [
+    (KeepAliveHandler, 1), (DroppingHandler, 3),
+], ids=["kept-alive", "dropped"])
+def test_a_connection_the_server_dropped_is_replaced(tmp_path, corpus_dir, handler,
+                                                     connections):
+    """A server that drops each connection after one answer, without saying
+    so, makes every later request fail on its reused connection before any
+    answer arrives; each is sent once more on a new one and counted once."""
+    server = MockServer(corpus_dir, handler=handler)
+    try:
+        keys = [key_for("225ac"), key_for("221fr"), DatasetKey.levels(Nuclide("Ac", 225))]
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            results = [store.fetch_dataset(key) for key in keys]
+            assert store.stats.network_calls == 3
+        assert all(raw.origin == "remote" for raw in results)
+        assert server.requests == 3
+        assert server.connections == connections
+    finally:
+        server.stop()
+
+
+class _NoAnswer(KeepAliveHandler):
+    def do_GET(self):  # noqa: N802
+        self.close_connection = True
+
+
+class _Garbage(KeepAliveHandler):
+    def do_GET(self):  # noqa: N802
+        self.wfile.write(b"garbage\r\n\r\n")
+        self.close_connection = True
+
+
+class _Moved(KeepAliveHandler):
+    def do_GET(self):  # noqa: N802
+        self.send_response(301)
+        self.send_header("Location", "https://elsewhere.invalid/data")
+        self.send_header("Content-Length", "0")
+        self.end_headers()
+
+
+@pytest.mark.parametrize("handler, message", [
+    (None, "Connection refused"),
+    (_NoAnswer, "closed connection without response"),
+    (_Garbage, "garbage"),
+    (_Moved, "HTTP 301, redirect to https://elsewhere.invalid/data not followed"),
+], ids=["refused", "no-answer", "garbage-status", "redirect"])
+def test_transport_errors_are_network_errors_naming_the_key(tmp_path, corpus_dir,
+                                                            handler, message):
+    """A refused port, a connection closed without an answer, a garbage
+    status line and a redirect each fail once, as a NetworkError; nothing is
+    sent again and nothing is recorded."""
+    if handler is None:
+        with socket.socket() as sock:
+            sock.bind(("127.0.0.1", 0))
+            base = f"http://127.0.0.1:{sock.getsockname()[1]}/data"
+        server = None
+    else:
+        server = MockServer(corpus_dir, handler=handler)
+        base = server.url
+    try:
+        with DataStore(AccessConfig(base_url=base, cache_dir=tmp_path)) as store:
+            with pytest.raises(NetworkError, match="^request failed for 225ac:dr-a: ") as err:
+                store.fetch_dataset(key_for("225ac"))
+            assert store.stats.network_calls == 1
+            assert not store.registry.entries
+        assert message in str(err.value)
+        assert server is None or server.connections == 1
+    finally:
+        if server is not None:
+            server.stop()
+
+
+@pytest.mark.parametrize("base", [
+    "ftp://127.0.0.1/data", "nds.iaea.org/relnsd/v1/data", "http://127.0.0.1:port/data",
+], ids=["scheme", "no-scheme", "port"])
+def test_a_base_url_that_is_no_http_url_is_a_network_error(tmp_path, base):
+    with DataStore(AccessConfig(base_url=base, cache_dir=tmp_path)) as store:
+        with pytest.raises(NetworkError, match="^request failed for 225ac:dr-a: "):
+            store.fetch_dataset(key_for("225ac"))
+
+
+TLS = Path(__file__).resolve().parent / "data" / "tls"
+
+
+@pytest.mark.parametrize("trusted", [False, True], ids=["unknown-ca", "ssl-cert-file"])
+def test_tls_certificates_are_verified(monkeypatch, tmp_path, corpus_dir, trusted):
+    """The server's certificate must chain to a trusted CA: the test CA is
+    unknown to the system trust store, and trusted through SSL_CERT_FILE."""
+    monkeypatch.delenv("SSL_CERT_DIR", raising=False)
+    if trusted:
+        monkeypatch.setenv("SSL_CERT_FILE", str(TLS / "ca.pem"))
+    else:
+        monkeypatch.delenv("SSL_CERT_FILE", raising=False)
+    server = MockServer(corpus_dir, certfile=TLS / "server.pem")
+    try:
+        key = key_for("225ac")
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            if trusted:
+                raw = store.fetch_dataset(key)
+                assert raw.body == (corpus_dir / key.filename()).read_text(encoding="utf-8")
+            else:
+                with pytest.raises(NetworkError, match="CERTIFICATE_VERIFY_FAILED"):
+                    store.fetch_dataset(key)
+        assert server.requests == trusted
+    finally:
+        server.stop()
+
+
+@pytest.fixture()
+def proxy_env(monkeypatch):
+    """Sets proxy variables over an environment cleared of them, and fails
+    any lookup of an ``.invalid`` host, which only a proxy may reach."""
+    for name in ("http_proxy", "https_proxy", "no_proxy", "all_proxy"):
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.upper(), raising=False)
+    real_lookup = socket.getaddrinfo
+
+    def lookup(host, *args, **kwargs):
+        assert not str(host).endswith(".invalid"), f"{host} was looked up"
+        return real_lookup(host, *args, **kwargs)
+
+    monkeypatch.setattr(socket, "getaddrinfo", lookup)
+    return lambda **variables: [monkeypatch.setenv(k, v) for k, v in variables.items()]
+
+
+def test_http_proxy_gets_absolute_targets(proxy_env, tmp_path, corpus_dir):
+    proxy = MockServer(corpus_dir)
+    try:
+        proxy_env(HTTP_PROXY=proxy.url)
+        key = key_for("225ac")
+        base = "http://nucdata.invalid/relnsd/v1/data"
+        with DataStore(AccessConfig(base_url=base, cache_dir=tmp_path)) as store:
+            raw = store.fetch_dataset(key)
+        assert raw.body == (corpus_dir / key.filename()).read_text(encoding="utf-8")
+        [(target, headers)] = proxy.heads
+        assert target == f"{base}?fields=decay_rads&nuclides=225ac&rad_types=a"
+        assert headers["Host"] == "nucdata.invalid"
+    finally:
+        proxy.stop()
+
+
+def test_no_proxy_host_goes_direct(proxy_env, tmp_path, corpus_dir):
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        refused = f"http://127.0.0.1:{sock.getsockname()[1]}"
+    server = MockServer(corpus_dir)
+    try:
+        proxy_env(HTTP_PROXY=refused, NO_PROXY="localhost,127.0.0.1")
+        with DataStore(AccessConfig(base_url=server.url, cache_dir=tmp_path)) as store:
+            assert store.fetch_dataset(key_for("225ac")).origin == "remote"
+        [(target, _)] = server.heads
+        assert target.startswith("/data?")
+    finally:
+        server.stop()
+
+
+@pytest.mark.parametrize("proxy, port", [
+    ("http://127.0.0.1:3128", 3128), ("127.0.0.1", 80),
+], ids=["port", "no-scheme-no-port"])
+def test_https_proxy_tunnels_to_the_host(proxy_env, tmp_path, proxy, port):
+    """An https base URL goes through a CONNECT tunnel to the host, over a
+    connection to the proxy; inspected without connecting."""
+    proxy_env(HTTPS_PROXY=proxy)
+    with DataStore(AccessConfig(base_url="https://nucdata.invalid/data",
+                                cache_dir=tmp_path)) as store:
+        transport = store._open_session()
+        conn = transport.connection()
+        assert transport.target({"fields": "levels"}) == "/data?fields=levels"
+    assert isinstance(conn, http.client.HTTPSConnection)
+    assert (conn.host, conn.port) == ("127.0.0.1", port)
+    assert (conn._tunnel_host, conn._tunnel_port) == ("nucdata.invalid", 443)
+    assert conn.sock is None
 
 
 def test_endpoint_sees_at_most_max_parallel_requests(tmp_path, corpus_dir):
