@@ -238,11 +238,9 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_qualify(args: argparse.Namespace) -> int:
-    if args.top < 1:
-        raise InvalidInput(f"--top {args.top}: at least one candidate must be shown")
     peaks = PeakList.load_csv(args.peaks)
     library = import_library_csv(args.library)
-    matches = qualify_peaks(peaks, library, args.tol_kev)
+    matches = qualify_peaks(peaks, library, args.tol_kev, args.top)
     labels: dict[int, str] = {}  # by entry identity: each entry is formatted once
     lines = []
     for match in matches:
@@ -250,7 +248,7 @@ def _cmd_qualify(args: argparse.Namespace) -> int:
             lines.append(f"{match.peak.centroid_kev:g} keV: unassigned\n")
             continue
         shown = []
-        for c in match.candidates[: args.top]:
+        for c in match.candidates:
             label = labels.get(id(c))
             if label is None:
                 label = f"{display_name(c.nuclide)} {c.energy.kev:g} keV"

@@ -312,6 +312,8 @@ def _entry_parser():
             intensity is not None and not math.isfinite(intensity)
         ):
             raise InvalidInput("non-finite intensity")
+        if intensity_unc < 0 or (intensity is not None and intensity < 0):
+            raise InvalidInput("negative intensity or intensity uncertainty")
         return LibraryEntry(
             nuclides[nid], radiations[code], EnergyValue(float(kev), float(unc) if unc else 0.0),
             intensity, intensity_unc, half_life, parents[parent_kev], flag_sets[flags],

@@ -14,6 +14,7 @@ from pathlib import Path
 from .errors import InvalidInput
 from .export import read_text
 from .library import LibraryEntry, RadionuclideLibrary
+from .nuclide import PerValue
 
 
 @dataclass(frozen=True)
@@ -81,26 +82,35 @@ class PeakMatch:
 
 
 def qualify_peaks(
-    peaks: PeakList, lib: RadionuclideLibrary, tol_kev: float
+    peaks: PeakList, lib: RadionuclideLibrary, tol_kev: float, top: int | None = None
 ) -> list[PeakMatch]:
     """Assign library candidates to each located peak.
 
     A candidate is any entry with |entry energy - centroid| <= tol_kev,
     sorted by |deltaE| then descending intensity (energy agreement is the
     physical discriminator; intensity breaks ties), a missing intensity
-    last, then nuclide id, then library order. The library is ranked once
-    per call on the tie-break, which does not depend on the peak, and each
-    peak bisects an energy-sorted table. Total: peaks without candidates
-    come back flagged unassigned.
+    last, then nuclide id, then library order. With ``top`` each peak keeps
+    the first ``top`` candidates of that order, the same entries as the
+    first ``top`` of the full list; with None it keeps every candidate.
+    Total: peaks without candidates come back flagged unassigned.
+
+    The library is ranked once per call on the tie-break, which does not
+    depend on the peak, and each peak bisects an energy-sorted table. It
+    ranks at most ``top`` lines on each side of the centroid, plus any
+    further lines as close as the ``top``-th of those, which can outrank it.
     """
     if not (0 < tol_kev < math.inf):
         raise InvalidInput(f"tolerance {tol_kev!r} keV is not finite and positive")
+    if top is not None and top < 1:
+        raise InvalidInput(f"top {top!r}: at least one candidate must be kept")
     entries = lib.entries
+    keep = len(entries) + 1 if top is None else top  # None: more than any window
+    nuclide_ids = PerValue(str)
     # The tie-break order, which does not depend on the peak; an entry's rank
     # is its place in it.
     ranked = sorted(
         (-(entry.intensity_percent if entry.intensity_percent is not None else -1.0),
-         str(entry.nuclide), i)
+         nuclide_ids[entry.nuclide], i)
         for i, entry in enumerate(entries)
     )
     table = sorted((entries[i].energy.kev, rank, i) for rank, (_, _, i) in enumerate(ranked))
@@ -112,11 +122,24 @@ def qualify_peaks(
         half = tol_kev + 1e-9 * (tol_kev + centroid)
         lo = bisect_left(kevs, centroid - half)
         hi = bisect_right(kevs, centroid + half, lo)
+        mid = bisect_left(kevs, centroid, lo, hi)
+        start, stop = max(lo, mid - keep), min(hi, mid + keep)
         found = [
             (delta, rank, i)
-            for kev, rank, i in table[lo:hi]
+            for kev, rank, i in table[start:stop]
             if (delta := abs(kev - centroid)) <= tol_kev
         ]
         found.sort()
-        matches.append(PeakMatch(peak=peak, candidates=[entries[i] for _, _, i in found]))
+        if len(found) >= keep:
+            # |deltaE| never falls away from the centroid on either side;
+            # lines past the span that tie the keep-th one may outrank it.
+            bound, first, last = found[keep - 1][0], start, stop
+            while first > lo and abs(kevs[first - 1] - centroid) <= bound:
+                first -= 1
+            while last < hi and abs(kevs[last] - centroid) <= bound:
+                last += 1
+            found += [(abs(kev - centroid), rank, i)
+                      for kev, rank, i in table[first:start] + table[stop:last]]
+            found.sort()
+        matches.append(PeakMatch(peak=peak, candidates=[entries[i] for _, _, i in found[:keep]]))
     return matches

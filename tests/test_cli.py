@@ -636,7 +636,8 @@ jobs:
     assert all(j["network_calls"] == 0 for j in report["jobs"])
 
 
-def test_qualify_cli(tmp_path, corpus_dir, capsys):
+def generate_norm_library(tmp_path, corpus_dir, capsys) -> Path:
+    """Generate the pruned norm gamma library offline; returns its CSV."""
     cache = prime_cache(corpus_dir, tmp_path / "cache")
     out = tmp_path / "out"
     cfg = write_config(tmp_path, f"""
@@ -653,17 +654,40 @@ jobs:
 """)
     assert main(["generate", str(cfg)]) == 0
     capsys.readouterr()
+    return out / "library_norm_g.csv"
+
+
+def test_qualify_cli(tmp_path, corpus_dir, capsys):
+    library = generate_norm_library(tmp_path, corpus_dir, capsys)
     peaks = tmp_path / "peaks.csv"
     peaks.write_text("centroid_kev\n1460.8\n186.0\n3000.0\n")
-    code = main([
-        "qualify", str(peaks), str(out / "library_norm_g.csv"),
-        "--tol-kev", "1.0",
-    ])
+    code = main(["qualify", str(peaks), str(library), "--tol-kev", "1.0"])
     assert code == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[0].startswith("1460.8 keV: K-40 1460.82 keV (10.66%)")
     assert "Ra-226" in lines[1] and "U-235" in lines[1]
     assert lines[2] == "3000 keV: unassigned"
+
+
+def test_qualify_top_prints_a_prefix_of_the_full_ranking(tmp_path, corpus_dir, capsys):
+    library = generate_norm_library(tmp_path, corpus_dir, capsys)
+    peaks = tmp_path / "peaks.csv"
+    peaks.write_text("".join(f"{kev / 4:g}\n" for kev in range(0, 8004, 37)))
+
+    def printed(top: int) -> list[tuple[str, list[str]]]:
+        assert main(["qualify", str(peaks), str(library), "--tol-kev", "2.0",
+                     "--top", str(top)]) == 0
+        return [(peak, labels.split(", "))
+                for peak, labels in (line.split(": ", 1)
+                                     for line in capsys.readouterr().out.splitlines())]
+
+    everything = printed(100000)
+    assert max(len(labels) for _, labels in everything) > 5
+    for top in (1, 5):
+        assert printed(top) == [
+            (peak, labels if labels == ["unassigned"] else labels[:top])
+            for peak, labels in everything
+        ]
 
 
 def test_phase_times_sum_below_total(tmp_path, corpus_dir):
@@ -890,6 +914,8 @@ QUALIFY_LIBRARY = ("nuclide,radiation,energy_kev,energy_unc_kev,intensity_pct,"
     ("1460.8\n", "nuclide,energy_kev\n40k,1460.82\n", ["--tol-kev", "1"]),
     ("1460.8\n", QUALIFY_LIBRARY.replace("1460.82", "x"), ["--tol-kev", "1"]),
     (Path("a\0b.csv"), QUALIFY_LIBRARY, ["--tol-kev", "1"]),
+    ("1460.8\n", QUALIFY_LIBRARY.replace("10.66", "-10.66"), ["--tol-kev", "1"]),
+    ("1460.8\n", QUALIFY_LIBRARY.replace("0.13", "-0.13"), ["--tol-kev", "1"]),
 ])
 def test_qualify_rejects_bad_input_with_an_error_line(tmp_path, capsys, peaks, library,
                                                       flags):

@@ -6,8 +6,14 @@ import pytest
 from nuclibgen.chains import assemble_subset
 from nuclibgen.errors import InvalidInput
 from nuclibgen.identify import Peak, PeakList, qualify_peaks
-from nuclibgen.library import PruneBounds, RadionuclideLibrary, assemble_library, prune
-from nuclibgen.nuclide import Nuclide, RadiationType, parse_nuclide_id
+from nuclibgen.library import (
+    LibraryEntry,
+    PruneBounds,
+    RadionuclideLibrary,
+    assemble_library,
+    prune,
+)
+from nuclibgen.nuclide import EnergyValue, Nuclide, RadiationType, parse_nuclide_id
 
 
 @pytest.fixture(scope="module")
@@ -44,8 +50,8 @@ def test_candidates_ranked_by_delta_then_intensity(norm_gamma):
 
 
 def test_each_entry_nuclide_is_formatted_once(norm_gamma, monkeypatch):
-    """qualify_peaks formats each entry's nuclide at most once per call,
-    however many peaks there are and however many candidates each has."""
+    """qualify_peaks formats each distinct nuclide at most once per call,
+    however many entries, peaks and candidates there are."""
     calls = 0
     fmt = Nuclide.__str__
 
@@ -56,9 +62,87 @@ def test_each_entry_nuclide_is_formatted_once(norm_gamma, monkeypatch):
 
     monkeypatch.setattr(Nuclide, "__str__", counted)
     peaks = PeakList([Peak(entry.energy.kev) for entry in norm_gamma.entries] * 2)
-    matches = qualify_peaks(peaks, norm_gamma, 1.0)
-    assert sum(len(match.candidates) for match in matches) > len(norm_gamma.entries)
-    assert 0 < calls <= len(norm_gamma.entries)
+    distinct = {entry.nuclide for entry in norm_gamma.entries}
+    for top in (None, 3):
+        calls = 0
+        matches = qualify_peaks(peaks, norm_gamma, 1.0, top)
+        assert sum(len(match.candidates) for match in matches) > len(norm_gamma.entries)
+        assert 0 < calls <= len(distinct) < len(norm_gamma.entries)
+
+
+def gamma_line(nuclide: str, kev: float, intensity: float | None) -> LibraryEntry:
+    return LibraryEntry(parse_nuclide_id(nuclide), RadiationType.GAMMA, EnergyValue(kev),
+                        intensity, 0.0, None, EnergyValue(0.0))
+
+
+def ranked_ids(lib: RadionuclideLibrary, centroid: float, tol: float,
+               top: int | None) -> list[int]:
+    [match] = qualify_peaks(PeakList([Peak(centroid)]), lib, tol, top)
+    return [id(entry) for entry in match.candidates]
+
+
+# Four lines at 99 keV in ascending intensity, so that the energy table holds
+# them in the reverse of library order, and the two nearest the centroid at
+# 100 keV are the weakest. Beside them, single lines at 100.2 keV and, as far
+# as the 99 keV lines, at 101 keV with an intensity among theirs.
+TIED_LEFT = [gamma_line("226ra", 99.0, intensity) for intensity in (10.0, 20.0, 30.0, 40.0)]
+NEAR, FAR = gamma_line("40k", 100.2, 1.0), gamma_line("40k", 101.0, 25.0)
+
+
+@pytest.mark.parametrize("top, want", [
+    (1, [NEAR]),
+    (2, [NEAR, TIED_LEFT[3]]),
+    (3, [NEAR, TIED_LEFT[3], TIED_LEFT[2]]),
+    (4, [NEAR, TIED_LEFT[3], TIED_LEFT[2], FAR]),
+])
+def test_top_reaches_tied_lines_past_the_span(top, want):
+    """With top=2 the span left of 100 keV holds the 10 % and 20 % lines at
+    99 keV; the 40 % line at the same |deltaE| lies past it and outranks them."""
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA,
+                              entries=[*TIED_LEFT, NEAR, FAR])
+    assert ranked_ids(lib, 100.0, 1.0, top) == [id(entry) for entry in want]
+    assert ranked_ids(lib, 100.0, 1.0, top) == ranked_ids(lib, 100.0, 1.0, None)[:top]
+
+
+def test_top_reaches_a_stronger_line_whose_delta_rounds_equal():
+    """Two lines one ulp apart above a centroid of 2**-53 keV get equal
+    abs(kev - centroid); the farther, stronger one ranks first."""
+    weak, strong = gamma_line("40k", 1 + 2**-51, 1.0), gamma_line("40k", 1 + 3 * 2**-52, 50.0)
+    assert abs(weak.energy.kev - 2**-53) == abs(strong.energy.kev - 2**-53)
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=[weak, strong])
+    assert ranked_ids(lib, 2**-53, 2.0, 1) == [id(strong)]
+    assert ranked_ids(lib, 2**-53, 2.0, None) == [id(strong), id(weak)]
+
+
+def test_top_ranks_equal_deltas_on_both_sides_by_intensity():
+    below, above = gamma_line("226ra", 99.5, 3.0), gamma_line("235u", 100.5, 5.0)
+    weakest = gamma_line("40k", 99.5, None)
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=[weakest, below, above])
+    for top, want in [(1, [above]), (2, [above, below]), (3, [above, below, weakest])]:
+        assert ranked_ids(lib, 100.0, 0.5, top) == [id(entry) for entry in want]
+
+
+def test_top_above_the_window_keeps_every_candidate():
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA,
+                              entries=[*TIED_LEFT, NEAR, FAR])
+    everything = ranked_ids(lib, 100.0, 1.0, None)
+    assert len(everything) == 6
+    assert ranked_ids(lib, 100.0, 1.0, 7) == ranked_ids(lib, 100.0, 1.0, 100) == everything
+
+
+@pytest.mark.parametrize("entries", [[], [*TIED_LEFT, NEAR, FAR]])
+@pytest.mark.parametrize("top", [None, 1, 5])
+def test_empty_window_is_unassigned_for_any_top(entries, top):
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=entries)
+    matches = qualify_peaks(PeakList([Peak(50.0), Peak(150.0)]), lib, 1.0, top)
+    assert all(match.unassigned for match in matches)
+
+
+@pytest.mark.parametrize("top", [0, -1])
+def test_top_below_one_is_an_input_error(top):
+    lib = RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=[NEAR])
+    with pytest.raises(InvalidInput, match=f"top {top}"):
+        qualify_peaks(PeakList([Peak(100.0)]), lib, 1.0, top)
 
 
 def test_empty_library_leaves_all_unassigned():

@@ -986,14 +986,15 @@ def qualify_cases(draw):
     return RadionuclideLibrary(radiation=RadiationType.GAMMA, entries=entries), peaks, tol
 
 
-@given(qualify_cases())
-def test_qualify_matches_linear_scan(case):
+@given(qualify_cases(), st.one_of(st.none(), st.integers(min_value=1, max_value=6)))
+def test_qualify_matches_linear_scan(case, top):
+    """With ``top`` each peak keeps the first ``top`` of the scan's list."""
     lib, peaks, tol = case
-    got = qualify_peaks(peaks, lib, tol)
+    got = qualify_peaks(peaks, lib, tol, top)
     want = scan_qualify_peaks(peaks, lib, tol)
     assert [match.peak for match in got] == [match.peak for match in want]
     assert [[id(entry) for entry in match.candidates] for match in got] == [
-        [id(entry) for entry in match.candidates] for match in want
+        [id(entry) for entry in match.candidates[:top]] for match in want
     ]
 
 
