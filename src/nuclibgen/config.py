@@ -63,7 +63,7 @@ def _field_names(kind: type) -> set[str]:
 
 
 def _reject_unknown(mapping: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(mapping) - allowed)
+    unknown = sorted(set(mapping) - allowed, key=str)
     if unknown:
         raise UnknownKey(f"{context}: unknown key(s) {unknown}; allowed: {sorted(allowed)}")
 
@@ -92,7 +92,7 @@ def _parse_nuclide_entry(item, context: str) -> Nuclide:
                 ordinal = 1 if text == "m" else int(text[1:])
                 return nuclide.at_level(LevelSpec.meta(ordinal))
             return nuclide.at_level(LevelSpec.energy(float(text)))
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ConfigParseError(f"{context}: bad level {level!r}: {exc}") from exc
     raise ConfigParseError(f"{context}: expected a nuclide id or mapping, got {item!r}")
 
@@ -122,7 +122,7 @@ def _number(value, context: str) -> float:
     if not isinstance(value, bool):
         try:
             return float(value)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise ConfigParseError(f"{context}: expected a number, got {value!r}")
 
@@ -271,7 +271,7 @@ def load_config(path: Path | str) -> RunConfig:
         mark = exc.problem_mark
         where = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
         raise ConfigParseError(f"{path}: {exc.problem}{where}") from exc
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int of too many digits
         raise ConfigParseError(f"{path}: {exc}") from exc
 
     if raw is None:

@@ -41,7 +41,7 @@ import os
 import threading
 from collections.abc import Callable, Iterable
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, NamedTuple
 
@@ -293,13 +293,7 @@ class AccessStats:
 
     def snapshot(self) -> dict[str, int]:
         with self._lock:
-            return {
-                "network_calls": self.network_calls,
-                "cache_hits": self.cache_hits,
-                "registry_skips": self.registry_skips,
-                "absences_recorded": self.absences_recorded,
-                "parses_loaded": self.parses_loaded,
-            }
+            return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "_lock"}
 
 
 class DataStore:

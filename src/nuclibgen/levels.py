@@ -32,7 +32,7 @@ class FlattenedLevels:
         self._index = EnergyIndex(self.all)
 
     def contains(self, energy: EnergyValue) -> bool:
-        return self._index.has_match(energy)
+        return bool(self._index.matches(energy))
 
 
 def _dedup_desc(values: list[EnergyValue]) -> list[EnergyValue]:

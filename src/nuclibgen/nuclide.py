@@ -180,6 +180,11 @@ class EnergyValue(_EnergyFields):
         return tuple.__new__(cls, (kev, uncertainty_kev))
 
 
+def _tolerance(u1: float, u2: float) -> float:
+    """The largest |E1 - E2| at which energies of uncertainties u1 and u2 match."""
+    return max(3.0 * (u1**2 + u2**2) ** 0.5, 1.0)
+
+
 def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
     """Tolerance rule used everywhere two level energies are compared.
 
@@ -187,45 +192,35 @@ def energies_match(a: "EnergyValue", b: "EnergyValue") -> bool:
     the 1 keV floor absorbs rounding differences between datasets evaluated
     at different times.
     """
-    spread = 3.0 * (a.uncertainty_kev**2 + b.uncertainty_kev**2) ** 0.5
-    return abs(a.kev - b.kev) <= max(spread, 1.0)
+    return abs(a.kev - b.kev) <= _tolerance(a.uncertainty_kev, b.uncertainty_kev)
 
 
 class EnergyIndex:
-    """A sorted snapshot of a list of energies. A lookup for q bisects the window
-    |kev - q.kev| <= max(3 * sqrt(u_max^2 + q.u^2), 1 keV), u_max the largest
-    indexed uncertainty, and confirms each candidate with ``energies_match``."""
+    """A list of energies, kept sorted as ``add`` extends it. A lookup for q
+    bisects the energies within the tolerance of q's uncertainty and u_max, the
+    largest indexed uncertainty, and confirms each with ``energies_match``."""
 
     def __init__(self, energies: list[EnergyValue]):
         self._entries = sorted(enumerate(energies), key=lambda entry: entry[1].kev)
         self._kevs = [e.kev for _, e in self._entries]
         self._u_max = max((e.uncertainty_kev for e in energies), default=0.0)
 
-    def _window(self, kev: float, half: float) -> list[tuple[int, EnergyValue]]:
-        # Widen past the rounding of kev +- half; the caller's exact test decides.
-        half += 1e-9 * (half + kev)
-        lo = bisect_left(self._kevs, kev - half)
-        hi = bisect_right(self._kevs, kev + half, lo)
-        return self._entries[lo:hi]
+    def add(self, energy: EnergyValue) -> None:
+        """Index ``energy`` at the next position of the list."""
+        at = bisect_right(self._kevs, energy.kev)  # after equal energies
+        self._entries.insert(at, (len(self._kevs), energy))
+        self._kevs.insert(at, energy.kev)
+        self._u_max = max(self._u_max, energy.uncertainty_kev)
 
     def matches(self, energy: EnergyValue) -> list[int]:
         """Ascending positions, in the indexed list, of every matching energy."""
-        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
-        window = self._window(energy.kev, half)
-        return sorted(i for i, e in window if energies_match(e, energy))
-
-    def crowded(self) -> set[int]:
-        """Positions of the indexed energies whose own lookup window holds a
-        neighbour; no other indexed energy can match the rest."""
-        gaps = [b - a for a, b in zip(self._kevs, self._kevs[1:])]
-        return {i for (i, e), below, above in zip(self._entries, [_INF] + gaps, gaps + [_INF])
-                if min(below, above)
-                <= max(3.0 * (self._u_max**2 + e.uncertainty_kev**2) ** 0.5, 1.0)}
-
-    def has_match(self, energy: EnergyValue) -> bool:
-        """Whether any indexed energy matches: ``bool(matches(energy))``."""
-        half = max(3.0 * (self._u_max**2 + energy.uncertainty_kev**2) ** 0.5, 1.0)
-        return any(energies_match(e, energy) for _, e in self._window(energy.kev, half))
+        kev = energy.kev
+        half = _tolerance(self._u_max, energy.uncertainty_kev)
+        # Widen past the rounding of kev +- half; energies_match decides.
+        half += 1e-9 * (half + kev)
+        lo = bisect_left(self._kevs, kev - half)
+        hi = bisect_right(self._kevs, kev + half, lo)
+        return sorted(i for i, e in self._entries[lo:hi] if energies_match(e, energy))
 
 
 class _HalfLifeFields(NamedTuple):

@@ -47,8 +47,8 @@ transition row it keeps as it reads it and storing no row, so a transition's
 gamma energy and intensity are checked (a bad one skips the row with a
 warning) but not kept. The parser looks up each distinct start or end energy
 once in the scheme's level index; the scheme keeps that index and no lookup
-memo. Only a level whose lookup window holds another level is checked for a
-duplicate.
+memo. Each level row is checked for a duplicate against the levels kept
+before it.
 """
 
 from __future__ import annotations
@@ -386,37 +386,24 @@ def parse_level_scheme(
     rows, pick = _table(levels_raw, _LEVEL_COLUMNS, _LEVEL_CELLS)
 
     nuclides = PerValue(partial(_nuclide, "symbol"))
-    parsed: list[tuple[LevelRecord | None, list[str]]] = []
-    for lineno, row in rows:
-        row_warnings: list[str] = []
-        record = _parse_level_row(pick(row), levels_raw.key, lineno, row_warnings, nuclides)
-        parsed.append((record, row_warnings))
-
-    # A level matching an earlier kept level is dropped, with a warning naming
-    # the first such level; one index over all parsed levels finds them.
-    # Only a level whose lookup window holds another level can clash.
-    records = [record for record, _ in parsed if record is not None]
-    index = EnergyIndex([record.energy for record in records])
-    crowded = index.crowded()
+    # A level matching a level kept before it is dropped, with a warning
+    # naming the first such level.
     warnings: list[str] = []
-    kept: set[int] = set()
-    position = 0  # of ``record`` in ``records``
-    for record, row_warnings in parsed:
-        warnings += row_warnings
+    levels: list[LevelRecord] = []
+    kept = EnergyIndex([])
+    for lineno, row in rows:
+        record = _parse_level_row(pick(row), levels_raw.key, lineno, warnings, nuclides)
         if record is None:
             continue
-        clash = None
-        if position in crowded:
-            clash = next((j for j in index.matches(record.energy) if j in kept), None)
-        if clash is None:
-            kept.add(position)
-        else:
+        clash = kept.matches(record.energy)
+        if clash:
             warnings.append(
                 f"{key}: level {record.energy.kev} keV duplicates "
-                f"{records[clash].energy.kev} keV within tolerance; kept first"
+                f"{levels[clash[0]].energy.kev} keV within tolerance; kept first"
             )
-        position += 1
-    levels = [record for i, record in enumerate(records) if i in kept]
+        else:
+            levels.append(record)
+            kept.add(record.energy)
 
     if not levels:
         raise HeaderMismatch(f"{key}: no level rows")

@@ -48,7 +48,8 @@ jobs:
     assert third.level.kind == "energy"
 
 
-@pytest.mark.parametrize("level", ["-5", "mx", "m0", "true", "false", "yes"])
+@pytest.mark.parametrize("level", ["-5", "mx", "m0", "true", "false", "yes",
+                                   pytest.param("1" + "0" * 400, id="overflow")])
 def test_bad_level_spec_rejected(tmp_path, level):
     with pytest.raises(ConfigParseError,
                        match=r"^jobs\[0\]\.recursive_progenitors: bad level "):
@@ -87,26 +88,29 @@ jobs:
 """))
 
 
-@pytest.mark.parametrize("text, allowed", [
-    ("jobs: [{recursive_progenitors: [238U]}]\nbogus: 1\n",
+@pytest.mark.parametrize("text, unknown, allowed", [
+    ("jobs: [{recursive_progenitors: [238U]}]\nbogus: 1\n", ["bogus"],
      ["base_url", "cache_dir", "jobs", "offline", "out_dir", "registry_enabled"]),
-    ("jobs: [{recursive_progenitors: [238U], bogus: 1}]\n",
+    ("jobs: [{recursive_progenitors: [238U], bogus: 1}]\n", ["bogus"],
      ["exclusions", "lineage", "name", "outputs", "plot", "prune", "radiation",
       "recursive_progenitors", "static_nuclides"]),
-    ("jobs: [{recursive_progenitors: [238U], prune: {bogus: 1}}]\n",
+    ("jobs: [{recursive_progenitors: [238U], prune: {bogus: 1}}]\n", ["bogus"],
      ["energy_kev", "half_life_seconds", "intensity_percent"]),
-    ("jobs: [{recursive_progenitors: [238U], plot: {bogus: 1}}]\n",
+    ("jobs: [{recursive_progenitors: [238U], plot: {bogus: 1}}]\n", ["bogus"],
      ["enabled", "marker_registry", "windows"]),
-    ("jobs: [{recursive_progenitors: [238U], plot: {windows: [{bogus: 1}]}}]\n",
+    ("jobs: [{recursive_progenitors: [238U], plot: {windows: [{bogus: 1}]}}]\n", ["bogus"],
      ["annotate", "annotation_min_intensity", "energy_kev", "intensity_percent"]),
-    ("jobs: [{recursive_progenitors: [{id: 238U, bogus: 1}]}]\n", ["id", "level"]),
-], ids=["top", "job", "prune", "plot", "window", "nuclide"])
-def test_each_mapping_allows_exactly_its_schema_keys(tmp_path, text, allowed):
+    ("jobs: [{recursive_progenitors: [{id: 238U, bogus: 1}]}]\n", ["bogus"], ["id", "level"]),
+    ("jobs: [{recursive_progenitors: [{id: 238U, bogus: 1, 2: x}]}]\n", [2, "bogus"],
+     ["id", "level"]),
+], ids=["top", "job", "prune", "plot", "window", "nuclide", "mixed-key-types"])
+def test_each_mapping_allows_exactly_its_schema_keys(tmp_path, text, unknown, allowed):
     """The YAML schema, pinned: a field added to a config type would otherwise
-    become a YAML key without notice."""
+    become a YAML key without notice. Unknown keys of any type are listed
+    sorted by their text."""
     with pytest.raises(UnknownKey) as err:
         load_config(write(tmp_path, text))
-    assert str(err.value).endswith(f"unknown key(s) ['bogus']; allowed: {allowed}")
+    assert str(err.value).endswith(f"unknown key(s) {unknown}; allowed: {allowed}")
 
 
 def test_job_requires_some_nuclide(tmp_path):
@@ -249,9 +253,15 @@ jobs:
     ("prune: {energy_kev: [true, 2000]}", "jobs[0].prune.energy_kev"),
     ("plot: {windows: [{annotation_min_intensity: true}]}",
      "jobs[0].plot.windows[0].annotation_min_intensity"),
+    (f"prune: {{energy_kev: [0, 1{'0' * 400}]}}", "jobs[0].prune.energy_kev"),
+    (f"plot: {{windows: [{{energy_kev: [1{'0' * 400}, 0]}}]}}",
+     "jobs[0].plot.windows[0].energy_kev"),
+    (f"plot: {{windows: [{{annotation_min_intensity: 1{'0' * 400}}}]}}",
+     "jobs[0].plot.windows[0].annotation_min_intensity"),
 ], ids=["energy", "half-life", "nan-bound", "window-intensity", "annotation-min",
         "window-inverted-energy", "window-inverted-intensity", "window-nan-bound",
-        "window-nan-min", "window-inf-min", "boolean-bound", "boolean-min"])
+        "window-nan-min", "window-inf-min", "boolean-bound", "boolean-min",
+        "huge-bound", "window-huge-bound", "huge-min"])
 def test_bad_number_names_its_key(tmp_path, section, key):
     with pytest.raises(ConfigParseError, match=re.escape(key)):
         load_config(write(tmp_path, f"""
@@ -352,7 +362,10 @@ jobs:
      "jobs[0].recursive_progenitors: nuclide mapping needs an 'id'"),
     ("jobs: [{recursive_progenitors: [238U], prune: 5}]\n",
      "jobs[0].prune: prune must be a mapping"),
-], ids=["top-level", "plot", "plot-window", "nuclide-without-id", "prune"])
+    (f"jobs: [{{recursive_progenitors: [238U], lineage: {'9' * 4301}}}]\n",
+     "run.yaml: Exceeds the limit"),
+], ids=["top-level", "plot", "plot-window", "nuclide-without-id", "prune",
+        "int-of-too-many-digits"])
 def test_config_of_the_wrong_shape_is_rejected(tmp_path, text, match):
     with pytest.raises(ConfigParseError, match=re.escape(match)):
         load_config(write(tmp_path, text))

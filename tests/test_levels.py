@@ -202,14 +202,13 @@ def test_cascade_looks_up_each_start_level_once(monkeypatch):
     _, scheme, _ = max(FIXTURE_SCHEMES, key=lambda item: len(item[2]))
     starts = [record.energy for record in scheme.levels[-3:]]
     lookups = {}
-    for name in ("matches", "has_match"):
-        original = getattr(EnergyIndex, name)
+    original = EnergyIndex.matches
 
-        def counted(self, energy, original=original, name=name):
-            lookups[name] = lookups.get(name, 0) + 1
-            return original(self, energy)
+    def counted(self, energy):
+        lookups["matches"] = lookups.get("matches", 0) + 1
+        return original(self, energy)
 
-        monkeypatch.setattr(EnergyIndex, name, counted)
+    monkeypatch.setattr(EnergyIndex, "matches", counted)
     visited = cascade_visit(starts, scheme)
     assert len(visited) > len(starts)
     assert lookups == {"matches": len(starts)}

@@ -48,6 +48,7 @@ from nuclibgen.library import (
     prune,
 )
 from nuclibgen.nuclide import (
+    EnergyIndex,
     EnergyValue,
     HalfLife,
     LevelSpec,
@@ -878,11 +879,16 @@ def test_find_level_matches_linear_scan(data):
 
 @given(crowded_schemes())
 def test_contains_matches_linear_scan(data):
+    """Also: an index grown by ``add`` matches as one built from the whole list."""
     scheme, _, queries = data
     members = [record.energy for record in scheme.levels]
     flat = FlattenedLevels(all=members)
+    built, grown = EnergyIndex(members), EnergyIndex([])
+    for member in members:
+        grown.add(member)
     for query in queries:
         assert flat.contains(query) == any(energies_match(query, m) for m in members)
+        assert grown.matches(query) == built.matches(query)
 
 
 @given(crowded_schemes())
